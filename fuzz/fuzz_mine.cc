@@ -3,8 +3,9 @@
 // tiny ExecutionGuard budget so no input can stall the fuzzer.
 //
 // Input layout: byte 0 selects the mining configuration (language, pruning
-// mask, window cap); the rest is a TPMB body that is CRC-signed and parsed.
-// Databases that parse but are too large for a fuzz iteration are skipped.
+// mask, window cap, top-K bar); when selector bit 0x20 is set, byte 1 gives
+// K - 1. The rest is a TPMB body that is CRC-signed and parsed. Databases
+// that parse but are too large for a fuzz iteration are skipped.
 //
 // Properties enforced on every mined result:
 //   * Mine() succeeds on any database the parser accepted (budget stops are
@@ -13,10 +14,13 @@
 //     0 < support <= |D|;
 //   * on complete (non-truncated) endpoint runs, support monotonicity holds
 //     across the reported set (ValidateSupportMonotonicity).
+//   * with a top-K bar, when neither run truncated, ranking the barred run
+//     gives exactly the top K of the full run (TopKBySupport).
 
 #include <cstdint>
 #include <string>
 
+#include "analysis/postprocess.h"
 #include "core/validate.h"
 #include "fuzz/fuzz_util.h"
 #include "io/binary_format.h"
@@ -54,7 +58,24 @@ void CheckMined(const ResultT& result, size_t db_size) {
   }
 }
 
-void CheckOneInput(uint8_t selector, const std::string& body) {
+// A run with the top-K bar returns a superset of the K best patterns, so
+// its ranking must match the full run's whenever neither was cut short.
+template <typename ResultT, typename MineFn>
+void CheckTopKBar(const ResultT& full, MinerOptions options, uint64_t top_k,
+                  size_t db_size, MineFn mine) {
+  options.top_k = top_k;
+  auto barred = mine(options);
+  FUZZ_REQUIRE(barred.ok(),
+               "top-K Mine failed: " + barred.status().ToString());
+  CheckMined(*barred, db_size);
+  if (full.stats.truncated || barred->stats.truncated) return;
+  FUZZ_REQUIRE(TopKBySupport(barred->patterns, top_k) ==
+                   TopKBySupport(full.patterns, top_k),
+               "top-" + std::to_string(top_k) +
+                   " with the support bar differs from the full mine");
+}
+
+void CheckOneInput(uint8_t selector, uint64_t top_k, const std::string& body) {
   auto db = ParseBinary(fuzz::Resign(body));
   if (!db.ok()) return;  // error contracts are fuzz_binary_format's job
   if (db->size() > kMaxSequences || db->TotalIntervals() > kMaxIntervals) {
@@ -66,12 +87,19 @@ void CheckOneInput(uint8_t selector, const std::string& body) {
 
   const MinerOptions options = OptionsFromSelector(selector);
   if ((selector & 0x01) != 0) {
-    auto result = MakePTPMinerC()->Mine(*db, options);
+    auto mine = [&](const MinerOptions& o) {
+      return MakePTPMinerC()->Mine(*db, o);
+    };
+    auto result = mine(options);
     FUZZ_REQUIRE(result.ok(),
                  "coincidence Mine failed: " + result.status().ToString());
     CheckMined(*result, db->size());
+    if (top_k > 0) CheckTopKBar(*result, options, top_k, db->size(), mine);
   } else {
-    auto result = MakePTPMinerE()->Mine(*db, options);
+    auto mine = [&](const MinerOptions& o) {
+      return MakePTPMinerE()->Mine(*db, o);
+    };
+    auto result = mine(options);
     FUZZ_REQUIRE(result.ok(),
                  "endpoint Mine failed: " + result.status().ToString());
     CheckMined(*result, db->size());
@@ -80,6 +108,7 @@ void CheckOneInput(uint8_t selector, const std::string& body) {
       FUZZ_REQUIRE(mono.ok(),
                    "support monotonicity violated: " + mono.ToString());
     }
+    if (top_k > 0) CheckTopKBar(*result, options, top_k, db->size(), mine);
   }
 }
 
@@ -89,7 +118,16 @@ void CheckOneInput(uint8_t selector, const std::string& body) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   tpm::fuzz::Init();
   if (size == 0 || size > tpm::fuzz::kMaxInputBytes) return 0;
-  const std::string body(reinterpret_cast<const char*>(data + 1), size - 1);
-  tpm::CheckOneInput(data[0], body);
+  const uint8_t selector = data[0];
+  size_t header = 1;
+  uint64_t top_k = 0;
+  if ((selector & 0x20) != 0) {
+    if (size < 2) return 0;
+    top_k = uint64_t{data[1]} + 1;
+    header = 2;
+  }
+  const std::string body(reinterpret_cast<const char*>(data + header),
+                         size - header);
+  tpm::CheckOneInput(selector, top_k, body);
   return 0;
 }

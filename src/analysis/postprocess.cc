@@ -157,12 +157,16 @@ std::vector<MinedPattern<PatternT>> FilterMaximal(
 template <typename PatternT>
 std::vector<MinedPattern<PatternT>> TopKBySupport(
     std::vector<MinedPattern<PatternT>> patterns, size_t k) {
-  std::sort(patterns.begin(), patterns.end(),
-            [](const MinedPattern<PatternT>& a, const MinedPattern<PatternT>& b) {
-              if (a.support != b.support) return a.support > b.support;
-              return a.pattern < b.pattern;
-            });
-  if (patterns.size() > k) patterns.resize(k);
+  // A strict total order over distinct patterns, so the partial sort keeps
+  // exactly the prefix a full sort would.
+  const size_t keep = std::min(k, patterns.size());
+  std::partial_sort(
+      patterns.begin(), patterns.begin() + keep, patterns.end(),
+      [](const MinedPattern<PatternT>& a, const MinedPattern<PatternT>& b) {
+        if (a.support != b.support) return a.support > b.support;
+        return a.pattern < b.pattern;
+      });
+  patterns.resize(keep);
   return patterns;
 }
 

@@ -49,6 +49,13 @@
 //              order — so the output is byte-identical for any thread
 //              count and any completion order.
 //
+// Top-K support bar: with MinerOptions::top_k = K > 0 the search floor is
+// max(minsup, bar) instead of minsup. The bar is seeded from the emittable
+// level-1 unit supports and raised lock-free (a CAS-max) as each worker's
+// own K best emitted supports fill in, so it never exceeds the true K-th
+// best support and every top-K pattern (ties included) is still mined.
+// Search statistics then depend on scheduling; the output does not.
+//
 // Stop propagation is lock-free: every guard's on_stop funnels into a CAS
 // on first_stop_reason_ plus a stop flag every worker polls, so a pattern
 // cap, deadline, memory trip, or SIGINT on any thread winds down the whole
@@ -73,6 +80,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -121,6 +129,12 @@ class GrowthEngine {
         options_(options),
         config_(config),
         minsup_(db.AbsoluteSupport(options.min_support)),
+        // Checkpointed units must bank their whole subtree, so the bar is
+        // off whenever a checkpoint is written or resumed.
+        top_k_(options.checkpoint_writer == nullptr && options.resume == nullptr
+                   ? options.top_k
+                   : 0),
+        bar_(minsup_),
         mode_(config.physical_projection ? ProjectionMode::kCopy
                                          : options.projection),
         policy_(options, config),
@@ -215,6 +229,7 @@ class GrowthEngine {
     root_ctx.epoch = &epoch_;
     root_ctx.domain = domain_;
     root_ctx.om = om_;
+    root_ctx.topk_hits = TopKHitsCounter(domain_);
     std::vector<MinedPattern<PatternT>> root_bank;
     root_ctx.bank = &root_bank;
     root_ctx.inline_progress = true;
@@ -353,6 +368,10 @@ class GrowthEngine {
     MinerMetrics om{};
     std::vector<MinedPattern<PatternT>>* bank = nullptr;
     uint64_t item_patterns = 0;  ///< emissions within the current item
+    obs::Counter* topk_hits = nullptr;  ///< prune.topk.hits; bar on only
+
+    /// Min-heap of the K best supports this context emitted (bar on only).
+    std::vector<SupportCount> best;
 
     // Cumulative counters, folded into MiningStats after the join.
     uint64_t nodes = 0;
@@ -642,8 +661,9 @@ class GrowthEngine {
     // ---- Children ------------------------------------------------------
     nc->child_allowed = allowed;
     if (postfix_pruning_) {
+      const SupportCount floor = Floor();
       for (EventId e = 0; e < num_symbols_; ++e) {
-        if (frame.postfix_count[e] < minsup_) nc->child_allowed[e] = 0;
+        if (frame.postfix_count[e] < floor) nc->child_allowed[e] = 0;
       }
     }
 
@@ -700,7 +720,7 @@ class GrowthEngine {
     for (Bucket& b : nc.frame.buckets) {
       if (w.guard->stopped()) break;
       const NodeProjection& view = b.builder.view();
-      if (view.num_spans < minsup_) continue;
+      if (BelowFloor(w, view.num_spans)) continue;
       w.policy->Apply(b.code, b.i_ext);
       ExpandSubtree(w, view, nc.child_allowed, depth + 1);
       w.policy->Undo(b.code, b.i_ext);
@@ -725,6 +745,74 @@ class GrowthEngine {
     const uint64_t total =
         patterns_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     w.guard->NotePattern(total);
+    if (top_k_ > 0) OfferSupport(w, support);
+  }
+
+  // ---- Top-K support bar -----------------------------------------------
+
+  /// The search floor: minsup, or the bar once top_k raised it.
+  SupportCount Floor() const { return bar_.load(std::memory_order_relaxed); }
+
+  /// True when a node of this support is below the floor. Charges
+  /// prune.topk.hits when the bar, not minsup, is what cut it (never with
+  /// the bar off: the floor is then minsup itself).
+  bool BelowFloor(WorkerCtx& w, SupportCount support) {
+    if (support >= Floor()) return false;
+    if (support >= minsup_) w.topk_hits->Increment();
+    return true;
+  }
+
+  /// CAS-max: the bar only ever rises.
+  void RaiseBar(SupportCount support) {
+    SupportCount cur = bar_.load(std::memory_order_relaxed);
+    while (support > cur &&
+           !bar_.compare_exchange_weak(cur, support,
+                                       std::memory_order_relaxed)) {
+    }
+  }
+
+  /// Keeps the context's K best emitted supports. They belong to K distinct
+  /// patterns, so once K are held their minimum is a lower bound on the
+  /// run's K-th best support and may become the bar.
+  void OfferSupport(WorkerCtx& w, SupportCount support) {
+    std::vector<SupportCount>& heap = w.best;
+    if (heap.size() < top_k_) {
+      heap.push_back(support);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      if (heap.size() < top_k_) return;
+    } else if (support > heap.front()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      heap.back() = support;
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    } else {
+      return;
+    }
+    RaiseBar(heap.front());
+  }
+
+  /// Seeds the bar with the K-th best support among the level-1 patterns
+  /// the unit roots will emit. Deterministic: it depends only on the root
+  /// scan. Endpoint unit roots hold an open interval and seed nothing.
+  void SeedBar() {
+    std::vector<SupportCount> level1;
+    for (const UnitInfo& u : units_) {
+      const SupportCount support = u.view->num_spans;
+      if (support < minsup_) continue;
+      policy_.Apply(u.code, u.i_ext);
+      if (policy_.CanEmit()) level1.push_back(support);
+      policy_.Undo(u.code, u.i_ext);
+    }
+    if (level1.size() < top_k_) return;
+    std::nth_element(level1.begin(), level1.begin() + (top_k_ - 1),
+                     level1.end(), std::greater<>());
+    RaiseBar(level1[top_k_ - 1]);
+  }
+
+  /// prune.topk.hits bound to `domain`, registered only with the bar on so
+  /// a run without it keeps its metrics bytes.
+  obs::Counter* TopKHitsCounter(obs::StatsDomain* domain) const {
+    if (top_k_ == 0) return nullptr;
+    return domain->registry().GetCounter("prune.topk.hits");
   }
 
   void tracker_charge_pattern(WorkerCtx& w,
@@ -750,6 +838,7 @@ class GrowthEngine {
       units_.push_back(u);
     }
     outcomes_.resize(units_.size());
+    if (top_k_ > 0) SeedBar();
     if (options_.steal) {
       std::vector<WorkUnit> wu(units_.size());
       for (size_t i = 0; i < units_.size(); ++i) {
@@ -796,7 +885,7 @@ class GrowthEngine {
         if (progress_ != nullptr) progress_->NoteBucketDone();
         continue;
       }
-      if (units_[i].view->num_spans < minsup_) {
+      if (BelowFloor(root_ctx, units_[i].view->num_spans)) {
         if (progress_ != nullptr) progress_->NoteBucketDone();
         UnitOutcome& o = outcomes_[i];
         o.delivered = true;
@@ -899,14 +988,16 @@ class GrowthEngine {
   struct ItemBinding {
     obs::StatsDomain* domain;
     MinerMetrics om;
+    obs::Counter* topk_hits;
     std::vector<MinedPattern<PatternT>>* bank;
     uint64_t item_patterns;
   };
   ItemBinding BindItem(WorkerCtx& w, obs::StatsDomain* domain,
                        std::vector<MinedPattern<PatternT>>* bank) {
-    ItemBinding saved{w.domain, w.om, w.bank, w.item_patterns};
+    ItemBinding saved{w.domain, w.om, w.topk_hits, w.bank, w.item_patterns};
     w.domain = domain;
     w.om = MinerMetrics::ForRegistry(&domain->registry());
+    w.topk_hits = TopKHitsCounter(domain);
     w.bank = bank;
     w.item_patterns = 0;
     return saved;
@@ -914,6 +1005,7 @@ class GrowthEngine {
   void RestoreItem(WorkerCtx& w, const ItemBinding& saved) {
     w.domain = saved.domain;
     w.om = saved.om;
+    w.topk_hits = saved.topk_hits;
     w.bank = saved.bank;
     w.item_patterns = saved.item_patterns;
   }
@@ -926,9 +1018,12 @@ class GrowthEngine {
     std::vector<MinedPattern<PatternT>> bank;
     const ItemBinding saved = BindItem(w, &domain, &bank);
     domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
-    w.policy->Apply(u.code, u.i_ext);
-    ExpandSubtree(w, *u.view, *root_child_allowed_, /*depth=*/1);
-    w.policy->Undo(u.code, u.i_ext);
+    // The bar may have risen past this unit since the pre-pass.
+    if (!BelowFloor(w, u.view->num_spans)) {
+      w.policy->Apply(u.code, u.i_ext);
+      ExpandSubtree(w, *u.view, *root_child_allowed_, /*depth=*/1);
+      w.policy->Undo(u.code, u.i_ext);
+    }
     const bool complete = !w.guard->stopped();
     FinishUnit(w, unit_id, complete, &domain, std::move(bank));
     RestoreItem(w, saved);
@@ -950,6 +1045,7 @@ class GrowthEngine {
     w.policy->Apply(u.code, u.i_ext);
     NodeChildren nc;
     const bool entered =
+        !BelowFloor(w, u.view->num_spans) &&
         ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1, &nc);
     std::deque<SubUnit> subs;  // stable addresses: published by pointer
     SplitState split;
@@ -958,7 +1054,7 @@ class GrowthEngine {
       uint32_t ord = 0;
       for (Bucket& b : nc.frame.buckets) {
         const NodeProjection& view = b.builder.view();
-        if (view.num_spans < minsup_) continue;
+        if (BelowFloor(w, view.num_spans)) continue;
         subs.emplace_back();
         SubUnit& s = subs.back();
         s.unit_id = unit_id;
@@ -1022,13 +1118,15 @@ class GrowthEngine {
         kUnitFlightCapacity);
     std::vector<MinedPattern<PatternT>> bank;
     const ItemBinding saved = BindItem(w, &domain, &bank);
-    for (const std::pair<uint32_t, bool>& step : s.path) {
-      w.policy->Apply(step.first, step.second);
-    }
-    ExpandSubtree(w, *s.view, *s.allowed,
-                  static_cast<uint32_t>(s.path.size()));
-    for (size_t i = s.path.size(); i > 0; --i) {
-      w.policy->Undo(s.path[i - 1].first, s.path[i - 1].second);
+    if (!BelowFloor(w, s.view->num_spans)) {
+      for (const std::pair<uint32_t, bool>& step : s.path) {
+        w.policy->Apply(step.first, step.second);
+      }
+      ExpandSubtree(w, *s.view, *s.allowed,
+                    static_cast<uint32_t>(s.path.size()));
+      for (size_t i = s.path.size(); i > 0; --i) {
+        w.policy->Undo(s.path[i - 1].first, s.path[i - 1].second);
+      }
     }
     RestoreItem(w, saved);
     s.complete = !w.guard->stopped();
@@ -1313,6 +1411,9 @@ class GrowthEngine {
   const MinerOptions& options_;
   const ConfigT& config_;
   const SupportCount minsup_;
+  const uint64_t top_k_;  ///< 0 = bar off
+  // The search floor, max(minsup, bar): read per child, raised rarely.
+  std::atomic<SupportCount> bar_;
   const ProjectionMode mode_;
   bool pair_pruning_ = false;
   bool postfix_pruning_ = false;

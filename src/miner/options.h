@@ -118,6 +118,16 @@ struct MinerOptions {
   /// byte-identical across thread counts with the flag either way.
   bool steal = false;
 
+  /// Top-K support bar for the growth engines (docs/ARCHITECTURE.md,
+  /// "Top-K support bar"). With K > 0 the search prunes below the K-th best
+  /// support found so far, which never exceeds the true K-th best support.
+  /// The result is then every pattern whose support reaches the final bar:
+  /// a superset of the K best, ties at the cut included. Rank it with
+  /// TopKBySupport. The bar is off (as if 0) when checkpoint_writer or
+  /// resume is set, so unit banks stay complete. Level-wise miners ignore
+  /// this.
+  uint64_t top_k = 0;
+
   // --- P-TPMiner pruning toggles (see DESIGN.md §2.1) ---
   bool pair_pruning = true;
   bool postfix_pruning = true;

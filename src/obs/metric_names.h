@@ -51,6 +51,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "prune.apriori.hits",
     "prune.pair.hits",
     "prune.postfix.hits",
+    "prune.topk.hits",
     "prune.validity.hits",
     "robust.fault.injected",
     "robust.stop.cancelled",    // dynamic: RecordStopMetrics (miner_metrics.h)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/postprocess.h"
 #include "analysis/profile.h"
 #include "analysis/topk.h"
 #include "datagen/quest.h"
@@ -71,6 +72,33 @@ TEST(TopKTest, KLargerThanUniverse) {
   auto topk = MineTopKEndpoint(db, 100, options);
   ASSERT_TRUE(topk.ok());
   EXPECT_EQ(topk->patterns.size(), 1u);  // only <{A+}{A-}> exists
+}
+
+// The back-off's last round mines at absolute support 1. Passing that as
+// min_support = 1.0 read as the fraction 100% (support |D|) and kept only
+// the one pattern in every sequence.
+TEST(TopKTest, BackOffReachesAbsoluteSupportOne) {
+  IntervalDatabase db;
+  testing::InternLetters(&db.dict(), 3);
+  db.AddSequence(Seq(&db.dict(), {{'A', 0, 5}, {'B', 6, 8}}));
+  db.AddSequence(Seq(&db.dict(), {{'A', 0, 5}, {'B', 6, 8}}));
+  db.AddSequence(Seq(&db.dict(), {{'A', 0, 5}, {'C', 6, 8}}));
+  db.AddSequence(Seq(&db.dict(), {{'A', 0, 5}}));
+
+  TopKStats stats;
+  auto topk = MineTopKCoincidence(db, 5, MinerOptions{}, /*min_items=*/0,
+                                  &stats);
+  ASSERT_TRUE(topk.ok()) << topk.status();
+  EXPECT_EQ(stats.final_threshold, 1u);
+  EXPECT_EQ(stats.rounds, 2u);  // threshold 2 finds 3 patterns, then 1
+
+  MinerOptions full;
+  full.min_support = 0.25;  // absolute 1 of 4
+  auto exhaustive = MakePTPMinerC()->Mine(db, full);
+  ASSERT_TRUE(exhaustive.ok()) << exhaustive.status();
+  const auto want = TopKBySupport(std::move(exhaustive->patterns), 5);
+  ASSERT_EQ(want.size(), 5u);
+  EXPECT_EQ(topk->patterns, want);
 }
 
 TEST(TopKTest, RejectsZeroK) {

@@ -335,14 +335,16 @@ def flags_corpus(rng, _artifacts):
 
 
 def mine_corpus(rng, artifacts):
-    # Leading selector byte (language/prunings/window), then a TPMB body
-    # without its CRC trailer — the harness re-signs before parsing.
+    # Leading selector byte (language/prunings/window/top-K bar; bit 0x20
+    # adds a K - 1 byte), then a TPMB body without its CRC trailer — the
+    # harness re-signs before parsing.
     seeds = []
-    for selector in (0x00, 0x01, 0x0E, 0x1F):
+    for header in (b"\x00", b"\x01", b"\x0e", b"\x1f", b"\x21\x00",
+                   b"\x2e\x04", b"\x3f\x09"):
         for blob in artifacts["tpmb"]:
             body = blob[:-4]
-            seeds.append(bytes([selector]) + body)
-            seeds += [bytes([selector]) + m for m in mutated(rng, body, 2)]
+            seeds.append(header + body)
+            seeds += [header + m for m in mutated(rng, body, 2)]
     return seeds
 
 
