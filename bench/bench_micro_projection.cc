@@ -1,19 +1,14 @@
-// Microbenchmark: copy vs pseudo projection backends (docs/ARCHITECTURE.md).
+// Microbenchmark: the arena-backed projection layer (docs/ARCHITECTURE.md).
 //
-// Two measurements on the Figure 1(c) scalability substrate (C8N200,
-// seed 101):
+// Measurements on the Figure 1(c) scalability substrate (C8N200, seed 101):
 //
-//  1. Projection replay (the headline): identical push/finalize traffic is
-//     driven through ProjectionBuilder in both modes — every endpoint of
-//     every sequence staged into a symbol-keyed bucket, all buckets
-//     finalized, arenas reset — isolating the projection layer from the
-//     pattern-language scan logic the two backends share. Engineering
-//     guardrail: the arena-backed pseudo backend must stay >=1.5x faster
-//     and >=2x lighter (peak tracked bytes) than the deprecated copy path,
-//     or the refactor has regressed.
+//  1. Projection replay: realistic push/finalize traffic driven through
+//     ProjectionBuilder — every endpoint of every sequence staged into a
+//     symbol-keyed bucket, all buckets finalized, arenas reset — isolating
+//     the projection layer from the pattern-language scan logic.
 //
-//  2. End-to-end miner runs in both modes for context (the scan dominates
-//     total mine time, so these ratios are much flatter by construction).
+//  2. End-to-end miner runs of both languages for context (the scan
+//     dominates total mine time).
 
 #include <deque>
 #include <mutex>
@@ -57,17 +52,16 @@ Cell CellFrom(const std::string& algo, const std::string& config,
 // every sequence is staged into a symbol-keyed bucket (grouped by sequence,
 // as the engine's span scan guarantees), then every bucket finalizes into
 // depth 1 and the staging arena resets — exactly the engine's node
-// lifecycle, including its tracker charges for the copy backend's
-// capacity-based heap estimates.
-Cell ReplayProjection(ProjectionMode mode, const EndpointDatabase& edb,
-                      uint32_t num_buckets, uint32_t stride, int rounds) {
+// lifecycle.
+Cell ReplayProjection(const EndpointDatabase& edb, uint32_t num_buckets,
+                      uint32_t stride, int rounds) {
   MemoryTracker tracker;
   ProjectionArenas arenas(&tracker);
   uint64_t states = 0;
   WallTimer timer;
   for (int r = 0; r < rounds; ++r) {
     std::deque<ProjectionBuilder> buckets(num_buckets);
-    for (ProjectionBuilder& b : buckets) b.Init(mode, stride, &arenas, 1);
+    for (ProjectionBuilder& b : buckets) b.Init(stride, &arenas, 1);
     for (uint32_t s = 0; s < edb.size(); ++s) {
       const EndpointSequence& es = edb[s];
       for (uint32_t p = 0; p < es.num_items(); ++p) {
@@ -77,40 +71,18 @@ Cell ReplayProjection(ProjectionMode mode, const EndpointDatabase& edb,
         ++states;
       }
     }
-    size_t staged_bytes = 0;
-    for (ProjectionBuilder& b : buckets) staged_bytes += b.staged_heap_bytes();
-    tracker.Allocate(staged_bytes);
     const Arena::Mark mark = arenas.depth(1).mark();
-    size_t final_bytes = 0;
-    for (ProjectionBuilder& b : buckets) {
-      b.FinalizeKeepAll();
-      final_bytes += b.final_heap_bytes();
-    }
-    tracker.Allocate(final_bytes);
-    tracker.Release(staged_bytes);
+    for (ProjectionBuilder& b : buckets) b.FinalizeKeepAll();
     arenas.staging().Reset();
-    tracker.Release(final_bytes);
     arenas.depth(1).Rewind(mark);
   }
   Cell c;
   c.algo = "projection-replay";
-  c.config = ProjectionModeName(mode);
+  c.config = "pseudo";
   c.seconds = timer.ElapsedSeconds();
   c.memory_bytes = tracker.peak_bytes();
   c.states = states;
   return c;
-}
-
-void PrintRatio(const char* what, const Cell& copy, const Cell& pseudo) {
-  if (copy.dnf || pseudo.dnf || pseudo.seconds <= 0.0 ||
-      pseudo.memory_bytes == 0) {
-    std::printf("ratio: %s copy/pseudo unavailable (dnf or empty run)\n", what);
-    return;
-  }
-  std::printf("ratio: %s copy/pseudo time=%.2fx peak_bytes=%.2fx\n", what,
-              copy.seconds / pseudo.seconds,
-              static_cast<double>(copy.memory_bytes) /
-                  static_cast<double>(pseudo.memory_bytes));
 }
 
 }  // namespace
@@ -121,9 +93,9 @@ int main() {
   const double kBudget = 120.0;
 
   PrintBanner(
-      "Micro: projection backends (copy vs pseudo)",
-      "arena-backed pseudo-projection beats the legacy copy path on "
-      "projection wall-time and peak tracked bytes",
+      "Micro: arena-backed projection layer",
+      "projection replay cost, end-to-end mines, observability and "
+      "scheduler overheads",
       "fig1c substrate C8N200 seed 101, |D| = 4k, minsup 1%, budget 120s/run");
 
   QuestConfig config;
@@ -143,36 +115,25 @@ int main() {
   // buckets every endpoint by symbol with one open obligation per state.
   const uint32_t kStride = 1;
   cells.push_back(ReplayProjection(
-      ProjectionMode::kPseudo, edb,
-      static_cast<uint32_t>(edb.num_symbols()), kStride, kRounds));
-  cells.push_back(ReplayProjection(
-      ProjectionMode::kCopy, edb,
-      static_cast<uint32_t>(edb.num_symbols()), kStride, kRounds));
+      edb, static_cast<uint32_t>(edb.num_symbols()), kStride, kRounds));
 
   // 2. End-to-end miner runs for context.
   MinerOptions options;
   options.min_support = 0.01;
   options.time_budget_seconds = kBudget;
-  for (ProjectionMode mode : {ProjectionMode::kPseudo, ProjectionMode::kCopy}) {
-    options.projection = mode;
-    const std::string cfg = ProjectionModeName(mode);
-
-    auto ep = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});
-    TPM_CHECK_OK(ep.status());
-    cells.push_back(
-        CellFrom("P-TPMiner/E", cfg, ep->stats, ep->patterns.size()));
-
-    auto cp = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
-    TPM_CHECK_OK(cp.status());
-    cells.push_back(
-        CellFrom("P-TPMiner/C", cfg, cp->stats, cp->patterns.size()));
-  }
+  auto ep = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});
+  TPM_CHECK_OK(ep.status());
+  cells.push_back(
+      CellFrom("P-TPMiner/E", "pseudo", ep->stats, ep->patterns.size()));
+  auto cp = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
+  TPM_CHECK_OK(cp.status());
+  cells.push_back(
+      CellFrom("P-TPMiner/C", "pseudo", cp->stats, cp->patterns.size()));
   // 3. Observability overhead: the same endpoint run with and without a
   //    progress tracker at the default `tpm mine --progress` cadence (1s).
   //    The tracker's hot cost is TickNode — one branch per expanded node
   //    plus a clock read every 32nd — so the guardrail is <5% growth-phase
   //    overhead (docs/OBSERVABILITY.md, "Progress overhead").
-  options.projection = ProjectionMode::kPseudo;
   options.progress = nullptr;
   auto off = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});
   TPM_CHECK_OK(off.status());
@@ -255,13 +216,10 @@ int main() {
   }
 
   PrintTable(cells);
-  PrintRatio("projection-replay", cells[1], cells[0]);
-  PrintRatio("e2e endpoint", cells[4], cells[2]);
-  PrintRatio("e2e coincidence", cells[5], cells[3]);
-  if (cells[6].seconds > 0.0) {
+  if (cells[3].seconds > 0.0) {
     std::printf(
         "ratio: progress on/off time=%.3fx (%llu snapshots emitted)\n",
-        cells[7].seconds / cells[6].seconds,
+        cells[4].seconds / cells[3].seconds,
         static_cast<unsigned long long>(tracker.snapshots_emitted()));
   }
   for (size_t i = threads_base + 1; i < cells.size(); ++i) {

@@ -1,11 +1,11 @@
-// Fuzzes ParseCheckpoint (the TPMC v2 reader, src/io/checkpoint.cc).
+// Fuzzes ParseCheckpoint (the TPMC v3 reader, src/io/checkpoint.cc).
 //
 // Properties enforced on every input:
 //   * no crash/UB for arbitrary bytes;
 //   * every Corruption pins "section <name>, byte offset <n>" inside the
 //     buffer (same contract as the TPMB reader);
 //   * an unsupported version yields NotImplemented, never UB;
-//   * anything that parses satisfies the documented v2 invariants: the
+//   * anything that parses satisfies the documented invariants: the
 //     per-unit pattern counts align index-for-index with completed_units
 //     and sum exactly to patterns.size().
 //

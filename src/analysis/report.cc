@@ -265,26 +265,21 @@ Result<std::string> RenderCheckpointReport(const Checkpoint& ckpt) {
       key.algo.c_str(), static_cast<unsigned long long>(key.db_fingerprint));
   out += StringPrintf(
       "  options: minsup=%g max_items=%u max_length=%u max_window=%lld "
-      "prune=%s%s%s projection=%s\n",
+      "prune=%s%s%s\n",
       key.min_support, key.max_items, key.max_length,
       static_cast<long long>(key.max_window), key.pair_pruning ? "pair " : "",
       key.postfix_pruning ? "postfix " : "",
-      key.validity_pruning ? "validity" : "", key.projection.c_str());
+      key.validity_pruning ? "validity" : "");
+  out += StringPrintf("progress: %zu of %llu buckets complete",
+                      ckpt.completed_units.size(),
+                      static_cast<unsigned long long>(ckpt.total_units));
+  // A run stopped during the root scan has no bucket total yet.
   if (ckpt.total_units > 0) {
-    out += StringPrintf(
-        "progress: %zu of %llu buckets complete (%.1f%%)\n",
-        ckpt.completed_units.size(),
-        static_cast<unsigned long long>(ckpt.total_units),
-        100.0 * static_cast<double>(ckpt.completed_units.size()) /
-            static_cast<double>(ckpt.total_units));
-  } else {
-    // Level-wise runs have no fixed unit total; each unit is one level.
-    out += StringPrintf("progress: %zu levels complete\n",
-                        ckpt.completed_units.size());
+    out += StringPrintf(" (%.1f%%)",
+                        100.0 * static_cast<double>(ckpt.completed_units.size()) /
+                            static_cast<double>(ckpt.total_units));
   }
-  out += StringPrintf("patterns banked: %zu (frontier %zu, memo %zu)\n",
-                      ckpt.patterns.size(), ckpt.frontier.size(),
-                      ckpt.memo.size());
+  out += StringPrintf("\npatterns banked: %zu\n", ckpt.patterns.size());
   if (ckpt.time_budget_seconds > 0.0) {
     out += StringPrintf("elapsed: %.2fs of %.2fs wall budget (%.1f%%)\n",
                         ckpt.elapsed_seconds, ckpt.time_budget_seconds,

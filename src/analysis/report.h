@@ -21,7 +21,7 @@ namespace tpm {
 /// a document that is none of the known shapes.
 Result<std::string> RenderMetricsReport(const std::string& json_text);
 
-/// Renders a parsed TPMC mining checkpoint: run identity, bucket/level
+/// Renders a parsed TPMC mining checkpoint: run identity, bucket
 /// progress, patterns banked so far, elapsed versus wall budget, and the
 /// embedded metrics snapshot through the same pruning-effectiveness tables
 /// RenderMetricsReport uses.

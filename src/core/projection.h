@@ -10,22 +10,15 @@
 // arrays indexed by (seq, state_offset, count) spans — no per-state heap
 // vectors, no per-child deep copies.
 //
-// Two backends sit behind one builder API:
-//
-//  * kPseudo (default) — staging goes into a shared bump Arena that is reset
-//    after every node, and finalized nodes are exact-size allocations in a
-//    per-depth Arena that rewinds when the search leaves the subtree. Byte
-//    accounting is exact (the arenas charge their MemoryTracker per block).
-//  * kCopy (deprecated) — the legacy cost profile: per-state heap aux
-//    vectors while staging and heap copies for the finalized node, with the
-//    capacity-based byte estimate the old engines reported. Kept only as the
-//    A/B baseline for `tpm mine --projection=copy` and the determinism suite.
+// Staging goes into a shared bump Arena that is reset after every node, and
+// finalized nodes are exact-size allocations in a per-depth Arena that
+// rewinds when the search leaves the subtree. Byte accounting is exact (the
+// arenas charge their MemoryTracker per block).
 //
 // Lifetimes: Push() during the parent scan, then Finalize() once per bucket
 // (all buckets of a node finalize before the engine recurses), then the
 // engine resets the staging arena. The finalized NodeProjection view stays
-// valid until the owning depth arena rewinds past it (pseudo) or the builder
-// is destroyed (copy).
+// valid until the owning depth arena rewinds past it.
 
 #pragma once
 
@@ -33,7 +26,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "core/validate.h"
@@ -41,17 +33,6 @@
 #include "util/memory.h"
 
 namespace tpm {
-
-/// How prefix-growth engines materialize child projections.
-enum class ProjectionMode {
-  kCopy,    ///< legacy heap-copied states (deprecated; A/B baseline)
-  kPseudo,  ///< arena-backed flat spans (default)
-};
-
-const char* ProjectionModeName(ProjectionMode mode);
-
-/// Parses "copy" / "pseudo"; returns false on anything else.
-bool ParseProjectionMode(const std::string& text, ProjectionMode* out);
 
 /// Sentinel item/anchor of the root state that has matched nothing yet.
 constexpr uint32_t kNoStateItem = ~0u;
@@ -79,12 +60,11 @@ struct SeqSpan {
 /// `states` / `aux` (ValidateProjection checks exactly this). Support of the
 /// node's pattern is `num_spans` by construction.
 ///
-/// Lifetime: a pseudo-mode view records the depth arena that holds its
-/// storage and that arena's generation at Finalize time. The view dies the
-/// moment the arena rewinds — CheckAlive() (debug builds) and
-/// ValidateProjection assert this, and under ASan the storage itself is
-/// poisoned, so a stale view aborts rather than reading recycled records.
-/// Copy-mode views leave `arena` null; their storage belongs to the builder.
+/// Lifetime: a view records the depth arena that holds its storage and that
+/// arena's generation at Finalize time. The view dies the moment the arena
+/// rewinds — CheckAlive() (debug builds) and ValidateProjection assert this,
+/// and under ASan the storage itself is poisoned, so a stale view aborts
+/// rather than reading recycled records.
 struct NodeProjection {
   const SeqSpan* spans = nullptr;
   uint32_t num_spans = 0;
@@ -92,14 +72,11 @@ struct NodeProjection {
   const uint32_t* aux = nullptr;     ///< `stride` words per state
   uint32_t stride = 0;
   size_t num_states = 0;
-  const Arena* arena = nullptr;  ///< depth arena owning the storage (pseudo)
+  const Arena* arena = nullptr;  ///< depth arena owning the storage
   uint64_t generation = 0;       ///< arena->generation() at Finalize
 
-  /// True while the backing storage is guaranteed live (always true for
-  /// builder-owned copy-mode views).
-  bool alive() const {
-    return arena == nullptr || arena->generation() == generation;
-  }
+  /// True while the backing storage is guaranteed live.
+  bool alive() const { return arena->generation() == generation; }
 
   /// Debug assertion that the view has not outlived an arena rewind. The
   /// growth engine calls this at node entry; it compiles out under NDEBUG.
@@ -111,7 +88,7 @@ struct NodeProjection {
   }
 };
 
-/// \brief The arena set backing pseudo-projection for one miner run.
+/// \brief The arena set backing projection for one miner run.
 ///
 /// One shared staging arena (reset after every node) plus one finalized-node
 /// arena per search depth (marked at node entry, rewound at node exit, so a
@@ -173,17 +150,15 @@ class ProjectionBuilder {
  public:
   ProjectionBuilder() = default;
 
-  void Init(ProjectionMode mode, uint32_t stride, ProjectionArenas* arenas,
-            uint32_t depth) {
-    mode_ = mode;
+  void Init(uint32_t stride, ProjectionArenas* arenas, uint32_t depth) {
     stride_ = stride;
     arenas_ = arenas;
     depth_ = depth;
     staged_states_ = 0;
-    pspan_count_ = 0;
+    span_count_ = 0;
     have_seq_ = false;
-    phead_ = nullptr;
-    ptail_ = nullptr;
+    head_ = nullptr;
+    tail_ = nullptr;
   }
 
   uint32_t stride() const { return stride_; }
@@ -191,54 +166,37 @@ class ProjectionBuilder {
   /// Appends a state for `seq` and returns its aux slice (stride words) for
   /// the caller to fill. The pointer is valid until the next Push.
   uint32_t* Push(uint32_t seq, uint32_t item, uint32_t anchor) {
-    if (mode_ == ProjectionMode::kPseudo) {
-      // Within a bucket, pushes arrive grouped by sequence (the parent scan
-      // walks spans in order), so the chunked record stream stays
-      // span-contiguous in push order. The span directory is reconstructed
-      // from the seq word at Finalize — staging a directory entry per
-      // (bucket, seq) would cost more than the word does on the dominant
-      // one-state-per-span scans.
-      if (!have_seq_ || last_seq_ != seq) {
-        TPM_DCHECK(!have_seq_ || seq > last_seq_);
-        have_seq_ = true;
-        last_seq_ = seq;
-        ++pspan_count_;
-      }
-      ++staged_states_;
-      if (ptail_ == nullptr || ptail_->count == ptail_->capacity) {
-        NewStagedChunk();
-      }
-      uint32_t* rec =
-          ChunkPayload(ptail_) + size_t{ptail_->count} * (3 + stride_);
-      ++ptail_->count;
-      rec[0] = seq;
-      rec[1] = item;
-      rec[2] = anchor;
-      return stride_ == 0 ? DummyAux() : rec + 3;
+    // Within a bucket, pushes arrive grouped by sequence (the parent scan
+    // walks spans in order), so the chunked record stream stays
+    // span-contiguous in push order. The span directory is reconstructed
+    // from the seq word at Finalize — staging a directory entry per
+    // (bucket, seq) would cost more than the word does on the dominant
+    // one-state-per-span scans.
+    if (!have_seq_ || last_seq_ != seq) {
+      TPM_DCHECK(!have_seq_ || seq > last_seq_);
+      have_seq_ = true;
+      last_seq_ = seq;
+      ++span_count_;
     }
     ++staged_states_;
-    if (cstaged_.empty() || cstaged_.back().seq != seq) {
-      TPM_DCHECK(cstaged_.empty() || seq > cstaged_.back().seq);
-      cstaged_.push_back(CopySeq{seq, {}});
+    if (tail_ == nullptr || tail_->count == tail_->capacity) {
+      NewStagedChunk();
     }
-    CopySeq& s = cstaged_.back();
-    s.states.push_back(CopyState{StateRec{item, anchor},
-                                 std::vector<uint32_t>(stride_)});
-    return stride_ == 0 ? DummyAux() : s.states.back().aux.data();
+    uint32_t* rec = ChunkPayload(tail_) + size_t{tail_->count} * (3 + stride_);
+    ++tail_->count;
+    rec[0] = seq;
+    rec[1] = item;
+    rec[2] = anchor;
+    return stride_ == 0 ? DummyAux() : rec + 3;
   }
 
   /// Distinct sequences staged so far — the bucket's support.
-  uint32_t num_spans() const {
-    return mode_ == ProjectionMode::kPseudo
-               ? pspan_count_
-               : static_cast<uint32_t>(cstaged_.size());
-  }
+  uint32_t num_spans() const { return span_count_; }
 
   size_t num_staged_states() const { return staged_states_; }
 
-  /// One staged sequence's states as contiguous arrays (copy mode
-  /// materializes a scratch copy; the view is valid until the next
-  /// StagedView / Finalize call).
+  /// One staged sequence's states as contiguous arrays (valid only inside
+  /// Finalize).
   struct SpanView {
     uint32_t seq = 0;
     const StateRec* recs = nullptr;
@@ -247,39 +205,16 @@ class ProjectionBuilder {
     uint32_t stride = 0;
   };
 
-  /// Legacy capacity-based estimate of the staged heap storage (copy mode
-  /// only; pseudo staging is tracker-charged by the arena itself).
-  size_t staged_heap_bytes() const {
-    if (mode_ == ProjectionMode::kPseudo) return 0;
-    size_t bytes = 0;
-    for (const CopySeq& s : cstaged_) {
-      bytes += sizeof(CopySeq) + s.states.capacity() * sizeof(CopyState);
-      for (const CopyState& st : s.states) {
-        bytes += st.aux.capacity() * sizeof(uint32_t);
-      }
-    }
-    return bytes;
-  }
-
-  /// Capacity-based estimate of the finalized heap storage (copy mode only).
-  size_t final_heap_bytes() const {
-    if (mode_ == ProjectionMode::kPseudo) return 0;
-    return cspans_.capacity() * sizeof(SeqSpan) +
-           crecs_.capacity() * sizeof(StateRec) +
-           caux_.capacity() * sizeof(uint32_t);
-  }
-
   /// Compacts kept states into final storage and returns the view.
   ///
   /// `select(view, keep)` appends the *local* indices of the states to keep,
   /// in the desired output order, to `keep` (pre-cleared per span). Spans
-  /// whose selection comes back empty are dropped. Pseudo mode allocates
-  /// exact-size arrays in the depth arena; copy mode gathers into heap
-  /// vectors owned by this builder (which must then outlive the view).
+  /// whose selection comes back empty are dropped. The kept states land in
+  /// exact-size arrays in the depth arena.
   template <typename SelectFn>
   const NodeProjection& Finalize(SelectFn&& select) {
     const uint32_t nspans = num_spans();
-    if (mode_ == ProjectionMode::kPseudo) GatherStagedChunks();
+    GatherStagedChunks();
     keep_flat_.clear();
     keep_offsets_.clear();
     keep_offsets_.push_back(0);
@@ -291,28 +226,10 @@ class ProjectionBuilder {
     }
     const size_t total = keep_flat_.size();
 
-    SeqSpan* out_spans = nullptr;
-    StateRec* out_recs = nullptr;
-    uint32_t* out_aux = nullptr;
-    if (mode_ == ProjectionMode::kPseudo) {
-      Arena& fin = arenas_->depth(depth_);
-      out_spans = fin.AllocateArray<SeqSpan>(nspans);
-      out_recs = fin.AllocateArray<StateRec>(total);
-      out_aux = fin.AllocateArray<uint32_t>(total * stride_);
-    } else {
-      cspans_.clear();
-      crecs_.clear();
-      caux_.clear();
-      cspans_.reserve(nspans);
-      crecs_.reserve(total);
-      caux_.reserve(total * stride_);
-      cspans_.resize(nspans);
-      crecs_.resize(total);
-      caux_.resize(total * stride_);
-      out_spans = cspans_.data();
-      out_recs = crecs_.data();
-      out_aux = caux_.data();
-    }
+    Arena& fin = arenas_->depth(depth_);
+    SeqSpan* out_spans = fin.AllocateArray<SeqSpan>(nspans);
+    StateRec* out_recs = fin.AllocateArray<StateRec>(total);
+    uint32_t* out_aux = fin.AllocateArray<uint32_t>(total * stride_);
 
     size_t off = 0;
     uint32_t spans_out = 0;
@@ -335,18 +252,12 @@ class ProjectionBuilder {
                                        static_cast<uint32_t>(off - begin)};
     }
 
-    if (mode_ == ProjectionMode::kCopy) {
-      // Staging served its purpose; release the per-state heap vectors.
-      cstaged_.clear();
-      cstaged_.shrink_to_fit();
-    } else {
-      // Drop the staging stream; its arena memory is reclaimed by the
-      // engine's staging Reset after all buckets finalize.
-      phead_ = nullptr;
-      ptail_ = nullptr;
-      pspan_count_ = 0;
-      have_seq_ = false;
-    }
+    // Drop the staging stream; its arena memory is reclaimed by the engine's
+    // staging Reset after all buckets finalize.
+    head_ = nullptr;
+    tail_ = nullptr;
+    span_count_ = 0;
+    have_seq_ = false;
 
     view_.spans = out_spans;
     view_.num_spans = spans_out;
@@ -354,16 +265,10 @@ class ProjectionBuilder {
     view_.aux = out_aux;
     view_.stride = stride_;
     view_.num_states = off;
-    if (mode_ == ProjectionMode::kPseudo) {
-      // Stamp the lifetime contract: the view is valid exactly until the
-      // depth arena rewinds (the engine rewinds it when the subtree exits).
-      const Arena& fin = arenas_->depth(depth_);
-      view_.arena = &fin;
-      view_.generation = fin.generation();
-    } else {
-      view_.arena = nullptr;
-      view_.generation = 0;
-    }
+    // Stamp the lifetime contract: the view is valid exactly until the depth
+    // arena rewinds (the engine rewinds it when the subtree exits).
+    view_.arena = &fin;
+    view_.generation = fin.generation();
     return view_;
   }
 
@@ -377,24 +282,13 @@ class ProjectionBuilder {
   const NodeProjection& view() const { return view_; }
 
  private:
-  // Legacy copy-mode staging mirrors the old engines' layout: a heap vector
-  // of states per sequence, each state carrying its own heap aux vector.
-  struct CopyState {
-    StateRec rec;
-    std::vector<uint32_t> aux;
-  };
-  struct CopySeq {
-    uint32_t seq = 0;
-    std::vector<CopyState> states;
-  };
-
   static uint32_t* DummyAux() {
     // Shared sink for stride-0 nodes; callers never write through it.
     static uint32_t dummy = 0;
     return &dummy;
   }
 
-  // Pseudo-mode staging stores records of (3 + stride) words — {seq, item,
+  // Staging stores records of (3 + stride) words — {seq, item,
   // anchor, aux...} — in a linked list of arena chunks. Chunks are never
   // copied or abandoned (a doubling vector would abandon roughly its own
   // size in dead spans), and capacities double only up to kMaxChunkRecords,
@@ -413,7 +307,7 @@ class ProjectionBuilder {
   static constexpr uint32_t kMaxChunkRecords = 64;
 
   void NewStagedChunk() {
-    uint32_t cap = ptail_ == nullptr ? 8 : ptail_->capacity * 2;
+    uint32_t cap = tail_ == nullptr ? 8 : tail_->capacity * 2;
     if (cap > kMaxChunkRecords) cap = kMaxChunkRecords;
     void* mem = arenas_->staging().Allocate(
         sizeof(StagedChunk) + size_t{cap} * (3 + stride_) * sizeof(uint32_t),
@@ -422,26 +316,25 @@ class ProjectionBuilder {
     c->next = nullptr;
     c->count = 0;
     c->capacity = cap;
-    if (ptail_ == nullptr) {
-      phead_ = c;
+    if (tail_ == nullptr) {
+      head_ = c;
     } else {
-      ptail_->next = c;
+      tail_->next = c;
     }
-    ptail_ = c;
+    tail_ = c;
   }
 
   // Unpacks the chunk stream into contiguous scratch arrays — rebuilding the
   // span directory from the per-record seq words — so Finalize's SpanViews
-  // are flat. Heap scratch, reused across buckets and untracked — the same
-  // policy as the copy backend's gather scratch.
+  // are flat. Heap scratch, reused across buckets and untracked.
   void GatherStagedChunks() {
     scratch_spans_.clear();
     scratch_recs_.clear();
     scratch_aux_.clear();
-    scratch_spans_.reserve(pspan_count_);
+    scratch_spans_.reserve(span_count_);
     scratch_recs_.reserve(staged_states_);
     scratch_aux_.reserve(staged_states_ * stride_);
-    for (StagedChunk* c = phead_; c != nullptr; c = c->next) {
+    for (StagedChunk* c = head_; c != nullptr; c = c->next) {
       const uint32_t* words = ChunkPayload(c);
       for (uint32_t r = 0; r < c->count; ++r, words += 3 + stride_) {
         if (scratch_spans_.empty() || scratch_spans_.back().seq != words[0]) {
@@ -456,45 +349,26 @@ class ProjectionBuilder {
     }
   }
 
-  SpanView StagedView(uint32_t i) {
-    if (mode_ == ProjectionMode::kPseudo) {
-      // Valid only inside Finalize, after GatherStagedChunks.
-      const SeqSpan& s = scratch_spans_[i];
-      return SpanView{s.seq, scratch_recs_.data() + s.offset,
-                      scratch_aux_.data() + size_t{s.offset} * stride_,
-                      s.count, stride_};
-    }
-    const CopySeq& s = cstaged_[i];
-    scratch_recs_.clear();
-    scratch_aux_.clear();
-    for (const CopyState& st : s.states) {
-      scratch_recs_.push_back(st.rec);
-      scratch_aux_.insert(scratch_aux_.end(), st.aux.begin(), st.aux.end());
-    }
-    return SpanView{s.seq, scratch_recs_.data(), scratch_aux_.data(),
-                    static_cast<uint32_t>(s.states.size()), stride_};
+  SpanView StagedView(uint32_t i) const {
+    // Valid only inside Finalize, after GatherStagedChunks.
+    const SeqSpan& s = scratch_spans_[i];
+    return SpanView{s.seq, scratch_recs_.data() + s.offset,
+                    scratch_aux_.data() + size_t{s.offset} * stride_, s.count,
+                    stride_};
   }
 
-  ProjectionMode mode_ = ProjectionMode::kPseudo;
   uint32_t stride_ = 0;
   ProjectionArenas* arenas_ = nullptr;
   uint32_t depth_ = 0;
   size_t staged_states_ = 0;
 
-  // Pseudo-mode staging: the chunked record stream plus the span/ordering
+  // Staging: the chunked record stream plus the span/ordering
   // counters that replace a staged span directory.
-  StagedChunk* phead_ = nullptr;
-  StagedChunk* ptail_ = nullptr;
-  uint32_t pspan_count_ = 0;
+  StagedChunk* head_ = nullptr;
+  StagedChunk* tail_ = nullptr;
+  uint32_t span_count_ = 0;
   uint32_t last_seq_ = 0;
   bool have_seq_ = false;
-
-  std::vector<CopySeq> cstaged_;
-
-  // Copy-mode finalized storage (the "physical copy" the mode is named for).
-  std::vector<SeqSpan> cspans_;
-  std::vector<StateRec> crecs_;
-  std::vector<uint32_t> caux_;
 
   // Finalize scratch, reused across spans.
   std::vector<SeqSpan> scratch_spans_;

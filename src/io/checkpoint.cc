@@ -21,8 +21,9 @@ namespace {
 constexpr char kMagic[4] = {'T', 'P', 'M', 'C'};
 // v2 added unit_pattern_counts to the progress section (one varint per
 // completed unit), so a resume can regroup the pattern stream by unit no
-// matter which thread count produced the checkpoint.
-constexpr uint64_t kVersion = 2;
+// matter which thread count produced the checkpoint. v3 dropped the
+// projection identity string and the level-wise frontier/memo sections.
+constexpr uint64_t kVersion = 3;
 constexpr size_t kMagicBytes = 4;
 
 // Corruption diagnostic carrying the section being decoded and the absolute
@@ -120,8 +121,7 @@ bool operator==(const CheckpointRunKey& a, const CheckpointRunKey& b) {
          a.max_items == b.max_items && a.max_length == b.max_length &&
          a.max_window == b.max_window && a.pair_pruning == b.pair_pruning &&
          a.postfix_pruning == b.postfix_pruning &&
-         a.validity_pruning == b.validity_pruning &&
-         a.projection == b.projection;
+         a.validity_pruning == b.validity_pruning;
 }
 
 std::vector<std::string> DiffRunKeys(const CheckpointRunKey& have,
@@ -164,11 +164,6 @@ std::vector<std::string> DiffRunKeys(const CheckpointRunKey& have,
                  &diffs);
   AppendBoolDiff("validity_pruning", have.validity_pruning,
                  want.validity_pruning, &diffs);
-  if (have.projection != want.projection) {
-    diffs.push_back(StringPrintf("projection: checkpoint %s, run %s",
-                                 have.projection.c_str(),
-                                 want.projection.c_str()));
-  }
   return diffs;
 }
 
@@ -187,7 +182,6 @@ std::string SerializeCheckpoint(const Checkpoint& ckpt) {
   PutVarint64(&out, (ckpt.key.pair_pruning ? 1u : 0u) |
                         (ckpt.key.postfix_pruning ? 2u : 0u) |
                         (ckpt.key.validity_pruning ? 4u : 0u));
-  PutString(&out, ckpt.key.projection);
   // --- progress ---
   PutVarint64(&out, ckpt.total_units);
   PutVarint64(&out, DoubleBits(ckpt.elapsed_seconds));
@@ -198,12 +192,9 @@ std::string SerializeCheckpoint(const Checkpoint& ckpt) {
   // shared length keeps the two vectors structurally in lock-step.
   TPM_CHECK(ckpt.unit_pattern_counts.size() == ckpt.completed_units.size());
   for (uint64_t n : ckpt.unit_pattern_counts) PutVarint64(&out, n);
-  // --- patterns / frontier / memo ---
-  for (const std::vector<CheckpointPatternRec>* recs :
-       {&ckpt.patterns, &ckpt.frontier, &ckpt.memo}) {
-    PutVarint64(&out, recs->size());
-    for (const CheckpointPatternRec& rec : *recs) PutPatternRec(&out, rec);
-  }
+  // --- patterns ---
+  PutVarint64(&out, ckpt.patterns.size());
+  for (const CheckpointPatternRec& rec : ckpt.patterns) PutPatternRec(&out, rec);
   // --- metrics ---
   PutVarint64(&out, ckpt.metrics.counters.size());
   for (const obs::CounterSample& c : ckpt.metrics.counters) {
@@ -326,7 +317,6 @@ Result<Checkpoint> ParseCheckpoint(const std::string& buffer) {
   ckpt.key.pair_pruning = (pruning & 1) != 0;
   ckpt.key.postfix_pruning = (pruning & 2) != 0;
   ckpt.key.validity_pruning = (pruning & 4) != 0;
-  TPM_CKPT_FIELD(ckpt.key.projection, r.GetLengthPrefixedString(), "identity");
   // --- progress ---
   TPM_CKPT_FIELD(ckpt.total_units, r.GetVarint64(), "progress");
   TPM_CKPT_FIELD(uint64_t elapsed_bits, r.GetVarint64(), "progress");
@@ -345,7 +335,7 @@ Result<Checkpoint> ParseCheckpoint(const std::string& buffer) {
     TPM_CKPT_FIELD(uint64_t n, r.GetVarint64(), "progress");
     ckpt.unit_pattern_counts.push_back(n);
   }
-  // --- patterns / frontier / memo ---
+  // --- patterns ---
   TPM_RETURN_NOT_OK(ParsePatternRecs(r, "patterns", &ckpt.patterns));
   uint64_t claimed_patterns = 0;
   for (uint64_t n : ckpt.unit_pattern_counts) {
@@ -364,8 +354,6 @@ Result<Checkpoint> ParseCheckpoint(const std::string& buffer) {
                      static_cast<unsigned long long>(claimed_patterns),
                      static_cast<unsigned long long>(ckpt.patterns.size())));
   }
-  TPM_RETURN_NOT_OK(ParsePatternRecs(r, "frontier", &ckpt.frontier));
-  TPM_RETURN_NOT_OK(ParsePatternRecs(r, "memo", &ckpt.memo));
   // --- metrics ---
   TPM_CKPT_FIELD(uint64_t num_counters, r.GetVarint64(), "metrics");
   TPM_RETURN_NOT_OK(CheckCount("metrics", num_counters, r));

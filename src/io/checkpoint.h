@@ -2,10 +2,9 @@
 // losing completed search work.
 //
 // A checkpoint (magic "TPMC", versioned, CRC-32 guarded like the TPMB
-// database format) freezes one mining run at a unit boundary — a completed
-// depth-0 bucket for the growth engines, a completed level for the
-// level-wise miners — and carries everything a resumed run needs to produce
-// byte-identical output to an uninterrupted one:
+// database format) freezes one growth-engine run at a unit boundary — a
+// completed depth-0 bucket — and carries everything a resumed run needs to
+// produce byte-identical output to an uninterrupted one:
 //
 //   * the run identity (database fingerprint + the canonicalized options
 //     that shape the search space) so a resume against the wrong database
@@ -13,8 +12,9 @@
 //   * the set of completed units, so resumed runs skip finished subtrees;
 //   * every pattern emitted up to the boundary, in emission order;
 //   * the run's metrics delta at the boundary, so the resumed run can fold
-//     prior work through MergeDomainSnapshots;
-//   * the level-wise frontier/memo state needed to restart the next level.
+//     prior work through MergeDomainSnapshots.
+//
+// The level-wise miners do not checkpoint.
 //
 // Writes go through WriteFileAtomic (temp-then-rename), so an interruption
 // mid-write leaves the previous checkpoint intact — there is no torn state.
@@ -48,7 +48,7 @@ uint64_t FingerprintDatabase(const IntervalDatabase& db);
 struct CheckpointRunKey {
   uint64_t db_fingerprint = 0;
   std::string language;    ///< "endpoint" | "coincidence"
-  std::string algo;        ///< e.g. "growth", "growth-physical", "levelwise"
+  std::string algo;        ///< "growth" | "growth-physical"
   double min_support = 0.0;
   uint32_t max_items = 0;
   uint32_t max_length = 0;
@@ -56,7 +56,6 @@ struct CheckpointRunKey {
   bool pair_pruning = false;
   bool postfix_pruning = false;
   bool validity_pruning = false;
-  std::string projection;  ///< effective ProjectionModeName, "none" levelwise
 
   friend bool operator==(const CheckpointRunKey& a, const CheckpointRunKey& b);
   friend bool operator!=(const CheckpointRunKey& a, const CheckpointRunKey& b) {
@@ -70,9 +69,9 @@ struct CheckpointRunKey {
 std::vector<std::string> DiffRunKeys(const CheckpointRunKey& have,
                                      const CheckpointRunKey& want);
 
-/// One serialized pattern (emitted result, frontier candidate, or memo
-/// entry). Language-neutral: both EndpointPattern and CoincidencePattern
-/// are (uint32 items, uint32 offsets-with-sentinel) under the hood.
+/// One serialized emitted pattern. Language-neutral: both EndpointPattern
+/// and CoincidencePattern are (uint32 items, uint32 offsets-with-sentinel)
+/// under the hood.
 struct CheckpointPatternRec {
   SupportCount support = 0;
   std::vector<uint32_t> items;
@@ -83,17 +82,16 @@ struct CheckpointPatternRec {
 struct Checkpoint {
   CheckpointRunKey key;
 
-  /// Depth-0 bucket count for the growth engines; 0 when the total is
-  /// unknown up front (level-wise miners).
+  /// Depth-0 bucket count; 0 when the run stopped before the root scan
+  /// finished counting them.
   uint64_t total_units = 0;
 
-  /// Completed units: `(code << 1) | i_ext` bucket keys for the growth
-  /// engines (serialized in ascending key order so the bytes are identical
-  /// for every thread count and completion order), level indices in
-  /// completion order for the level-wise miners.
+  /// Completed units: `(code << 1) | i_ext` depth-0 bucket keys, serialized
+  /// in ascending key order so the bytes are identical for every thread
+  /// count and completion order.
   std::vector<uint64_t> completed_units;
 
-  /// v2: how many of `patterns` each completed unit contributed, aligned
+  /// How many of `patterns` each completed unit contributed, aligned
   /// index-for-index with `completed_units` (so `patterns` is the
   /// concatenation of per-unit banks in that order). Lets a resume regroup
   /// the pattern stream by unit no matter how the writing run scheduled its
@@ -103,12 +101,6 @@ struct Checkpoint {
   /// Every pattern emitted up to the boundary, grouped per completed unit
   /// (see unit_pattern_counts); within a unit, in emission order.
   std::vector<CheckpointPatternRec> patterns;
-
-  /// Level-wise only: the next level's candidates (empty for growth).
-  std::vector<CheckpointPatternRec> frontier;
-
-  /// Level-wise only: the frequent-pattern memo the Apriori check queries.
-  std::vector<CheckpointPatternRec> memo;
 
   /// The run's domain metrics delta at the boundary, pre-merged with any
   /// earlier resumed segments (resume-of-resume folds transitively).

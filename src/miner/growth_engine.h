@@ -65,12 +65,11 @@
 // DeliveryInbox::mu are independent leaf locks — no code path holds both,
 // and neither is held across metrics, I/O, or policy calls.
 //
-// Projection storage is delegated to core/projection.h: pseudo mode stages
+// Projection storage is delegated to core/projection.h: the engine stages
 // into a per-worker shared arena (reset once per node) and finalizes into
 // per-depth arenas (rewound when the subtree exits), making each
-// MemoryTracker's view of projection bytes exact; copy mode reproduces the
-// legacy heap-copied cost profile for A/B comparison and the
-// physical-projection baselines.
+// MemoryTracker's view of projection bytes exact. The physical-projection
+// baselines differ only in copying each node's postfix before scanning it.
 
 #pragma once
 
@@ -135,8 +134,6 @@ class GrowthEngine {
                    ? options.top_k
                    : 0),
         bar_(minsup_),
-        mode_(config.physical_projection ? ProjectionMode::kCopy
-                                         : options.projection),
         policy_(options, config),
         owned_domain_(options.stats_domain != nullptr
                           ? nullptr
@@ -198,7 +195,7 @@ class GrowthEngine {
     TPM_TRACE_SPAN(Policy::kGrowSpanName);
     // Root projection: one virgin state per non-empty sequence.
     ProjectionBuilder root_builder;
-    root_builder.Init(mode_, /*stride=*/0, &arenas_, /*depth=*/0);
+    root_builder.Init(/*stride=*/0, &arenas_, /*depth=*/0);
     for (uint32_t s = 0; s < policy_.NumSeqs(); ++s) {
       if (policy_.NumItems(s) == 0) continue;
       root_builder.Push(s, kNoStateItem, kNoStateItem);
@@ -294,12 +291,8 @@ class GrowthEngine {
     result.stats.arena_peak_bytes =
         arenas_.total_allocated_bytes() + worker_arena_bytes_;
     result.stats.peak_rss_bytes = ReadPeakRssBytes();
-    if (mode_ == ProjectionMode::kPseudo) {
-      om_.arena_peak->Set(
-          static_cast<int64_t>(result.stats.arena_peak_bytes));
-      om_.arena_blocks->Increment(arenas_.total_blocks() +
-                                  worker_arena_blocks_);
-    }
+    om_.arena_peak->Set(static_cast<int64_t>(result.stats.arena_peak_bytes));
+    om_.arena_blocks->Increment(arenas_.total_blocks() + worker_arena_blocks_);
     // Final VmHWM sample: a truncated run's peak was already captured by the
     // progress tracker at snapshot time; this records the end-of-run value.
     if (result.stats.peak_rss_bytes > 0) {
@@ -346,7 +339,6 @@ class GrowthEngine {
     ExpandFrame frame;
     std::vector<uint8_t> child_allowed;
     Arena::Mark child_mark;
-    size_t final_bytes = 0;
     bool entered = false;  ///< node charged and children finalized
   };
 
@@ -592,8 +584,7 @@ class GrowthEngine {
       Bucket& b = frame.buckets.back();
       b.code = code;
       b.i_ext = i_ext;
-      b.builder.Init(mode_, w.policy->ChildStride(code, i_ext), w.arenas,
-                     depth + 1);
+      b.builder.Init(w.policy->ChildStride(code, i_ext), w.arenas, depth + 1);
       return &b;
     };
 
@@ -667,13 +658,9 @@ class GrowthEngine {
       }
     }
 
-    // Copy mode carries the legacy capacity-based estimates; pseudo mode is
-    // charged exactly by the arenas themselves as blocks map.
-    size_t scan_bytes = frame.copies_bytes;
-    for (const Bucket& b : frame.buckets) {
-      scan_bytes += b.builder.staged_heap_bytes();
-    }
-    w.tracker->Allocate(scan_bytes);
+    // Projection storage is charged exactly by the arenas as blocks map;
+    // only the baselines' physical postfix copies are charged here.
+    w.tracker->Allocate(frame.copies_bytes);
 
     // Deterministic child order.
     std::sort(frame.buckets.begin(), frame.buckets.end(),
@@ -684,7 +671,6 @@ class GrowthEngine {
 
     Arena& child_arena = w.arenas->depth(depth + 1);
     nc->child_mark = child_arena.mark();
-    nc->final_bytes = 0;
     for (Bucket& b : frame.buckets) {
       const NodeProjection& view = b.builder.Finalize(
           [&w](const ProjectionBuilder::SpanView& v,
@@ -692,22 +678,17 @@ class GrowthEngine {
             w.policy->SelectSpan(v, keep);
           });
       internal::DCheckProjection(view);
-      nc->final_bytes += b.builder.final_heap_bytes();
     }
     // All parents up this context's stack finalized before recursing, so
     // nothing else is staged: the staging arena can rewind to empty.
     w.arenas->staging().Reset();
-    w.tracker->Allocate(nc->final_bytes);
-    w.tracker->Release(scan_bytes - frame.copies_bytes);  // staging freed
-    if (mode_ == ProjectionMode::kPseudo) {
-      w.om.arena_depth_bytes->Observe(child_arena.used_bytes());
-    }
+    w.om.arena_depth_bytes->Observe(child_arena.used_bytes());
     nc->entered = true;
     return true;
   }
 
   void ReleaseNode(WorkerCtx& w, NodeChildren* nc, uint32_t depth) {
-    w.tracker->Release(nc->frame.copies_bytes + nc->final_bytes);
+    w.tracker->Release(nc->frame.copies_bytes);
     w.arenas->depth(depth + 1).Rewind(nc->child_mark);
   }
 
@@ -1304,7 +1285,7 @@ class GrowthEngine {
   // The depth-0 unit is the unit of completed work. The merger advances the
   // completed frontier as units join and writes a checkpoint when the
   // interval gate is due; a truncated exit writes a final checkpoint at the
-  // merged frontier. v2 serializes the completed units sorted by unit key
+  // merged frontier. TPMC serializes the completed units sorted by unit key
   // with each unit's pattern bank (and per-unit counts), so the bytes are
   // independent of completion order and the resume regroups every prior
   // pattern onto its unit. Resuming seeds the banks back and skips the
@@ -1330,7 +1311,6 @@ class GrowthEngine {
     key.postfix_pruning = postfix_pruning_;
     key.validity_pruning = kIsEndpoint && !config_.force_disable_prunings &&
                            options_.validity_pruning;
-    key.projection = ProjectionModeName(mode_);
     return key;
   }
 
@@ -1414,7 +1394,6 @@ class GrowthEngine {
   const uint64_t top_k_;  ///< 0 = bar off
   // The search floor, max(minsup, bar): read per child, raised rarely.
   std::atomic<SupportCount> bar_;
-  const ProjectionMode mode_;
   bool pair_pruning_ = false;
   bool postfix_pruning_ = false;
 

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/coincidence.h"
 #include "core/containment.h"
 #include "core/endpoint.h"
-#include "io/checkpoint.h"
 #include "miner/cooccurrence.h"
 #include "miner/miner_metrics.h"
 #include "miner/validate_hooks.h"
@@ -52,220 +51,60 @@ void RemovePositions(const std::vector<ItemT>& items,
   out_offsets->push_back(static_cast<uint32_t>(out_items->size()));
 }
 
-// The checkpoint run-key algo string encodes the config toggles that change
-// the search shape, so a resume under a different config fails fast.
-std::string LevelwiseAlgoName(const LevelwiseConfig& config) {
-  std::string algo = "levelwise";
-  if (!config.frequent_alphabet) algo += "-noalpha";
-  if (!config.apriori_check) algo += "-noapriori";
-  return algo;
-}
+// One frontier candidate: a (possibly incomplete) pattern under growth.
+template <typename ItemT, typename PatternT>
+struct FrontierPat {
+  using Item = ItemT;
 
-// Levelwise checkpoint unit = one completed level (breadth-first generation);
-// completed_units holds level indices and total_units stays 0 (the level
-// count is unknown up front). Growth-engine run keys never collide with
-// these: the algo strings differ.
-
-// ---------------------------------------------------------------------------
-// Endpoint language
-// ---------------------------------------------------------------------------
-
-struct EndpointFrontierPat {
-  std::vector<EndpointCode> items;
+  std::vector<ItemT> items;
   std::vector<uint32_t> offsets;  // slice begins, WITHOUT the final sentinel
-  std::vector<EventId> open;      // symbols opened but not closed, any order
+  std::vector<EventId> open;      // endpoint language: symbols opened but not
+                                  // closed, any order; coincidence: empty
 
-  EndpointPattern ToPattern() const {
+  PatternT ToPattern() const {
     std::vector<uint32_t> full = offsets;
     full.push_back(static_cast<uint32_t>(items.size()));
-    return EndpointPattern(items, full);
+    return PatternT(items, full);
   }
   size_t Bytes() const {
-    return items.capacity() * sizeof(EndpointCode) +
-           offsets.capacity() * sizeof(uint32_t) + open.capacity() * sizeof(EventId);
+    return items.capacity() * sizeof(ItemT) +
+           offsets.capacity() * sizeof(uint32_t) +
+           open.capacity() * sizeof(EventId);
   }
 };
 
-class EndpointLevelwise {
- public:
-  EndpointLevelwise(const IntervalDatabase& db, const MinerOptions& options,
-                    const LevelwiseConfig& config)
-      : db_(db),
-        options_(options),
-        config_(config),
-        minsup_(db.AbsoluteSupport(options.min_support)),
-        owned_domain_(options.stats_domain != nullptr
-                          ? nullptr
-                          : new obs::StatsDomain("levelwise.endpoint")),
-        domain_(options.stats_domain != nullptr ? options.stats_domain
-                                                : owned_domain_.get()),
-        om_(MinerMetrics::ForRegistry(&domain_->registry())) {
-    ckpt_writer_ = options.checkpoint_writer;
-    resume_ = options.resume;
-  }
+// ---------------------------------------------------------------------------
+// Language policies: everything the level-wise search needs to know about a
+// pattern language. LevelwiseMiner<Lang> owns the rest.
+// ---------------------------------------------------------------------------
 
-  Result<EndpointMiningResult> Run() {
-    EndpointMiningResult result;
-    out_ = &result;
-    if (MinerFaultPoint("miner.alloc", &domain_->registry())) {
-      domain_->RecordEvent("fault");
-      return Status::ResourceExhausted(
-          "injected allocation failure building the level-wise endpoint "
-          "representation (fault site miner.alloc)");
-    }
-    // Run identity only matters when checkpointing is live: fingerprinting
-    // walks the whole database, so the default (off) pays nothing.
-    if (ckpt_writer_ != nullptr || resume_ != nullptr) {
-      run_key_ = MakeRunKey();
-      if (resume_ != nullptr && resume_->key != run_key_) {
-        std::string msg = "checkpoint does not match this run:";
-        for (const std::string& diff : DiffRunKeys(resume_->key, run_key_)) {
-          msg += "\n  " + diff;
-        }
-        return Status::InvalidArgument(msg);
-      }
-    }
-    run_timer_.Reset();
-    obs_start_ = domain_->registry().Snapshot();
-    resume_base_ = obs_start_;
-    domain_->RecordEvent("run.begin", db_.size(), minsup_);
-    WallTimer build_timer;
-    {
-      TPM_TRACE_SPAN("levelwise.build");
-      edb_ = EndpointDatabase::FromDatabase(db_);
-    }
-    tracker_.Allocate(edb_.MemoryBytes());
-    result.stats.build_seconds = build_timer.ElapsedSeconds();
+struct EndpointLang {
+  using Pattern = EndpointPattern;
+  using PatternHash = EndpointPatternHash;
+  using Frontier = FrontierPat<EndpointCode, EndpointPattern>;
+  using Database = EndpointDatabase;
+  using MiningResult = EndpointMiningResult;
 
-    WallTimer mine_timer;
-    // Extension alphabet: start endpoints of (frequent) symbols. Finish
-    // endpoints are derived from each pattern's open list.
-    CooccurrenceTable cooc = CooccurrenceTable::Build(db_, minsup_);
-    std::vector<EventId> alphabet;
-    for (EventId e = 0; e < db_.dict().size(); ++e) {
-      const SupportCount s = cooc.SymbolSupport(e);
-      if (s == 0) continue;
-      if (!config_.frequent_alphabet || s >= minsup_) alphabet.push_back(e);
-    }
+  static constexpr const char* kDomainName = "levelwise.endpoint";
+  static constexpr const char* kFaultMessage =
+      "injected allocation failure building the level-wise endpoint "
+      "representation (fault site miner.alloc)";
 
-    // Level 1: single start endpoints — or, on resume, the checkpointed
-    // frontier with completed levels skipped entirely.
-    std::vector<EndpointFrontierPat> frontier;
-    uint64_t level_index = 0;
-    if (resume_ != nullptr) {
-      TPM_RETURN_NOT_OK(SeedFromResume(&frontier));
-      level_index = completed_units_.size();
-      // Resume baseline: everything charged so far (run.begin, the
-      // representation build) is preamble the interrupted run's boundary
-      // metrics already include; the resumed delta starts at the level loop.
-      resume_base_ = domain_->registry().Snapshot();
-    } else {
-      for (EventId e : alphabet) {
-        EndpointFrontierPat p;
-        p.items = {MakeStart(e)};
-        p.offsets = {0};
-        p.open = {e};
-        frontier.push_back(std::move(p));
-      }
-      // The boundary frontier before any level completes is the initial one,
-      // so a final checkpoint written that early still resumes correctly.
-      if (ckpt_writer_ != nullptr) boundary_frontier_ = frontier;
-    }
-    if (ckpt_writer_ != nullptr) {
-      // Pre-level boundary: a run truncated before its first level completes
-      // still checkpoints the preamble (representation build) delta, so a
-      // resume replays only the level work on top of it.
-      ckpt_pattern_count_ = out_->patterns.size();
-      boundary_metrics_ = RunDelta();
-      boundary_elapsed_ =
-          (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-          run_timer_.ElapsedSeconds();
-    }
+  // Level 1: single start endpoints. Finish endpoints are derived from each
+  // pattern's open list.
+  static Frontier Seed(EventId e) { return Frontier{{MakeStart(e)}, {0}, {e}}; }
 
-    while (!frontier.empty() && !guard_.stopped() && ckpt_status_.ok()) {
-      frontier = ProcessLevel(std::move(frontier), alphabet);
-      // A guard stop mid-level means the level is incomplete: the checkpoint
-      // must not claim it, and the boundary stays at the previous level.
-      if (!guard_.stopped()) NoteLevelComplete(level_index, frontier);
-      ++level_index;
-    }
-    if (!ckpt_status_.ok()) return ckpt_status_;
-    result.stats.mine_seconds = mine_timer.ElapsedSeconds();
-    result.stats.patterns_found = result.patterns.size();
-    result.stats.truncated = guard_.stopped();
-    result.stats.stop_reason = guard_.reason();
-    RecordStopMetrics(guard_.reason(), &domain_->registry());
-    result.stats.peak_tracked_bytes = tracker_.peak_bytes();
-    result.stats.peak_rss_bytes = ReadPeakRssBytes();
-    if (result.stats.peak_rss_bytes > 0) {
-      om_.process_peak_rss->Set(
-          static_cast<int64_t>(result.stats.peak_rss_bytes));
-    }
-    domain_->RecordEvent("run.end", result.patterns.size(),
-                         result.stats.nodes_expanded);
-    result.stats.metrics = RunDelta();
-    obs::MetricsRegistry::Global().MergeSnapshot(result.stats.metrics);
-    // A truncated run leaves a final checkpoint at the last completed-level
-    // boundary so the work survives.
-    if (ckpt_writer_ != nullptr && result.stats.truncated) {
-      TPM_RETURN_NOT_OK(WriteCheckpoint());
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    }
-    return result;
-  }
+  // Only complete patterns (every opened interval closed) are reported.
+  static bool CanEmit(const Frontier& f) { return f.open.empty(); }
 
- private:
-  // Counts every candidate in `level` by a database scan, records frequent
-  // ones, and returns the next level's candidates.
-  std::vector<EndpointFrontierPat> ProcessLevel(
-      std::vector<EndpointFrontierPat> level, const std::vector<EventId>& alphabet) {
-    TPM_TRACE_SPAN("levelwise.level");
-    domain_->RecordEvent("level", level.size(), out_->patterns.size());
-    std::vector<EndpointFrontierPat> survivors;
-    size_t level_bytes = 0;
-    for (EndpointFrontierPat& cand : level) {
-      if (CheckBudget()) break;
-      ++out_->stats.candidates_checked;
-      om_.candidates->Increment();
-      const EndpointPattern pattern = cand.ToPattern();
-      SupportCount support = 0;
-      for (const EndpointSequence& es : edb_.sequences()) {
-        if (Contains(es, pattern, options_.max_window)) ++support;
-      }
-      if (support < minsup_) continue;
-      ++out_->stats.nodes_expanded;
-      om_.node_depth->Observe(cand.items.size());
-      frequent_.insert(pattern);
-      if (cand.open.empty()) {
-        out_->patterns.push_back(MinedPattern<EndpointPattern>{pattern, support});
-        om_.patterns->Increment();
-        guard_.NotePattern(out_->patterns.size());
-      }
-      level_bytes += cand.Bytes();
-      survivors.push_back(std::move(cand));
-    }
-    tracker_.Allocate(level_bytes);
-
-    std::vector<EndpointFrontierPat> next;
-    for (const EndpointFrontierPat& f : survivors) {
-      if (guard_.stopped()) break;
-      GenerateExtensions(f, alphabet, &next);
-    }
-    tracker_.Release(level_bytes);
-    return next;
-  }
-
-  void GenerateExtensions(const EndpointFrontierPat& f,
-                          const std::vector<EventId>& alphabet,
-                          std::vector<EndpointFrontierPat>* next) {
-    if (options_.max_items > 0 && f.items.size() >= options_.max_items) return;
+  // Calls admit(candidate) for every valid one-item extension of `f`: the
+  // start of a symbol not open in `f`, or the finish of one that is.
+  template <typename AdmitFn>
+  static void Extend(const Frontier& f, const std::vector<EventId>& alphabet,
+                     bool allow_s, AdmitFn&& admit) {
     const EndpointCode last = f.items.back();
-    const bool allow_s =
-        options_.max_length == 0 || f.offsets.size() < options_.max_length;
-
     auto try_candidate = [&](EndpointCode code, bool i_ext) {
-      EndpointFrontierPat c = f;
+      Frontier c = f;
       if (!i_ext) c.offsets.push_back(static_cast<uint32_t>(c.items.size()));
       c.items.push_back(code);
       const EventId ev = EndpointEvent(code);
@@ -275,311 +114,123 @@ class EndpointLevelwise {
         c.open.erase(std::find(c.open.begin(), c.open.end(), ev));
       }
       if (!c.ToPattern().Validate().ok()) return;
-      if (config_.apriori_check && !PassesApriori(c)) {
-        om_.apriori_hits->Increment();
-        return;
-      }
-      next->push_back(std::move(c));
+      admit(std::move(c));
     };
-
     for (EventId e : alphabet) {
-      const bool is_open = std::find(f.open.begin(), f.open.end(), e) != f.open.end();
-      const EndpointCode start = MakeStart(e);
-      const EndpointCode finish = MakeFinish(e);
-      if (!is_open) {
-        if (allow_s) try_candidate(start, /*i_ext=*/false);
-        if (start > last) try_candidate(start, /*i_ext=*/true);
-      } else {
-        if (allow_s) try_candidate(finish, /*i_ext=*/false);
-        if (finish > last) try_candidate(finish, /*i_ext=*/true);
-      }
+      const bool is_open =
+          std::find(f.open.begin(), f.open.end(), e) != f.open.end();
+      const EndpointCode code = is_open ? MakeFinish(e) : MakeStart(e);
+      if (allow_s) try_candidate(code, /*i_ext=*/false);
+      if (code > last) try_candidate(code, /*i_ext=*/true);
     }
   }
 
-  // Interval-removal Apriori check: every subpattern reachable by deleting a
-  // closed interval (both endpoints) or a dangling open start must itself be
-  // frequent (monotone containment, see DESIGN.md §2.2).
-  bool PassesApriori(const EndpointFrontierPat& c) {
-    std::vector<uint32_t> offsets_full = c.offsets;
-    offsets_full.push_back(static_cast<uint32_t>(c.items.size()));
+  // Interval removal: deleting a closed interval (both endpoints) or a
+  // dangling open start (monotone containment, see DESIGN.md §2.2).
+  static void RemovalSets(const Frontier& c,
+                          std::vector<std::vector<uint32_t>>* removals) {
     // Pair up endpoints positionally.
-    std::vector<std::vector<uint32_t>> removals;
     std::vector<std::pair<EventId, uint32_t>> open_stack;
     for (uint32_t i = 0; i < c.items.size(); ++i) {
       const EndpointCode code = c.items[i];
       const EventId ev = EndpointEvent(code);
       if (!IsFinish(code)) {
         open_stack.emplace_back(ev, i);
-      } else {
-        for (size_t k = open_stack.size(); k-- > 0;) {
-          if (open_stack[k].first == ev) {
-            removals.push_back({open_stack[k].second, i});
-            open_stack.erase(open_stack.begin() + static_cast<ptrdiff_t>(k));
-            break;
-          }
+        continue;
+      }
+      for (size_t k = open_stack.size(); k-- > 0;) {
+        if (open_stack[k].first == ev) {
+          removals->push_back({open_stack[k].second, i});
+          open_stack.erase(open_stack.begin() + static_cast<ptrdiff_t>(k));
+          break;
         }
       }
     }
-    for (const auto& [ev, pos] : open_stack) removals.push_back({pos});
-
-    std::vector<EndpointCode> sub_items;
-    std::vector<uint32_t> sub_offsets;
-    for (const std::vector<uint32_t>& rm : removals) {
-      RemovePositions(c.items, offsets_full, rm, &sub_items, &sub_offsets);
-      if (sub_items.empty()) continue;
-      if (frequent_.find(EndpointPattern(sub_items, sub_offsets)) ==
-          frequent_.end()) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool CheckBudget() { return guard_.ShouldStop(); }
-
-  // ---- Checkpoint/resume (io/checkpoint.h) ---------------------------
-
-  CheckpointRunKey MakeRunKey() const {
-    CheckpointRunKey key;
-    key.db_fingerprint = FingerprintDatabase(db_);
-    key.language = "endpoint";
-    key.algo = LevelwiseAlgoName(config_);
-    key.min_support = options_.min_support;
-    key.max_items = options_.max_items;
-    key.max_length = options_.max_length;
-    key.max_window = options_.max_window;
-    // The growth prunings don't exist in the level-wise search, so the
-    // pruning flags stay canonically false and never block a resume.
-    key.projection = "none";
-    return key;
-  }
-
-  Status SeedFromResume(std::vector<EndpointFrontierPat>* frontier) {
-    completed_units_ = resume_->completed_units;
-    unit_pattern_counts_ = resume_->unit_pattern_counts;
-    for (const CheckpointPatternRec& rec : resume_->patterns) {
-      out_->patterns.push_back(MinedPattern<EndpointPattern>{
-          EndpointPattern(rec.items, rec.offsets), rec.support});
-      guard_.NotePattern(out_->patterns.size());
-    }
-    for (const CheckpointPatternRec& rec : resume_->memo) {
-      frequent_.insert(EndpointPattern(rec.items, rec.offsets));
-    }
-    frontier->clear();
-    frontier->reserve(resume_->frontier.size());
-    for (const CheckpointPatternRec& rec : resume_->frontier) {
-      EndpointFrontierPat f;
-      f.items = rec.items;
-      f.offsets = rec.offsets;
-      f.offsets.pop_back();  // stored with the sentinel; the frontier drops it
-      // Rebuild the open list by replay; a finish without a matching open
-      // start cannot come from a real frontier record.
-      for (EndpointCode code : f.items) {
-        const EventId ev = EndpointEvent(code);
-        if (!IsFinish(code)) {
-          f.open.push_back(ev);
-        } else {
-          auto it = std::find(f.open.begin(), f.open.end(), ev);
-          if (it == f.open.end()) {
-            return Status::Corruption(
-                "checkpoint frontier record closes a symbol that was never "
-                "opened (malformed frontier)");
-          }
-          f.open.erase(it);
-        }
-      }
-      frontier->push_back(std::move(f));
-    }
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = resume_->metrics;
-    boundary_frontier_ = *frontier;
-    boundary_elapsed_ = resume_->elapsed_seconds;
-    // Recorded against the flight recorder directly: ckpt bookkeeping must
-    // not perturb the obs.flight.events counter the merged deltas compare.
-    domain_->recorder().Record("ckpt.resume", completed_units_.size(),
-                               out_->patterns.size());
-    return Status::OK();
-  }
-
-  obs::MetricsSnapshot RunDelta() const {
-    if (resume_ == nullptr) {
-      return domain_->registry().Snapshot().Since(obs_start_);
-    }
-    std::vector<obs::DomainSnapshot> parts;
-    parts.push_back({"prior", resume_->metrics});
-    parts.push_back(
-        {"current", domain_->registry().Snapshot().Since(resume_base_)});
-    return obs::MergeDomainSnapshots(std::move(parts));
-  }
-
-  void NoteLevelComplete(uint64_t level_index,
-                         const std::vector<EndpointFrontierPat>& frontier) {
-    if (ckpt_writer_ == nullptr) return;
-    completed_units_.push_back(level_index);
-    // v2 grouping: this level's bank is the pattern-stream slice since the
-    // previous boundary (levels are the levelwise unit of completed work).
-    unit_pattern_counts_.push_back(out_->patterns.size() -
-                                   ckpt_pattern_count_);
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = RunDelta();
-    boundary_frontier_ = frontier;
-    boundary_elapsed_ =
-        (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-        run_timer_.ElapsedSeconds();
-    if (!ckpt_writer_->Due()) return;
-    const Status st = WriteCheckpoint();
-    if (st.ok()) {
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    } else {
-      ckpt_status_ = st;
-    }
-  }
-
-  Status WriteCheckpoint() {
-    Checkpoint ckpt;
-    ckpt.key = run_key_;
-    ckpt.completed_units = completed_units_;
-    ckpt.unit_pattern_counts = unit_pattern_counts_;
-    ckpt.patterns.reserve(ckpt_pattern_count_);
-    for (uint64_t i = 0; i < ckpt_pattern_count_; ++i) {
-      const MinedPattern<EndpointPattern>& p = out_->patterns[i];
-      ckpt.patterns.push_back(CheckpointPatternRec{
-          p.support, p.pattern.items(), p.pattern.offsets()});
-    }
-    ckpt.frontier.reserve(boundary_frontier_.size());
-    for (const EndpointFrontierPat& f : boundary_frontier_) {
-      std::vector<uint32_t> full = f.offsets;
-      full.push_back(static_cast<uint32_t>(f.items.size()));
-      ckpt.frontier.push_back(
-          CheckpointPatternRec{0, f.items, std::move(full)});
-    }
-    // The memo is serialized at write time, so after a partial level it is a
-    // superset of the boundary's: safe, because re-inserting on the replayed
-    // level is idempotent and the extra entries match what full reprocessing
-    // inserts anyway. Sorted before serializing so checkpoint bytes are a
-    // pure function of the mined state, not of hash-set iteration order.
-    std::vector<const EndpointPattern*> memo;
-    memo.reserve(frequent_.size());
-    for (const EndpointPattern& p : frequent_) memo.push_back(&p);
-    std::sort(memo.begin(), memo.end(),
-              [](const EndpointPattern* a, const EndpointPattern* b) {
-                return *a < *b;
-              });
-    for (const EndpointPattern* p : memo) {
-      ckpt.memo.push_back(CheckpointPatternRec{0, p->items(), p->offsets()});
-    }
-    ckpt.metrics = boundary_metrics_;
-    ckpt.elapsed_seconds = boundary_elapsed_;
-    ckpt.time_budget_seconds = options_.time_budget_seconds;
-    return ckpt_writer_->Write(ckpt);
-  }
-
-  const IntervalDatabase& db_;
-  const MinerOptions& options_;
-  const LevelwiseConfig& config_;
-  const SupportCount minsup_;
-  EndpointDatabase edb_;
-  std::unordered_set<EndpointPattern, EndpointPatternHash> frequent_;
-  // Declared before guard_ so the on_stop hook may fire at any point in the
-  // guard's lifetime.
-  std::unique_ptr<obs::StatsDomain> owned_domain_;
-  obs::StatsDomain* domain_ = nullptr;
-  MinerMetrics om_;
-  GuardLimits MakeGuardLimits() {
-    GuardLimits limits = options_.ToGuardLimits();
-    limits.on_stop = [this](StopReason reason) {
-      domain_->RecordEvent("guard.stop", static_cast<uint64_t>(reason),
-                           out_ != nullptr ? out_->stats.nodes_expanded : 0);
-    };
-    return limits;
-  }
-  MemoryTracker tracker_;
-  ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
-  EndpointMiningResult* out_ = nullptr;
-
-  // --- Checkpoint/resume state (see the helper block above) ---
-  CheckpointWriter* ckpt_writer_ = nullptr;  // not owned; null = off
-  const Checkpoint* resume_ = nullptr;       // not owned; null = fresh run
-  CheckpointRunKey run_key_;
-  std::vector<uint64_t> completed_units_;
-  std::vector<uint64_t> unit_pattern_counts_;
-  obs::MetricsSnapshot obs_start_;
-  obs::MetricsSnapshot resume_base_;
-  uint64_t ckpt_pattern_count_ = 0;
-  obs::MetricsSnapshot boundary_metrics_;
-  std::vector<EndpointFrontierPat> boundary_frontier_;
-  double boundary_elapsed_ = 0.0;
-  WallTimer run_timer_;
-  Status ckpt_status_;  // first failed checkpoint write, else OK
-};
-
-// ---------------------------------------------------------------------------
-// Coincidence language
-// ---------------------------------------------------------------------------
-
-struct CoinFrontierPat {
-  std::vector<EventId> items;
-  std::vector<uint32_t> offsets;  // coincidence begins, WITHOUT final sentinel
-
-  CoincidencePattern ToPattern() const {
-    std::vector<uint32_t> full = offsets;
-    full.push_back(static_cast<uint32_t>(items.size()));
-    return CoincidencePattern(items, full);
-  }
-  size_t Bytes() const {
-    return items.capacity() * sizeof(EventId) +
-           offsets.capacity() * sizeof(uint32_t);
+    for (const auto& [ev, pos] : open_stack) removals->push_back({pos});
   }
 };
 
-class CoincidenceLevelwise {
+struct CoincidenceLang {
+  using Pattern = CoincidencePattern;
+  using PatternHash = CoincidencePatternHash;
+  using Frontier = FrontierPat<EventId, CoincidencePattern>;
+  using Database = CoincidenceDatabase;
+  using MiningResult = CoincidenceMiningResult;
+
+  static constexpr const char* kDomainName = "levelwise.coincidence";
+  static constexpr const char* kFaultMessage =
+      "injected allocation failure building the level-wise coincidence "
+      "representation (fault site miner.alloc)";
+
+  static Frontier Seed(EventId e) { return Frontier{{e}, {0}, {}}; }
+
+  static bool CanEmit(const Frontier&) { return true; }
+
+  // A new coincidence holding `e`, or `e` added to the last coincidence when
+  // it sorts after every symbol already there.
+  template <typename AdmitFn>
+  static void Extend(const Frontier& f, const std::vector<EventId>& alphabet,
+                     bool allow_s, AdmitFn&& admit) {
+    for (EventId e : alphabet) {
+      if (allow_s) {
+        Frontier c = f;
+        c.offsets.push_back(static_cast<uint32_t>(c.items.size()));
+        c.items.push_back(e);
+        admit(std::move(c));
+      }
+      if (e > f.items.back()) {
+        Frontier c = f;
+        c.items.push_back(e);
+        admit(std::move(c));
+      }
+    }
+  }
+
+  // Single-item removal (monotone for coincidence patterns).
+  static void RemovalSets(const Frontier& c,
+                          std::vector<std::vector<uint32_t>>* removals) {
+    for (uint32_t i = 0; i < c.items.size(); ++i) removals->push_back({i});
+  }
+};
+
+// Breadth-first generate-and-test: level k holds the frequent candidates
+// with k items; level k+1 candidates are their one-item extensions, each
+// counted by a full-database containment scan.
+template <typename Lang>
+class LevelwiseMiner {
  public:
-  CoincidenceLevelwise(const IntervalDatabase& db, const MinerOptions& options,
-                       const LevelwiseConfig& config)
+  using Frontier = typename Lang::Frontier;
+  using Pattern = typename Lang::Pattern;
+  using MiningResult = typename Lang::MiningResult;
+
+  LevelwiseMiner(const IntervalDatabase& db, const MinerOptions& options,
+                 const LevelwiseConfig& config)
       : db_(db),
         options_(options),
         config_(config),
         minsup_(db.AbsoluteSupport(options.min_support)),
         owned_domain_(options.stats_domain != nullptr
                           ? nullptr
-                          : new obs::StatsDomain("levelwise.coincidence")),
+                          : new obs::StatsDomain(Lang::kDomainName)),
         domain_(options.stats_domain != nullptr ? options.stats_domain
                                                 : owned_domain_.get()),
-        om_(MinerMetrics::ForRegistry(&domain_->registry())) {
-    ckpt_writer_ = options.checkpoint_writer;
-    resume_ = options.resume;
-  }
+        om_(MinerMetrics::ForRegistry(&domain_->registry())) {}
 
-  Result<CoincidenceMiningResult> Run() {
-    CoincidenceMiningResult result;
+  Result<MiningResult> Run() {
+    MiningResult result;
     out_ = &result;
     if (MinerFaultPoint("miner.alloc", &domain_->registry())) {
       domain_->RecordEvent("fault");
-      return Status::ResourceExhausted(
-          "injected allocation failure building the level-wise coincidence "
-          "representation (fault site miner.alloc)");
+      return Status::ResourceExhausted(Lang::kFaultMessage);
     }
-    if (ckpt_writer_ != nullptr || resume_ != nullptr) {
-      run_key_ = MakeRunKey();
-      if (resume_ != nullptr && resume_->key != run_key_) {
-        std::string msg = "checkpoint does not match this run:";
-        for (const std::string& diff : DiffRunKeys(resume_->key, run_key_)) {
-          msg += "\n  " + diff;
-        }
-        return Status::InvalidArgument(msg);
-      }
-    }
-    run_timer_.Reset();
-    obs_start_ = domain_->registry().Snapshot();
-    resume_base_ = obs_start_;
+    const obs::MetricsSnapshot obs_start = domain_->registry().Snapshot();
     domain_->RecordEvent("run.begin", db_.size(), minsup_);
     WallTimer build_timer;
     {
       TPM_TRACE_SPAN("levelwise.build");
-      cdb_ = CoincidenceDatabase::FromDatabase(db_);
+      ldb_ = Lang::Database::FromDatabase(db_);
     }
-    tracker_.Allocate(cdb_.MemoryBytes());
+    tracker_.Allocate(ldb_.MemoryBytes());
     result.stats.build_seconds = build_timer.ElapsedSeconds();
 
     WallTimer mine_timer;
@@ -591,32 +242,11 @@ class CoincidenceLevelwise {
       if (!config_.frequent_alphabet || s >= minsup_) alphabet.push_back(e);
     }
 
-    std::vector<CoinFrontierPat> frontier;
-    uint64_t level_index = 0;
-    if (resume_ != nullptr) {
-      SeedFromResume(&frontier);
-      level_index = completed_units_.size();
-      resume_base_ = domain_->registry().Snapshot();
-    } else {
-      for (EventId e : alphabet) {
-        frontier.push_back(CoinFrontierPat{{e}, {0}});
-      }
-      if (ckpt_writer_ != nullptr) boundary_frontier_ = frontier;
-    }
-    if (ckpt_writer_ != nullptr) {
-      // Pre-level boundary, mirroring the endpoint level-wise miner.
-      ckpt_pattern_count_ = out_->patterns.size();
-      boundary_metrics_ = RunDelta();
-      boundary_elapsed_ =
-          (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-          run_timer_.ElapsedSeconds();
-    }
-    while (!frontier.empty() && !guard_.stopped() && ckpt_status_.ok()) {
+    std::vector<Frontier> frontier;
+    for (EventId e : alphabet) frontier.push_back(Lang::Seed(e));
+    while (!frontier.empty() && !guard_.stopped()) {
       frontier = ProcessLevel(std::move(frontier), alphabet);
-      if (!guard_.stopped()) NoteLevelComplete(level_index, frontier);
-      ++level_index;
     }
-    if (!ckpt_status_.ok()) return ckpt_status_;
     result.stats.mine_seconds = mine_timer.ElapsedSeconds();
     result.stats.patterns_found = result.patterns.size();
     result.stats.truncated = guard_.stopped();
@@ -630,85 +260,75 @@ class CoincidenceLevelwise {
     }
     domain_->RecordEvent("run.end", result.patterns.size(),
                          result.stats.nodes_expanded);
-    result.stats.metrics = RunDelta();
+    result.stats.metrics = domain_->registry().Snapshot().Since(obs_start);
     obs::MetricsRegistry::Global().MergeSnapshot(result.stats.metrics);
-    if (ckpt_writer_ != nullptr && result.stats.truncated) {
-      TPM_RETURN_NOT_OK(WriteCheckpoint());
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    }
     return result;
   }
 
  private:
-  std::vector<CoinFrontierPat> ProcessLevel(std::vector<CoinFrontierPat> level,
-                                            const std::vector<EventId>& alphabet) {
+  // Counts every candidate in `level` by a database scan, records frequent
+  // ones, and returns the next level's candidates.
+  std::vector<Frontier> ProcessLevel(std::vector<Frontier> level,
+                                     const std::vector<EventId>& alphabet) {
     TPM_TRACE_SPAN("levelwise.level");
     domain_->RecordEvent("level", level.size(), out_->patterns.size());
-    std::vector<CoinFrontierPat> survivors;
+    std::vector<Frontier> survivors;
     size_t level_bytes = 0;
-    for (CoinFrontierPat& cand : level) {
-      if (CheckBudget()) break;
+    for (Frontier& cand : level) {
+      if (guard_.ShouldStop()) break;
       ++out_->stats.candidates_checked;
       om_.candidates->Increment();
-      const CoincidencePattern pattern = cand.ToPattern();
+      const Pattern pattern = cand.ToPattern();
       SupportCount support = 0;
-      for (const CoincidenceSequence& cs : cdb_.sequences()) {
-        if (Contains(cs, pattern, options_.max_window)) ++support;
+      for (const auto& seq : ldb_.sequences()) {
+        if (Contains(seq, pattern, options_.max_window)) ++support;
       }
       if (support < minsup_) continue;
       ++out_->stats.nodes_expanded;
       om_.node_depth->Observe(cand.items.size());
       frequent_.insert(pattern);
-      out_->patterns.push_back(MinedPattern<CoincidencePattern>{pattern, support});
-      om_.patterns->Increment();
-      guard_.NotePattern(out_->patterns.size());
+      if (Lang::CanEmit(cand)) {
+        out_->patterns.push_back(MinedPattern<Pattern>{pattern, support});
+        om_.patterns->Increment();
+        guard_.NotePattern(out_->patterns.size());
+      }
       level_bytes += cand.Bytes();
       survivors.push_back(std::move(cand));
     }
     tracker_.Allocate(level_bytes);
 
-    std::vector<CoinFrontierPat> next;
-    auto admit = [&](CoinFrontierPat c) {
+    std::vector<Frontier> next;
+    auto admit = [&](Frontier c) {
       if (config_.apriori_check && !PassesApriori(c)) {
         om_.apriori_hits->Increment();
         return;
       }
       next.push_back(std::move(c));
     };
-    for (const CoinFrontierPat& f : survivors) {
+    for (const Frontier& f : survivors) {
       if (guard_.stopped()) break;
-      if (options_.max_items > 0 && f.items.size() >= options_.max_items) continue;
+      if (options_.max_items > 0 && f.items.size() >= options_.max_items) {
+        continue;
+      }
       const bool allow_s =
           options_.max_length == 0 || f.offsets.size() < options_.max_length;
-      for (EventId e : alphabet) {
-        if (allow_s) {
-          CoinFrontierPat c = f;
-          c.offsets.push_back(static_cast<uint32_t>(c.items.size()));
-          c.items.push_back(e);
-          admit(std::move(c));
-        }
-        if (e > f.items.back()) {
-          CoinFrontierPat c = f;
-          c.items.push_back(e);
-          admit(std::move(c));
-        }
-      }
+      Lang::Extend(f, alphabet, allow_s, admit);
     }
     tracker_.Release(level_bytes);
     return next;
   }
 
-  // Single-item-removal Apriori check (monotone for coincidence patterns).
-  bool PassesApriori(const CoinFrontierPat& c) {
+  // Apriori check: every non-empty subpattern reached by one of the
+  // language's removal sets must itself have been counted frequent.
+  bool PassesApriori(const Frontier& c) {
     std::vector<uint32_t> offsets_full = c.offsets;
     offsets_full.push_back(static_cast<uint32_t>(c.items.size()));
-    std::vector<EventId> sub_items;
-    std::vector<uint32_t> sub_offsets;
-    for (uint32_t i = 0; i < c.items.size(); ++i) {
-      RemovePositions(c.items, offsets_full, {i}, &sub_items, &sub_offsets);
-      if (sub_items.empty()) continue;
-      if (frequent_.find(CoincidencePattern(sub_items, sub_offsets)) ==
+    removals_.clear();
+    Lang::RemovalSets(c, &removals_);
+    for (const std::vector<uint32_t>& rm : removals_) {
+      RemovePositions(c.items, offsets_full, rm, &sub_items_, &sub_offsets_);
+      if (sub_items_.empty()) continue;
+      if (frequent_.find(Pattern(sub_items_, sub_offsets_)) ==
           frequent_.end()) {
         return false;
       }
@@ -716,134 +336,6 @@ class CoincidenceLevelwise {
     return true;
   }
 
-  bool CheckBudget() { return guard_.ShouldStop(); }
-
-  // ---- Checkpoint/resume — mirrors EndpointLevelwise, minus the open-list
-  // replay (coincidence frontier records carry no open symbols) -----------
-
-  CheckpointRunKey MakeRunKey() const {
-    CheckpointRunKey key;
-    key.db_fingerprint = FingerprintDatabase(db_);
-    key.language = "coincidence";
-    key.algo = LevelwiseAlgoName(config_);
-    key.min_support = options_.min_support;
-    key.max_items = options_.max_items;
-    key.max_length = options_.max_length;
-    key.max_window = options_.max_window;
-    key.projection = "none";
-    return key;
-  }
-
-  void SeedFromResume(std::vector<CoinFrontierPat>* frontier) {
-    completed_units_ = resume_->completed_units;
-    unit_pattern_counts_ = resume_->unit_pattern_counts;
-    for (const CheckpointPatternRec& rec : resume_->patterns) {
-      out_->patterns.push_back(MinedPattern<CoincidencePattern>{
-          CoincidencePattern(rec.items, rec.offsets), rec.support});
-      guard_.NotePattern(out_->patterns.size());
-    }
-    for (const CheckpointPatternRec& rec : resume_->memo) {
-      frequent_.insert(CoincidencePattern(rec.items, rec.offsets));
-    }
-    frontier->clear();
-    frontier->reserve(resume_->frontier.size());
-    for (const CheckpointPatternRec& rec : resume_->frontier) {
-      CoinFrontierPat f;
-      f.items = rec.items;
-      f.offsets = rec.offsets;
-      f.offsets.pop_back();  // stored with the sentinel; the frontier drops it
-      frontier->push_back(std::move(f));
-    }
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = resume_->metrics;
-    boundary_frontier_ = *frontier;
-    boundary_elapsed_ = resume_->elapsed_seconds;
-    domain_->recorder().Record("ckpt.resume", completed_units_.size(),
-                               out_->patterns.size());
-  }
-
-  obs::MetricsSnapshot RunDelta() const {
-    if (resume_ == nullptr) {
-      return domain_->registry().Snapshot().Since(obs_start_);
-    }
-    std::vector<obs::DomainSnapshot> parts;
-    parts.push_back({"prior", resume_->metrics});
-    parts.push_back(
-        {"current", domain_->registry().Snapshot().Since(resume_base_)});
-    return obs::MergeDomainSnapshots(std::move(parts));
-  }
-
-  void NoteLevelComplete(uint64_t level_index,
-                         const std::vector<CoinFrontierPat>& frontier) {
-    if (ckpt_writer_ == nullptr) return;
-    completed_units_.push_back(level_index);
-    // v2 grouping: this level's bank is the pattern-stream slice since the
-    // previous boundary (levels are the levelwise unit of completed work).
-    unit_pattern_counts_.push_back(out_->patterns.size() -
-                                   ckpt_pattern_count_);
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = RunDelta();
-    boundary_frontier_ = frontier;
-    boundary_elapsed_ =
-        (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-        run_timer_.ElapsedSeconds();
-    if (!ckpt_writer_->Due()) return;
-    const Status st = WriteCheckpoint();
-    if (st.ok()) {
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    } else {
-      ckpt_status_ = st;
-    }
-  }
-
-  Status WriteCheckpoint() {
-    Checkpoint ckpt;
-    ckpt.key = run_key_;
-    ckpt.completed_units = completed_units_;
-    ckpt.unit_pattern_counts = unit_pattern_counts_;
-    ckpt.patterns.reserve(ckpt_pattern_count_);
-    for (uint64_t i = 0; i < ckpt_pattern_count_; ++i) {
-      const MinedPattern<CoincidencePattern>& p = out_->patterns[i];
-      ckpt.patterns.push_back(CheckpointPatternRec{
-          p.support, p.pattern.items(), p.pattern.offsets()});
-    }
-    ckpt.frontier.reserve(boundary_frontier_.size());
-    for (const CoinFrontierPat& f : boundary_frontier_) {
-      std::vector<uint32_t> full = f.offsets;
-      full.push_back(static_cast<uint32_t>(f.items.size()));
-      ckpt.frontier.push_back(
-          CheckpointPatternRec{0, f.items, std::move(full)});
-    }
-    // Sorted for the same reason as the endpoint miner's memo: checkpoint
-    // bytes must be a pure function of the mined state, not hash-set order.
-    std::vector<const CoincidencePattern*> memo;
-    memo.reserve(frequent_.size());
-    for (const CoincidencePattern& p : frequent_) memo.push_back(&p);
-    std::sort(memo.begin(), memo.end(),
-              [](const CoincidencePattern* a, const CoincidencePattern* b) {
-                return *a < *b;
-              });
-    for (const CoincidencePattern* p : memo) {
-      ckpt.memo.push_back(CheckpointPatternRec{0, p->items(), p->offsets()});
-    }
-    ckpt.metrics = boundary_metrics_;
-    ckpt.elapsed_seconds = boundary_elapsed_;
-    ckpt.time_budget_seconds = options_.time_budget_seconds;
-    return ckpt_writer_->Write(ckpt);
-  }
-
-  const IntervalDatabase& db_;
-  const MinerOptions& options_;
-  const LevelwiseConfig& config_;
-  const SupportCount minsup_;
-  CoincidenceDatabase cdb_;
-  std::unordered_set<CoincidencePattern, CoincidencePatternHash> frequent_;
-  // Declared before guard_ so the on_stop hook may fire at any point in the
-  // guard's lifetime.
-  std::unique_ptr<obs::StatsDomain> owned_domain_;
-  obs::StatsDomain* domain_ = nullptr;
-  MinerMetrics om_;
   GuardLimits MakeGuardLimits() {
     GuardLimits limits = options_.ToGuardLimits();
     limits.on_stop = [this](StopReason reason) {
@@ -852,25 +344,45 @@ class CoincidenceLevelwise {
     };
     return limits;
   }
+
+  const IntervalDatabase& db_;
+  const MinerOptions& options_;
+  const LevelwiseConfig& config_;
+  const SupportCount minsup_;
+  typename Lang::Database ldb_;
+  std::unordered_set<Pattern, typename Lang::PatternHash> frequent_;
+  // PassesApriori scratch, reused across candidates.
+  std::vector<std::vector<uint32_t>> removals_;
+  std::vector<typename Frontier::Item> sub_items_;
+  std::vector<uint32_t> sub_offsets_;
+  // Declared before guard_ so the on_stop hook may fire at any point in the
+  // guard's lifetime.
+  std::unique_ptr<obs::StatsDomain> owned_domain_;
+  obs::StatsDomain* domain_ = nullptr;
+  MinerMetrics om_;
   MemoryTracker tracker_;
   ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
-  CoincidenceMiningResult* out_ = nullptr;
-
-  // --- Checkpoint/resume state (see the helper block above) ---
-  CheckpointWriter* ckpt_writer_ = nullptr;  // not owned; null = off
-  const Checkpoint* resume_ = nullptr;       // not owned; null = fresh run
-  CheckpointRunKey run_key_;
-  std::vector<uint64_t> completed_units_;
-  std::vector<uint64_t> unit_pattern_counts_;
-  obs::MetricsSnapshot obs_start_;
-  obs::MetricsSnapshot resume_base_;
-  uint64_t ckpt_pattern_count_ = 0;
-  obs::MetricsSnapshot boundary_metrics_;
-  std::vector<CoinFrontierPat> boundary_frontier_;
-  double boundary_elapsed_ = 0.0;
-  WallTimer run_timer_;
-  Status ckpt_status_;  // first failed checkpoint write, else OK
+  MiningResult* out_ = nullptr;
 };
+
+template <typename Lang>
+Result<typename Lang::MiningResult> MineLevelwise(
+    const IntervalDatabase& db, const MinerOptions& options,
+    const LevelwiseConfig& config) {
+  // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a
+  // NaN threshold would otherwise disable the support filter entirely.
+  if (!(options.min_support > 0.0)) {
+    return Status::InvalidArgument("min_support must be positive");
+  }
+  if (options.checkpoint_writer != nullptr || options.resume != nullptr) {
+    return Status::InvalidArgument(
+        "level-wise miners do not checkpoint or resume; use a growth miner");
+  }
+  LevelwiseMiner<Lang> miner(db, options, config);
+  Result<typename Lang::MiningResult> result = miner.Run();
+  if (result.ok()) internal::DCheckMinerExit(*result);
+  return result;
+}
 
 }  // namespace
 
@@ -879,15 +391,7 @@ Result<EndpointMiningResult> MineLevelwiseEndpoint(const IntervalDatabase& db,
                                                    const LevelwiseConfig& config) {
   TPM_RETURN_NOT_OK(db.Validate());
   internal::DCheckEndpointMinerEntry(db);
-  // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a
-  // NaN threshold would otherwise disable the support filter entirely.
-  if (!(options.min_support > 0.0)) {
-    return Status::InvalidArgument("min_support must be positive");
-  }
-  EndpointLevelwise miner(db, options, config);
-  Result<EndpointMiningResult> result = miner.Run();
-  if (result.ok()) internal::DCheckMinerExit(*result);
-  return result;
+  return MineLevelwise<EndpointLang>(db, options, config);
 }
 
 Result<CoincidenceMiningResult> MineLevelwiseCoincidence(
@@ -895,15 +399,7 @@ Result<CoincidenceMiningResult> MineLevelwiseCoincidence(
     const LevelwiseConfig& config) {
   TPM_RETURN_NOT_OK(db.Validate());
   internal::DCheckCoincidenceMinerEntry(db);
-  // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a
-  // NaN threshold would otherwise disable the support filter entirely.
-  if (!(options.min_support > 0.0)) {
-    return Status::InvalidArgument("min_support must be positive");
-  }
-  CoincidenceLevelwise miner(db, options, config);
-  Result<CoincidenceMiningResult> result = miner.Run();
-  if (result.ok()) internal::DCheckMinerExit(*result);
-  return result;
+  return MineLevelwise<CoincidenceLang>(db, options, config);
 }
 
 }  // namespace tpm

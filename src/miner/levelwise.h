@@ -7,6 +7,10 @@
 // The level-wise miner adds the two candidate reductions the published
 // IEMiner line uses (frequent-endpoint alphabet, Apriori subpattern check);
 // the brute-force miners use neither and exist purely as test oracles.
+//
+// Level-wise runs honour the budgets but do not checkpoint: a non-null
+// MinerOptions::checkpoint_writer or resume is rejected with
+// InvalidArgument.
 
 #pragma once
 

@@ -33,7 +33,7 @@ struct MinerMetrics {
   obs::Histogram* projected_seqs;   ///< sequences in a node's projection
   obs::Histogram* projected_states; ///< states in a node's projection
 
-  // Projection-arena accounting (pseudo mode only; see docs/ARCHITECTURE.md).
+  // Projection-arena accounting (growth engines; see docs/ARCHITECTURE.md).
   obs::Gauge* arena_peak;            ///< miner.arena.peak_bytes: blocks
                                      ///< mapped by the last run's arenas
   obs::Counter* arena_blocks;        ///< miner.arena.blocks: blocks mapped

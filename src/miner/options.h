@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/pattern.h"
-#include "core/projection.h"
 #include "core/types.h"
 #include "obs/metrics.h"
 #include "util/guard.h"
@@ -80,18 +79,19 @@ struct MinerOptions {
   /// Mine() call. Not owned.
   obs::ProgressTracker* progress = nullptr;
 
-  /// Interval-gated checkpoint sink (io/checkpoint.h): the miner snapshots
-  /// its completed-unit state after each depth-0 bucket (growth) or level
-  /// (level-wise) and writes when the gate is due, plus a final checkpoint
-  /// on any truncated exit. Null disables checkpointing (zero hot-path
-  /// cost — the default). Must outlive the Mine() call. Not owned.
+  /// Interval-gated checkpoint sink (io/checkpoint.h): a growth miner
+  /// snapshots its completed-unit state after each depth-0 bucket and writes
+  /// when the gate is due, plus a final checkpoint on any truncated exit.
+  /// Null disables checkpointing (zero hot-path cost — the default). The
+  /// level-wise miners refuse a non-null writer. Must outlive the Mine()
+  /// call. Not owned.
   CheckpointWriter* checkpoint_writer = nullptr;
 
   /// Checkpoint to resume from: the miner validates the run identity
   /// (InvalidArgument naming every differing field on mismatch), skips
   /// completed units, seeds prior patterns, and merges the prior metrics
-  /// delta into the result snapshot. Must outlive the Mine() call. Not
-  /// owned.
+  /// delta into the result snapshot. Growth miners only. Must outlive the
+  /// Mine() call. Not owned.
   const Checkpoint* resume = nullptr;
 
   /// Bundles the four budget fields for ExecutionGuard.
@@ -132,12 +132,6 @@ struct MinerOptions {
   bool pair_pruning = true;
   bool postfix_pruning = true;
   bool validity_pruning = true;
-
-  /// How the growth engines materialize child projections
-  /// (docs/ARCHITECTURE.md). `kCopy` is the deprecated legacy path kept for
-  /// A/B comparison; baseline configs with physical projection
-  /// (TPrefixSpan / CTMiner) always copy regardless of this setting.
-  ProjectionMode projection = ProjectionMode::kPseudo;
 };
 
 /// \brief Counters every miner fills in; the benchmark harness prints them.
@@ -150,8 +144,8 @@ struct MiningStats {
   uint64_t states_created = 0;     ///< occurrence states / projected entries
   size_t peak_tracked_bytes = 0;   ///< MemoryTracker high-water mark
   size_t build_bytes = 0;          ///< representation + co-occurrence table
-  size_t arena_peak_bytes = 0;     ///< projection arena blocks mapped (0 in
-                                   ///< copy mode; see docs/ARCHITECTURE.md)
+  size_t arena_peak_bytes = 0;     ///< projection arena blocks mapped (0 for
+                                   ///< level-wise; see docs/ARCHITECTURE.md)
   uint64_t peak_rss_bytes = 0;     ///< OS VmHWM after mining
   bool truncated = false;          ///< true when a cap or budget stopped mining
   StopReason stop_reason = StopReason::kNone;  ///< which limit stopped mining

@@ -148,5 +148,42 @@ TEST(ReportTest, RoundTripsLiveRegistrySnapshot) {
 }
 #endif
 
+Checkpoint GrowthCheckpoint(uint64_t total_units, uint64_t completed) {
+  Checkpoint ckpt;
+  ckpt.key.language = "endpoint";
+  ckpt.key.algo = "growth";
+  ckpt.key.min_support = 0.1;
+  ckpt.total_units = total_units;
+  for (uint64_t u = 0; u < completed; ++u) {
+    ckpt.completed_units.push_back(u);
+    ckpt.unit_pattern_counts.push_back(0);
+  }
+  return ckpt;
+}
+
+TEST(CheckpointReportTest, RendersBucketProgress) {
+  auto report = RenderCheckpointReport(GrowthCheckpoint(4, 1));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("checkpoint: endpoint growth"), std::string::npos)
+      << *report;
+  EXPECT_NE(report->find("progress: 1 of 4 buckets complete (25.0%)"),
+            std::string::npos)
+      << *report;
+  EXPECT_NE(report->find("patterns banked: 0\n"), std::string::npos)
+      << *report;
+}
+
+// A run stopped during the root scan has not counted its buckets yet: the
+// report says so plainly instead of dividing by zero.
+TEST(CheckpointReportTest, RootScanStopHasNoPercentage) {
+  auto report = RenderCheckpointReport(GrowthCheckpoint(0, 0));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("progress: 0 of 0 buckets complete\n"),
+            std::string::npos)
+      << *report;
+  EXPECT_EQ(report->find("nan"), std::string::npos) << *report;
+  EXPECT_EQ(report->find("levels"), std::string::npos) << *report;
+}
+
 }  // namespace
 }  // namespace tpm

@@ -6,28 +6,21 @@
 #include <vector>
 
 #include "core/validate.h"
+#include "util/arena.h"
 #include "util/memory.h"
 
 namespace tpm {
 namespace {
 
-class ProjectionTest : public ::testing::TestWithParam<ProjectionMode> {
+class ProjectionTest : public ::testing::Test {
  protected:
   MemoryTracker tracker_;
   ProjectionArenas arenas_{&tracker_};
 };
 
-INSTANTIATE_TEST_SUITE_P(Modes, ProjectionTest,
-                         ::testing::Values(ProjectionMode::kCopy,
-                                           ProjectionMode::kPseudo),
-                         [](const auto& param_info) {
-                           return std::string(
-                               ProjectionModeName(param_info.param));
-                         });
-
-TEST_P(ProjectionTest, PushGroupsBySequenceAndCountsSupport) {
+TEST_F(ProjectionTest, PushGroupsBySequenceAndCountsSupport) {
   ProjectionBuilder b;
-  b.Init(GetParam(), /*stride=*/2, &arenas_, /*depth=*/1);
+  b.Init(/*stride=*/2, &arenas_, /*depth=*/1);
   uint32_t* aux = b.Push(0, 10, 0);
   aux[0] = 1;
   aux[1] = 2;
@@ -60,9 +53,9 @@ TEST_P(ProjectionTest, PushGroupsBySequenceAndCountsSupport) {
   EXPECT_TRUE(ValidateProjection(p).ok());
 }
 
-TEST_P(ProjectionTest, FinalizeSelectionFiltersAndReorders) {
+TEST_F(ProjectionTest, FinalizeSelectionFiltersAndReorders) {
   ProjectionBuilder b;
-  b.Init(GetParam(), /*stride=*/1, &arenas_, 1);
+  b.Init(/*stride=*/1, &arenas_, 1);
   for (uint32_t seq = 0; seq < 3; ++seq) {
     for (uint32_t i = 0; i < 4; ++i) {
       *b.Push(seq, seq * 10 + i, 0) = i;
@@ -87,9 +80,9 @@ TEST_P(ProjectionTest, FinalizeSelectionFiltersAndReorders) {
   EXPECT_TRUE(ValidateProjection(p).ok());
 }
 
-TEST_P(ProjectionTest, StrideZeroNodesCarryNoAux) {
+TEST_F(ProjectionTest, StrideZeroNodesCarryNoAux) {
   ProjectionBuilder b;
-  b.Init(GetParam(), /*stride=*/0, &arenas_, 0);
+  b.Init(/*stride=*/0, &arenas_, 0);
   b.Push(3, 7, kNoStateItem);
   b.Push(8, 9, kNoStateItem);
   const NodeProjection& p = b.FinalizeKeepAll();
@@ -99,9 +92,9 @@ TEST_P(ProjectionTest, StrideZeroNodesCarryNoAux) {
   EXPECT_TRUE(ValidateProjection(p).ok());
 }
 
-TEST_P(ProjectionTest, EmptySelectionYieldsEmptyProjection) {
+TEST_F(ProjectionTest, EmptySelectionYieldsEmptyProjection) {
   ProjectionBuilder b;
-  b.Init(GetParam(), 1, &arenas_, 2);
+  b.Init(1, &arenas_, 2);
   *b.Push(0, 1, 0) = 0;
   const NodeProjection& p = b.Finalize(
       [](const ProjectionBuilder::SpanView&, std::vector<uint32_t>*) {});
@@ -110,11 +103,11 @@ TEST_P(ProjectionTest, EmptySelectionYieldsEmptyProjection) {
   EXPECT_TRUE(ValidateProjection(p).ok());
 }
 
-TEST(ProjectionArenasTest, PseudoBytesAreTrackedExactly) {
+TEST(ProjectionArenasTest, BytesAreTrackedExactly) {
   MemoryTracker tracker;
   ProjectionArenas arenas(&tracker);
   ProjectionBuilder b;
-  b.Init(ProjectionMode::kPseudo, 4, &arenas, 3);
+  b.Init(4, &arenas, 3);
   for (uint32_t seq = 0; seq < 100; ++seq) {
     for (uint32_t i = 0; i < 20; ++i) {
       uint32_t* aux = b.Push(seq, i, 0);
@@ -122,8 +115,6 @@ TEST(ProjectionArenasTest, PseudoBytesAreTrackedExactly) {
     }
   }
   b.FinalizeKeepAll();
-  EXPECT_EQ(b.staged_heap_bytes(), 0u);
-  EXPECT_EQ(b.final_heap_bytes(), 0u);
   // Every mapped arena block is charged to the tracker, nothing else.
   EXPECT_EQ(tracker.current_bytes(), arenas.total_allocated_bytes());
   EXPECT_GT(arenas.total_blocks(), 0u);
@@ -134,61 +125,35 @@ TEST(ProjectionArenasTest, PseudoBytesAreTrackedExactly) {
   EXPECT_EQ(tracker.current_bytes(), charged);
 }
 
-TEST(ProjectionCopyModeTest, ReportsCapacityBasedHeapBytes) {
-  MemoryTracker tracker;
-  ProjectionArenas arenas(&tracker);
-  ProjectionBuilder b;
-  b.Init(ProjectionMode::kCopy, 2, &arenas, 1);
-  for (uint32_t i = 0; i < 10; ++i) {
-    uint32_t* aux = b.Push(0, i, 0);
-    aux[0] = aux[1] = i;
-  }
-  EXPECT_GT(b.staged_heap_bytes(), 0u);
-  const NodeProjection& p = b.FinalizeKeepAll();
-  EXPECT_EQ(p.num_states, 10u);
-  EXPECT_GT(b.final_heap_bytes(), 0u);
-  // Copy mode never touches the arenas.
-  EXPECT_EQ(arenas.total_allocated_bytes(), 0u);
-}
-
-TEST(ProjectionModeTest, NamesRoundTrip) {
-  ProjectionMode m;
-  ASSERT_TRUE(ParseProjectionMode("copy", &m));
-  EXPECT_EQ(m, ProjectionMode::kCopy);
-  ASSERT_TRUE(ParseProjectionMode("pseudo", &m));
-  EXPECT_EQ(m, ProjectionMode::kPseudo);
-  EXPECT_FALSE(ParseProjectionMode("physical", &m));
-  EXPECT_STREQ(ProjectionModeName(ProjectionMode::kPseudo), "pseudo");
-  EXPECT_STREQ(ProjectionModeName(ProjectionMode::kCopy), "copy");
-}
-
 TEST(ValidateProjectionTest, RejectsMalformedSpans) {
   StateRec recs[3] = {{1, 0}, {2, 0}, {3, 0}};
   uint32_t aux[3] = {0, 0, 0};
+  Arena arena(nullptr);
+  const uint64_t gen = arena.generation();
 
   // Out-of-order sequences.
   SeqSpan bad_order[2] = {{5, 0, 1}, {2, 1, 2}};
-  NodeProjection p{bad_order, 2, recs, aux, 1, 3};
+  NodeProjection p{bad_order, 2, recs, aux, 1, 3, &arena, gen};
   EXPECT_FALSE(ValidateProjection(p).ok());
 
   // Empty span.
   SeqSpan empty_span[2] = {{0, 0, 0}, {1, 0, 3}};
-  p = NodeProjection{empty_span, 2, recs, aux, 1, 3};
+  p = NodeProjection{empty_span, 2, recs, aux, 1, 3, &arena, gen};
   EXPECT_FALSE(ValidateProjection(p).ok());
 
   // Offset gap.
   SeqSpan gap[2] = {{0, 0, 1}, {1, 2, 1}};
-  p = NodeProjection{gap, 2, recs, aux, 1, 3};
+  p = NodeProjection{gap, 2, recs, aux, 1, 3, &arena, gen};
   EXPECT_FALSE(ValidateProjection(p).ok());
 
   // Count mismatch with num_states.
   SeqSpan short_spans[1] = {{0, 0, 2}};
-  p = NodeProjection{short_spans, 1, recs, aux, 1, 3};
+  p = NodeProjection{short_spans, 1, recs, aux, 1, 3, &arena, gen};
   EXPECT_FALSE(ValidateProjection(p).ok());
 
   // Well-formed passes.
   SeqSpan good[2] = {{0, 0, 1}, {4, 1, 2}};
-  p = NodeProjection{good, 2, recs, aux, 1, 3};
+  p = NodeProjection{good, 2, recs, aux, 1, 3, &arena, gen};
   EXPECT_TRUE(ValidateProjection(p).ok());
 }
 

@@ -42,12 +42,11 @@ CheckpointRunKey FullKey() {
   key.pair_pruning = true;
   key.postfix_pruning = false;
   key.validity_pruning = true;
-  key.projection = "pseudo";
   return key;
 }
 
-// A checkpoint exercising every section: two result patterns, a frontier
-// record, a memo record, and a metrics snapshot with all three sample kinds.
+// A checkpoint exercising every section: two result patterns and a metrics
+// snapshot with all three sample kinds.
 Checkpoint FullCheckpoint() {
   Checkpoint ckpt;
   ckpt.key = FullKey();
@@ -63,8 +62,6 @@ Checkpoint FullCheckpoint() {
   b.items = {8};
   b.offsets = {0, 1};
   ckpt.patterns = {a, b};
-  ckpt.frontier = {b};
-  ckpt.memo = {a, b};
   ckpt.metrics.counters.push_back({"search.candidates", 123});
   ckpt.metrics.counters.push_back({"prune.pair.hits", 45});
   ckpt.metrics.gauges.push_back({"miner.arena.peak_bytes", -7});
@@ -99,8 +96,6 @@ TEST(CheckpointRoundTripTest, PreservesEveryField) {
   EXPECT_EQ(parsed->completed_units, ckpt.completed_units);
   EXPECT_EQ(parsed->unit_pattern_counts, ckpt.unit_pattern_counts);
   ExpectPatternRecsEqual(parsed->patterns, ckpt.patterns);
-  ExpectPatternRecsEqual(parsed->frontier, ckpt.frontier);
-  ExpectPatternRecsEqual(parsed->memo, ckpt.memo);
   EXPECT_EQ(parsed->metrics.ToJson(), ckpt.metrics.ToJson());
   EXPECT_EQ(parsed->elapsed_seconds, ckpt.elapsed_seconds);
   EXPECT_EQ(parsed->time_budget_seconds, ckpt.time_budget_seconds);
@@ -249,13 +244,19 @@ TEST(CheckpointCorruptionTest, ForgedCrcTruncationsPinSectionAndOffset) {
 
 TEST(CheckpointCorruptionTest, VersionSkewIsNotImplemented) {
   const std::string original = SerializeCheckpoint(FullCheckpoint());
-  // Version 2 encodes as the single varint byte right after the magic.
+  // Version 3 encodes as the single varint byte right after the magic. The
+  // previous layout (v2, which carried level-wise sections) and any future
+  // one are refused outright.
   std::string body = original.substr(0, original.size() - 4);
-  ASSERT_EQ(body[4], 2);
-  body[4] = 3;
-  const Status st = ParseCheckpoint(Resign(body)).status();
-  ASSERT_EQ(st.code(), StatusCode::kNotImplemented) << st.ToString();
-  EXPECT_NE(st.message().find("version 3"), std::string::npos) << st.ToString();
+  ASSERT_EQ(body[4], 3);
+  for (int version : {2, 4}) {
+    body[4] = static_cast<char>(version);
+    const Status st = ParseCheckpoint(Resign(body)).status();
+    ASSERT_EQ(st.code(), StatusCode::kNotImplemented) << st.ToString();
+    EXPECT_NE(st.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(CheckpointCorruptionTest, UnitCountPatternMismatchIsRejected) {
@@ -310,7 +311,7 @@ std::pair<size_t, size_t> UnitCountByteSpan() {
 
 TEST(CheckpointCorruptionTest, ForgedUnitCountBitFlipsAreStructurallyCaught) {
   // The CRC sweep above already rejects these mutations; re-signing forces
-  // the v2 per-unit-count decoder itself to catch them. Any single-bit flip
+  // the per-unit-count decoder itself to catch them. Any single-bit flip
   // inside the count varints either breaks a downstream section bound or
   // desynchronizes the claimed sum from the pattern section — with only two
   // patterns present, no flipped count can re-balance the total.
@@ -352,7 +353,7 @@ TEST(CheckpointDiffTest, NamesEveryDifferingField) {
   CheckpointRunKey want = have;
   want.db_fingerprint ^= 1;
   want.language = "coincidence";
-  want.algo = "levelwise";
+  want.algo = "growth-physical";
   want.min_support = 0.5;
   want.max_items = 9;
   want.max_length = 4;
@@ -360,12 +361,11 @@ TEST(CheckpointDiffTest, NamesEveryDifferingField) {
   want.pair_pruning = !have.pair_pruning;
   want.postfix_pruning = !have.postfix_pruning;
   want.validity_pruning = !have.validity_pruning;
-  want.projection = "copy";
   const std::vector<std::string> diffs = DiffRunKeys(have, want);
   const char* kFields[] = {"db_fingerprint", "language",        "algo",
                            "min_support",    "max_items",       "max_length",
                            "max_window",     "pair_pruning",    "postfix_pruning",
-                           "validity_pruning", "projection"};
+                           "validity_pruning"};
   ASSERT_EQ(diffs.size(), sizeof(kFields) / sizeof(kFields[0]));
   for (size_t i = 0; i < diffs.size(); ++i) {
     EXPECT_EQ(diffs[i].rfind(kFields[i], 0), 0u) << diffs[i];

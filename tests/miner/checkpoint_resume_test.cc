@@ -4,7 +4,8 @@
 // the final checkpoint must produce output byte-identical to an
 // uninterrupted run — same patterns in the same emission order, and the
 // merged metrics delta equal to the clean run's — for both pattern
-// languages, both growth backends, and the level-wise miners.
+// languages and all four growth miners (P-TPMiner and the physical-projection
+// baselines). The level-wise miners refuse checkpointing outright.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "miner/coincidence_growth.h"
 #include "miner/endpoint_growth.h"
 #include "miner/levelwise.h"
+#include "miner/miner.h"
 #include "obs/stats_domain.h"
 #include "testing/test_util.h"
 #include "util/fault.h"
@@ -178,29 +180,19 @@ TEST_P(CheckpointResumeTest, CoincidenceGrowthEveryMaskAndCap) {
   }
 }
 
-TEST_P(CheckpointResumeTest, EndpointLevelwise) {
+TEST_P(CheckpointResumeTest, CoincidencePhysicalProjectionBaseline) {
   const IntervalDatabase db = MakeDb(GetParam());
-  auto mine = [](const IntervalDatabase& d, const MinerOptions& o) {
-    return MineLevelwiseEndpoint(d, o, LevelwiseConfig{});
+  CoincidenceGrowthConfig config;
+  config.physical_projection = true;
+  config.force_disable_prunings = true;
+  auto mine = [config](const IntervalDatabase& d, const MinerOptions& o) {
+    return MineCoincidenceGrowth(d, o, config);
   };
   const MinerOptions base = BaseOptions(0);
-  auto clean = MineLevelwiseEndpoint(db, base, LevelwiseConfig{});
+  auto clean = MineCoincidenceGrowth(db, base, config);
   ASSERT_TRUE(clean.ok()) << clean.status();
   for (uint64_t cap : CapsFor(clean->patterns.size())) {
-    ExpectInterruptResumeExact(db, base, cap, mine, "ep_levelwise");
-  }
-}
-
-TEST_P(CheckpointResumeTest, CoincidenceLevelwise) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  auto mine = [](const IntervalDatabase& d, const MinerOptions& o) {
-    return MineLevelwiseCoincidence(d, o, LevelwiseConfig{});
-  };
-  const MinerOptions base = BaseOptions(0);
-  auto clean = MineLevelwiseCoincidence(db, base, LevelwiseConfig{});
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  for (uint64_t cap : CapsFor(clean->patterns.size())) {
-    ExpectInterruptResumeExact(db, base, cap, mine, "co_levelwise");
+    ExpectInterruptResumeExact(db, base, cap, mine, "co_physical");
   }
 }
 
@@ -336,14 +328,32 @@ TEST(CheckpointResumeValidationTest, MismatchedOptionsNameEveryField) {
   EXPECT_EQ(st.message().find("postfix_pruning"), std::string::npos)
       << "unchanged field named: " << st.ToString();
 
-  // A growth checkpoint offered to the level-wise miner differs in algo.
-  MinerOptions lw = options;
-  lw.resume = &*ckpt;
-  const Status algo_st =
-      MineLevelwiseEndpoint(db, lw, LevelwiseConfig{}).status();
+  // A physical-projection baseline differs in algo.
+  MinerOptions phys = options;
+  phys.resume = &*ckpt;
+  const Status algo_st = MakeTPrefixSpan()->Mine(db, phys).status();
   ASSERT_EQ(algo_st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(algo_st.message().find("algo"), std::string::npos)
       << algo_st.ToString();
+
+  // The level-wise miners refuse any checkpoint, and any writer.
+  for (bool resume : {true, false}) {
+    CheckpointWriter lw_writer(TempPath("levelwise_refused.tpmc"), 0.0);
+    MinerOptions lw = options;
+    if (resume) {
+      lw.resume = &*ckpt;
+    } else {
+      lw.checkpoint_writer = &lw_writer;
+    }
+    for (const Status& lw_st :
+         {MineLevelwiseEndpoint(db, lw, LevelwiseConfig{}).status(),
+          MineLevelwiseCoincidence(db, lw, LevelwiseConfig{}).status()}) {
+      ASSERT_EQ(lw_st.code(), StatusCode::kInvalidArgument) << lw_st.ToString();
+      EXPECT_NE(lw_st.message().find("do not checkpoint"), std::string::npos)
+          << lw_st.ToString();
+    }
+    EXPECT_EQ(lw_writer.writes(), 0u);
+  }
 
   // A different database differs in fingerprint.
   const IntervalDatabase other_db = MakeDb(43);

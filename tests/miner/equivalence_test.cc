@@ -102,6 +102,29 @@ TEST_P(CoincidenceEquivalenceTest, AllCoincidenceMinersAgree) {
   EXPECT_EQ(Render(*ctm, db.dict()), expected) << "CTMiner diverges";
 }
 
+// Every pair/postfix pruning mask of P-TPMiner/C must reproduce CTMiner, the
+// unpruned physical-projection baseline.
+TEST_P(CoincidenceEquivalenceTest, PruningTogglesDoNotChangeResults) {
+  const EquivCase& c = GetParam();
+  IntervalDatabase db = RandomTinyDatabase(c.seed, c.num_sequences, c.alphabet,
+                                           c.avg_intervals, c.horizon);
+  MinerOptions base;
+  base.min_support = c.minsup;
+  auto reference = MakeCTMiner()->Mine(db, base);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const auto expected = Render(*reference, db.dict());
+
+  for (int mask = 0; mask < 4; ++mask) {
+    MinerOptions options = base;
+    options.pair_pruning = (mask & 1) != 0;
+    options.postfix_pruning = (mask & 2) != 0;
+    auto r = MakePTPMinerC()->Mine(db, options);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(Render(*r, db.dict()), expected)
+        << "pruning mask " << mask << " changed the result set";
+  }
+}
+
 // Small, dense cases with tiny alphabets maximize repeats and simultaneity.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EndpointEquivalenceTest,

@@ -1,5 +1,5 @@
 // Regression tests for the exact-byte memory accounting the arena-backed
-// projection layer enables (ISSUE 4 satellite). In pseudo mode every tracked
+// projection layer enables. Every tracked
 // allocation is one of three monotone components — the representation build,
 // the projection arenas (charged per mapped block, never released until the
 // engine dies), and the emitted patterns — so the MemoryTracker high-water
@@ -13,6 +13,7 @@
 #include "datagen/quest.h"
 #include "miner/coincidence_growth.h"
 #include "miner/endpoint_growth.h"
+#include "miner/miner.h"
 #include "testing/test_util.h"
 
 namespace tpm {
@@ -43,11 +44,10 @@ size_t PatternBytes(const ResultT& result) {
   return bytes;
 }
 
-TEST(MemoryAccountingTest, EndpointPseudoPeakIsExactlyBuildPlusArena) {
+TEST(MemoryAccountingTest, EndpointPeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(7);
   MinerOptions options;
   options.min_support = 0.15;
-  options.projection = ProjectionMode::kPseudo;
   auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(result->patterns.size(), 0u);
@@ -57,11 +57,10 @@ TEST(MemoryAccountingTest, EndpointPseudoPeakIsExactlyBuildPlusArena) {
                 PatternBytes(*result));
 }
 
-TEST(MemoryAccountingTest, CoincidencePseudoPeakIsExactlyBuildPlusArena) {
+TEST(MemoryAccountingTest, CoincidencePeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(11);
   MinerOptions options;
   options.min_support = 0.15;
-  options.projection = ProjectionMode::kPseudo;
   auto result = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(result->patterns.size(), 0u);
@@ -76,7 +75,6 @@ TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
   const IntervalDatabase db = MakeDb(13);
   MinerOptions options;
   options.min_support = static_cast<double>(db.size() + 1);  // unreachable
-  options.projection = ProjectionMode::kPseudo;
   auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->patterns.size(), 0u);
@@ -84,18 +82,19 @@ TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
             result->stats.build_bytes + result->stats.arena_peak_bytes);
 }
 
-// Copy mode keeps the legacy capacity-estimate profile: arenas stay unmapped
-// and the peak reflects the heap-copied staging, which is at least the build
-// bytes but no longer an exact sum.
-TEST(MemoryAccountingTest, CopyModeMapsNoArenas) {
+// The physical-projection baseline (TPrefixSpan) stores its states in the
+// same arenas; its postfix copies are charged on top while a node scans and
+// released with the node, so the peak covers the exact end-of-run sum.
+TEST(MemoryAccountingTest, PhysicalBaselineUsesArenasPlusPostfixCopies) {
   const IntervalDatabase db = MakeDb(7);
   MinerOptions options;
   options.min_support = 0.15;
-  options.projection = ProjectionMode::kCopy;
-  auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+  auto result = MakeTPrefixSpan()->Mine(db, options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->stats.arena_peak_bytes, 0u);
-  EXPECT_GE(result->stats.peak_tracked_bytes, result->stats.build_bytes);
+  EXPECT_GT(result->stats.arena_peak_bytes, 0u);
+  EXPECT_GE(result->stats.peak_tracked_bytes,
+            result->stats.build_bytes + result->stats.arena_peak_bytes +
+                PatternBytes(*result));
 }
 
 }  // namespace

@@ -1,14 +1,11 @@
 // Determinism suite for the growth engine's interchangeable execution
 // configurations: on random QUEST databases, the mined (pattern, support)
-// stream must be byte-identical
-//   - between --projection=copy (legacy heap-copied states) and
-//     --projection=pseudo (arena-backed flat spans), and
-//   - between --threads=1 and any worker count (with and without --steal),
-// for both pattern languages and every pruning on/off combination. The copy
-// path exists only as the A/B baseline; the thread sweep pins the
-// scheduler/worker/merger contract (docs/ARCHITECTURE.md): identical
-// patterns in identical emission order AND identical merged metrics for any
-// thread count and completion order.
+// stream must be byte-identical between --threads=1 and any worker count
+// (with and without --steal), for both pattern languages and every pruning
+// on/off combination. The thread sweep pins the scheduler/worker/merger
+// contract (docs/ARCHITECTURE.md): identical patterns in identical emission
+// order AND identical merged metrics for any thread count and completion
+// order.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +18,7 @@
 #include "datagen/quest.h"
 #include "miner/coincidence_growth.h"
 #include "miner/endpoint_growth.h"
+#include "miner/miner.h"
 #include "obs/stats_domain.h"
 #include "testing/test_util.h"
 
@@ -60,62 +58,6 @@ INSTANTIATE_TEST_SUITE_P(QuestSeeds, ProjectionDeterminismTest,
                          ::testing::Range(uint64_t{1},
                                           uint64_t{kNumDatabases + 1}));
 
-TEST_P(ProjectionDeterminismTest, EndpointCopyAndPseudoAgree) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  // All eight pair/postfix/validity combinations.
-  for (uint32_t mask = 0; mask < 8; ++mask) {
-    MinerOptions options = BaseOptions(mask);
-    options.projection = ProjectionMode::kPseudo;
-    obs::StatsDomain pseudo_domain("pseudo");
-    options.stats_domain = &pseudo_domain;
-    auto pseudo = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-    ASSERT_TRUE(pseudo.ok()) << pseudo.status();
-    options.projection = ProjectionMode::kCopy;
-    obs::StatsDomain copy_domain("copy");
-    options.stats_domain = &copy_domain;
-    auto copy = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-    ASSERT_TRUE(copy.ok()) << copy.status();
-    pseudo->SortCanonically();
-    copy->SortCanonically();
-    ASSERT_EQ(pseudo->patterns.size(), copy->patterns.size())
-        << "pruning mask " << mask;
-    EXPECT_EQ(Render(*pseudo, db.dict()), Render(*copy, db.dict()))
-        << "pruning mask " << mask;
-    // Search statistics must match too: the backends store the same states.
-    EXPECT_EQ(pseudo->stats.nodes_expanded, copy->stats.nodes_expanded);
-    EXPECT_EQ(pseudo->stats.states_created, copy->stats.states_created);
-    EXPECT_EQ(pseudo->stats.candidates_checked, copy->stats.candidates_checked);
-    // And the full observability delta, modulo memory accounting.
-    EXPECT_EQ(ComparableMetricsJson(pseudo->stats.metrics),
-              ComparableMetricsJson(copy->stats.metrics))
-        << "pruning mask " << mask;
-  }
-}
-
-TEST_P(ProjectionDeterminismTest, CoincidenceCopyAndPseudoAgree) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  // Coincidence honors pair/postfix pruning: four combinations.
-  for (uint32_t mask = 0; mask < 4; ++mask) {
-    MinerOptions options = BaseOptions(mask);
-    options.projection = ProjectionMode::kPseudo;
-    auto pseudo = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-    ASSERT_TRUE(pseudo.ok()) << pseudo.status();
-    options.projection = ProjectionMode::kCopy;
-    auto copy = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-    ASSERT_TRUE(copy.ok()) << copy.status();
-    pseudo->SortCanonically();
-    copy->SortCanonically();
-    EXPECT_EQ(Render(*pseudo, db.dict()), Render(*copy, db.dict()))
-        << "pruning mask " << mask;
-    EXPECT_EQ(pseudo->stats.nodes_expanded, copy->stats.nodes_expanded);
-    EXPECT_EQ(pseudo->stats.states_created, copy->stats.states_created);
-    EXPECT_EQ(pseudo->stats.candidates_checked, copy->stats.candidates_checked);
-    EXPECT_EQ(ComparableMetricsJson(pseudo->stats.metrics),
-              ComparableMetricsJson(copy->stats.metrics))
-        << "pruning mask " << mask;
-  }
-}
-
 // Every mask run charges its own StatsDomain; folding the eight domains in
 // shuffled completion orders must produce byte-identical merged snapshots —
 // the contract the future parallel miner's merger relies on, exercised here
@@ -125,7 +67,6 @@ TEST_P(ProjectionDeterminismTest, MergedMetricsSnapshotsAreOrderInvariant) {
   std::vector<obs::DomainSnapshot> snaps;
   for (uint32_t mask = 0; mask < 8; ++mask) {
     MinerOptions options = BaseOptions(mask);
-    options.projection = ProjectionMode::kPseudo;
     obs::StatsDomain domain("mask-" + std::to_string(mask));
     options.stats_domain = &domain;
     auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
@@ -142,18 +83,19 @@ TEST_P(ProjectionDeterminismTest, MergedMetricsSnapshotsAreOrderInvariant) {
   }
 }
 
+// Under a window constraint the pruned pseudo-projection search must still
+// match the physical-projection baselines (TPrefixSpan / CTMiner), which
+// copy every postfix and run without pruning.
 TEST_P(ProjectionDeterminismTest, WindowConstraintAgreesAcrossBackends) {
   const IntervalDatabase db = MakeDb(GetParam());
   MinerOptions options = BaseOptions(7);
   options.max_window = 40;
-  options.projection = ProjectionMode::kPseudo;
   auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
   auto cp = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
   ASSERT_TRUE(ep.ok()) << ep.status();
   ASSERT_TRUE(cp.ok()) << cp.status();
-  options.projection = ProjectionMode::kCopy;
-  auto ec = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  auto cc = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+  auto ec = MakeTPrefixSpan()->Mine(db, options);
+  auto cc = MakeCTMiner()->Mine(db, options);
   ASSERT_TRUE(ec.ok()) << ec.status();
   ASSERT_TRUE(cc.ok()) << cc.status();
   ep->SortCanonically();
@@ -240,28 +182,6 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
           << "mask " << mask << " threads " << threads;
     }
   }
-}
-
-// The physical-projection baselines (TPrefixSpan / CTMiner) must force the
-// copy backend regardless of the requested mode: their defining behavior is
-// materializing postfix copies.
-TEST(ProjectionBaselineTest, PhysicalProjectionIgnoresPseudoRequest) {
-  const IntervalDatabase db = MakeDb(99);
-  MinerOptions options = BaseOptions(0);
-  options.projection = ProjectionMode::kPseudo;
-  EndpointGrowthConfig baseline;
-  baseline.physical_projection = true;
-  baseline.force_disable_prunings = true;
-  auto result = MineEndpointGrowth(db, options, baseline);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Copy mode never maps projection arenas.
-  EXPECT_EQ(result->stats.arena_peak_bytes, 0u);
-  options.projection = ProjectionMode::kCopy;
-  auto same = MineEndpointGrowth(db, options, baseline);
-  ASSERT_TRUE(same.ok()) << same.status();
-  result->SortCanonically();
-  same->SortCanonically();
-  EXPECT_EQ(Render(*result, db.dict()), Render(*same, db.dict()));
 }
 
 }  // namespace

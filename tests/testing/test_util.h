@@ -114,7 +114,7 @@ std::vector<std::string> Render(const MiningResult<PatternT>& result,
 /// legitimately vary between equivalent runs and are stripped before
 /// byte-comparison; everything else — search counts, prune hits, states,
 /// flight events, depth histograms — must match exactly:
-///   miner.arena.*  allocation granularity (projection mode / worker split)
+///   miner.arena.*  allocation granularity (worker split)
 ///   process.*      RSS depends on allocator history, not logical work
 ///   miner.worker.* scheduling attribution is thread-count/timing dependent
 ///                  by design (which worker got which unit)

@@ -113,28 +113,6 @@ TEST(CliTest, MineCoincidence) {
   EXPECT_NE(out.find("<(Fever Rash)>"), std::string::npos);
 }
 
-TEST(CliTest, MineProjectionBackendsAgreeAndBadValueFails) {
-  const std::string db = TempPath("cli_proj.tisd");
-  WriteSample(db);
-  std::string pseudo_out, copy_out, out;
-  ASSERT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2",
-                    "--projection=pseudo"},
-                   &pseudo_out),
-            0);
-  ASSERT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2",
-                    "--projection=copy"},
-                   &copy_out),
-            0);
-  // Identical pattern lines; the trailing "# ..." summary differs (the two
-  // backends report different peak_tracked bytes by design).
-  EXPECT_EQ(pseudo_out.substr(0, pseudo_out.find("\n# ")),
-            copy_out.substr(0, copy_out.find("\n# ")));
-  EXPECT_NE(pseudo_out.find("<{Fever+}{Rash+}{Fever-}{Rash-}>"),
-            std::string::npos);
-  EXPECT_NE(RunCli({"tpm", "mine", db.c_str(), "--projection=granular"}, &out),
-            0);
-}
-
 TEST(CliTest, MineRejectsBadAlgo) {
   const std::string db = TempPath("cli_bad.tisd");
   WriteSample(db);
@@ -590,6 +568,27 @@ TEST(CliCheckpointTest, ReportRendersCheckpointFile) {
   EXPECT_NE(report.find("elapsed:"), std::string::npos) << report;
 }
 
+// The level-wise miner does not checkpoint: asking it to is a usage error,
+// caught before the database is even loaded.
+TEST(CliCheckpointTest, LevelwiseRefusesCheckpointFlags) {
+  const std::string ckpt = TempPath("cli_ckpt_levelwise.tpmc");
+  std::remove(ckpt.c_str());
+  std::string out;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(RunCli({"tpm", "mine", "/nonexistent/db.tisd", "--algo=levelwise",
+                    "--minsup=2", ("--checkpoint-out=" + ckpt).c_str()},
+                   &out),
+            1);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "--algo=levelwise does not checkpoint"),
+            std::string::npos);
+  EXPECT_FALSE(FileExists(ckpt));
+  EXPECT_EQ(RunCli({"tpm", "mine", "/nonexistent/db.tisd", "--algo=levelwise",
+                    "--minsup=2", ("--resume=" + ckpt).c_str()},
+                   &out),
+            1);
+}
+
 TEST(CliCheckpointTest, BadFlagValuesExitWith1) {
   const std::string db = TempPath("cli_ckpt_flags.tisd");
   WriteSample(db);
@@ -692,6 +691,23 @@ TEST(CliTopTest, TopMatchesRankedFullOutput) {
                    &topped),
             0);
   EXPECT_EQ(PatternLines(topped), RankLines(PatternLines(full), 10));
+}
+
+// `tpm rules` validates the shared mining flags exactly like `tpm mine`.
+TEST(CliTest, RulesRejectsOutOfRangeThreads) {
+  const std::string db = TempPath("cli_rules_threads.tisd");
+  WriteSample(db);
+  for (const char* threads : {"--threads=-1", "--threads=65"}) {
+    std::string out;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(RunCli({"tpm", "rules", db.c_str(), "--minsup=2", threads}, &out),
+              1)
+        << threads;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "--threads must be between 1 and 64"),
+              std::string::npos)
+        << threads;
+  }
 }
 
 // --top ranks `tpm mine` output only; rules are built from the full frequent

@@ -24,11 +24,11 @@ namespace {
 // Reads escape through a volatile so the poisoned load cannot be elided.
 volatile uint32_t g_sink_word;
 
-// Builds one finalized pseudo-mode projection at `depth` with a few states.
+// Builds one finalized projection at `depth` with a few states.
 const NodeProjection& BuildProjection(ProjectionArenas* arenas,
                                       ProjectionBuilder* builder,
                                       uint32_t depth) {
-  builder->Init(ProjectionMode::kPseudo, /*stride=*/1, arenas, depth);
+  builder->Init(/*stride=*/1, arenas, depth);
   for (uint32_t seq = 0; seq < 4; ++seq) {
     uint32_t* aux = builder->Push(seq, /*item=*/seq * 2, /*anchor=*/seq);
     aux[0] = 100 + seq;
@@ -105,17 +105,6 @@ TEST(ProjectionGenerationTest, StaleViewFailsValidateInEveryBuild) {
   const Status s = ValidateProjection(view);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("rewound since finalize"), std::string::npos);
-}
-
-TEST(ProjectionGenerationTest, CopyModeViewHasNoArenaAndStaysAlive) {
-  ProjectionArenas arenas(nullptr);
-  ProjectionBuilder builder;
-  builder.Init(ProjectionMode::kCopy, /*stride=*/0, &arenas, /*depth=*/3);
-  builder.Push(0, 1, 0);
-  const NodeProjection& view = builder.FinalizeKeepAll();
-  EXPECT_EQ(view.arena, nullptr);
-  arenas.depth(3).Reset();  // irrelevant to a builder-owned view
-  EXPECT_TRUE(view.alive());
 }
 
 #if TPM_ASAN_ENABLED

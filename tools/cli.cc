@@ -12,7 +12,6 @@
 #include "analysis/render.h"
 #include "analysis/report.h"
 #include "analysis/rules.h"
-#include "core/projection.h"
 #include "core/validate.h"
 #include "datagen/quest.h"
 #include "datagen/realistic.h"
@@ -178,7 +177,6 @@ struct MineFlags {
   bool no_pair_pruning = false;
   bool no_postfix_pruning = false;
   bool no_validity_pruning = false;
-  std::string projection = "pseudo";
   int64_t threads = 1;
   bool steal = false;
   double progress = -1.0;  // < 0 = off; bare --progress means 1s cadence
@@ -219,9 +217,6 @@ struct MineFlags {
                "disable P-TPMiner postfix pruning");
     p->AddBool("no-validity-pruning", &no_validity_pruning,
                "disable P-TPMiner validity pruning");
-    p->AddString("projection", &projection,
-                 "growth-engine projection: pseudo (default) | copy "
-                 "(deprecated legacy A/B path)");
     p->AddInt64("threads", &threads,
                 "worker threads for growth-engine mining (1-64; output is "
                 "byte-identical for any value)");
@@ -239,7 +234,7 @@ struct MineFlags {
                  "(tpm-checkpoint.tpmc in cwd) | <path>");
     p->AddDouble("checkpoint-every", &checkpoint_every,
                  "min seconds between checkpoint writes (0 = every completed "
-                 "bucket/level)");
+                 "bucket)");
     p->AddString("resume", &resume,
                  "resume mining from a checkpoint written by --checkpoint-out");
     obs.Register(p);
@@ -261,11 +256,6 @@ struct MineFlags {
     if (max_length < 0) return Status::InvalidArgument("--max-length must be >= 0");
     if (window < 0) return Status::InvalidArgument("--window must be >= 0");
     if (top < 0) return Status::InvalidArgument("--top must be >= 0");
-    ProjectionMode mode;
-    if (!ParseProjectionMode(projection, &mode)) {
-      return Status::InvalidArgument("--projection must be pseudo or copy (got " +
-                                     projection + ")");
-    }
     // Hard range, not a clamp: --threads=0 or a negative/absurd count is a
     // typo'd invocation, and silently mining single-threaded would hide it.
     if (threads < 1 || threads > 64) {
@@ -307,13 +297,6 @@ struct MineFlags {
     options.validity_pruning = !no_validity_pruning;
     options.threads = static_cast<uint32_t>(threads);
     options.steal = steal;
-    ProjectionMode mode = ProjectionMode::kPseudo;
-    if (ParseProjectionMode(projection, &mode)) options.projection = mode;
-    if (mode == ProjectionMode::kCopy) {
-      std::cerr << "warning: --projection=copy is deprecated; it exists only "
-                   "for A/B comparison against the arena-backed pseudo "
-                   "projection (see docs/ARCHITECTURE.md)\n";
-    }
     return options;
   }
 };
@@ -480,6 +463,12 @@ int CmdMine(int argc, const char* const* argv, std::ostream& out) {
     return Fail(Status::InvalidArgument("mine needs exactly one <db> path"));
   }
   if (Status st = flags.Validate(); !st.ok()) return Fail(st);
+  if (flags.algo == "levelwise" &&
+      (flags.checkpoint_out != "off" || !flags.resume.empty())) {
+    return Fail(Status::InvalidArgument(
+        "--algo=levelwise does not checkpoint; drop --checkpoint-out/--resume "
+        "or use a growth miner"));
+  }
   flags.obs.Begin();
 
   // The whole run — load included — charges one stats domain so any
@@ -606,6 +595,7 @@ int CmdRules(int argc, const char* const* argv, std::ostream& out) {
   if (positional->size() != 1) {
     return Fail(Status::InvalidArgument("rules needs exactly one <db> path"));
   }
+  if (Status st = flags.Validate(); !st.ok()) return Fail(st);
   auto db = LoadForCli((*positional)[0], flags.merge_conflicts);
   if (!db.ok()) return Fail(db.status(), kExitLoadError);
 

@@ -87,7 +87,7 @@ def _put_varint(out, value):
 
 
 def canonicalize_tpmc(blob):
-    """Zeroes elapsed time and volatile metric values in a TPMC v2 blob.
+    """Zeroes elapsed time and volatile metric values in a TPMC v3 blob.
 
     Walks the exact serialization layout of src/io/checkpoint.cc, rewriting
     in place (all rewritten fields are varints, so lengths can change), and
@@ -110,15 +110,14 @@ def canonicalize_tpmc(blob):
         return pos + length
 
     version, pos = copy_varint(pos)
-    assert version == 2, f"unexpected TPMC version {version}"
+    assert version == 3, f"unexpected TPMC version {version}"
     # identity: fingerprint, language, algo, minsup, max_items, max_length,
-    # max_window, pruning mask, projection
+    # max_window, pruning mask
     _, pos = copy_varint(pos)
     pos = copy_string(pos)
     pos = copy_string(pos)
     for _ in range(5):
         _, pos = copy_varint(pos)
-    pos = copy_string(pos)
     # progress: total_units, elapsed (zeroed), budget, completed units + the
     # aligned per-unit pattern counts
     _, pos = copy_varint(pos)
@@ -128,17 +127,16 @@ def canonicalize_tpmc(blob):
     num_completed, pos = copy_varint(pos)
     for _ in range(2 * num_completed):
         _, pos = copy_varint(pos)
-    # patterns / frontier / memo
-    for _section in range(3):
-        count, pos = copy_varint(pos)
-        for _rec in range(count):
-            _, pos = copy_varint(pos)  # support
-            nitems, pos = copy_varint(pos)
-            for _ in range(nitems):
-                _, pos = copy_varint(pos)
-            noffsets, pos = copy_varint(pos)
-            for _ in range(noffsets):
-                _, pos = copy_varint(pos)
+    # patterns
+    count, pos = copy_varint(pos)
+    for _rec in range(count):
+        _, pos = copy_varint(pos)  # support
+        nitems, pos = copy_varint(pos)
+        for _ in range(nitems):
+            _, pos = copy_varint(pos)
+        noffsets, pos = copy_varint(pos)
+        for _ in range(noffsets):
+            _, pos = copy_varint(pos)
     # metrics: counters / gauges / histograms
     ncounters, pos = copy_varint(pos)
     for _ in range(ncounters):

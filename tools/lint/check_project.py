@@ -14,10 +14,6 @@ Enforces invariants generic tools can't (see docs/STATIC_ANALYSIS.md):
   headers   every header is self-contained: `#pragma once`, and no <iostream>
             anywhere in src/ library code (headers or .cc) — stream state and
             static-init-order surprises stay confined to tools/tests/benches.
-  projection  no copied-projection containers (std::vector<OccState>-style
-            per-state heap structures) in src/ outside the legacy copy backend
-            in src/core/projection.h — new engine code must stage through
-            ProjectionBuilder so projections stay flat and arena-backed.
   locking   Tier D concurrency hygiene (docs/STATIC_ANALYSIS.md): src/ uses
             tpm::Mutex/MutexLock (src/util/sync.h), never raw std::mutex or
             std::lock_guard, so every lock carries thread-safety capability
@@ -264,34 +260,6 @@ def check_header_compiles(root, findings, compiler="g++"):
                              result.stderr.strip().splitlines()[0])
         finally:
             os.unlink(probe_path)
-
-
-# --------------------------------------------------------------------------
-# projection: no copied projections outside the legacy backend
-# --------------------------------------------------------------------------
-
-# The legacy copy backend (deprecated, kept as the --projection=copy A/B
-# baseline) is the only place allowed to hold per-state heap containers.
-PROJECTION_ALLOWED = (os.path.join("src", "core", "projection.h"),)
-PROJECTION_RE = re.compile(
-    r"std::(?:vector|deque|list)<\s*(OccState|SeqProj|ProjectedDb|CopyState"
-    r"|CopySeq)\b")
-
-
-def check_projection(root, findings):
-    for path in iter_files(root, ("src",), CXX_EXTENSIONS):
-        rel = relpath(root, path)
-        if rel in PROJECTION_ALLOWED:
-            continue
-        for lineno, line in enumerate(open(path, encoding="utf-8"), 1):
-            m = PROJECTION_RE.search(line)
-            if m:
-                findings.add(
-                    "projection", rel, lineno,
-                    f"copied-projection container holding '{m.group(1)}' "
-                    "outside the legacy copy backend; stage through "
-                    "ProjectionBuilder (src/core/projection.h) so projections "
-                    "stay flat and arena-backed")
 
 
 # --------------------------------------------------------------------------
@@ -698,7 +666,6 @@ CHECKS = {
     "metrics": check_metrics,
     "faults": check_faults,
     "headers": check_headers,
-    "projection": check_projection,
     "locking": check_locking,
     "determinism": check_determinism,
     "format": check_format,
@@ -818,17 +785,6 @@ def self_test(root):
     plant("typo'd StatsDomain-charged counter", typo_domain_counter,
           "metrics", "progress.snapshotz")
 
-    def copied_projection(scratch):
-        path = os.path.join(scratch, "src", "miner", "growth_engine.h")
-        text = open(path).read().replace(
-            "namespace tpm {",
-            "namespace tpm {\nstruct OccState;\n"
-            "using LegacyProjection = std::vector<OccState>;", 1)
-        open(path, "w").write(text)
-
-    plant("copied projection outside the legacy backend", copied_projection,
-          "projection", "OccState")
-
     def unguarded_static(scratch):
         path = os.path.join(scratch, "src", "core", "types.h")
         with open(path, "a") as f:
@@ -895,7 +851,7 @@ def self_test(root):
         for f in failures:
             print(f"FAIL {f}")
         return 1
-    print("lint self-test OK: 16 planted violations, 16 caught, clean tree clean")
+    print("lint self-test OK: 15 planted violations, 15 caught, clean tree clean")
     return 0
 
 
