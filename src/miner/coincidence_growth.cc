@@ -95,7 +95,7 @@ class CoincidencePolicy {
   }
 
   void BeginNode() const {}
-  void FlushNodeMetrics(const MinerMetrics& /*om*/) const {}
+  void FlushNodeMetrics(SearchTally* /*tally*/) const {}
 
   template <typename ItemAt, typename Sink>
   void ScanState(const GrowthScanCtx& ctx, uint32_t seq, const StateRec& st,

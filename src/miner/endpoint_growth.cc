@@ -87,8 +87,8 @@ class EndpointPolicy {
   }
 
   void BeginNode() { node_validity_closes_ = 0; }
-  void FlushNodeMetrics(const MinerMetrics& om) const {
-    om.validity_hits->Increment(node_validity_closes_);
+  void FlushNodeMetrics(SearchTally* tally) const {
+    tally->validity_hits += node_validity_closes_;
   }
 
   template <typename ItemAt, typename Sink>

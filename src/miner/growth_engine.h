@@ -37,17 +37,20 @@
 //              policy (cheap — the language representation is shared via
 //              shared_ptr), its own MemoryTracker, ProjectionArenas,
 //              ExecutionGuard, and postfix-count scratch. Every work item
-//              is mined against a private per-unit StatsDomain, so nothing
-//              mutable is shared between workers on the hot path. With
-//              --threads=1 the same loop runs inline on the calling thread.
+//              charges its own plain SearchTally (miner/miner_metrics.h)
+//              with non-atomic adds, so nothing mutable is shared between
+//              workers on the hot path; a split unit adds its sub-units'
+//              tallies at the join. With --threads=1 the same loop runs
+//              inline on the calling thread.
 //
-//   merger     Workers deliver finished units (pattern bank + metrics
-//              delta) through a single mutex-guarded inbox; the calling
-//              thread folds them through the MergeDomainSnapshots contract
-//              (sorted, commutative folds), advances the checkpoint
+//   merger     Workers deliver finished units (pattern bank + tally)
+//              through a single mutex-guarded inbox; the calling thread
+//              records them in the unit table, advances the checkpoint
 //              frontier, and assembles the final pattern list in unit-id
-//              order — so the output is byte-identical for any thread
-//              count and any completion order.
+//              order. The unit tallies are summed — a commutative fold —
+//              and converted to metrics only at checkpoint boundaries and
+//              at run end, so patterns and metrics are byte-identical for
+//              any thread count and any completion order.
 //
 // Top-K support bar: with MinerOptions::top_k = K > 0 the search floor is
 // max(minsup, bar) instead of minsup. The bar is seeded from the emittable
@@ -84,7 +87,6 @@
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -103,7 +105,6 @@
 #include "util/macros.h"
 #include "util/memory.h"
 #include "util/sched_test.h"
-#include "util/string_util.h"
 #include "util/sync.h"
 #include "util/timer.h"
 
@@ -140,7 +141,6 @@ class GrowthEngine {
                           : new obs::StatsDomain(Policy::kGrowSpanName)),
         domain_(options.stats_domain != nullptr ? options.stats_domain
                                                 : owned_domain_.get()),
-        om_(MinerMetrics::ForRegistry(&domain_->registry())),
         progress_(options.progress),
         arenas_(&tracker_) {
     if (config_.force_disable_prunings) {
@@ -214,8 +214,8 @@ class GrowthEngine {
     SeedFromResume();
 
     // The calling thread's context: the root node is expanded against the
-    // engine-owned policy/tracker/arenas/guard, charging the run domain —
-    // exactly the single-thread preamble every thread count shares.
+    // engine-owned policy/tracker/arenas/guard — exactly the single-thread
+    // preamble every thread count shares.
     WorkerCtx root_ctx;
     root_ctx.id = 0;
     root_ctx.policy = &policy_;
@@ -224,11 +224,8 @@ class GrowthEngine {
     root_ctx.guard = &guard_;
     root_ctx.seen_epoch = &seen_epoch_;
     root_ctx.epoch = &epoch_;
-    root_ctx.domain = domain_;
-    root_ctx.om = om_;
-    root_ctx.topk_hits = TopKHitsCounter(domain_);
-    std::vector<MinedPattern<PatternT>> root_bank;
-    root_ctx.bank = &root_bank;
+    ItemOutput root_out;
+    root_ctx.out = &root_out;
     root_ctx.inline_progress = true;
 
     NodeChildren root_nc;
@@ -240,13 +237,14 @@ class GrowthEngine {
       if (progress_ != nullptr) progress_->SetTotalBuckets(units_.size());
     }
     // Metrics watershed: everything charged to the run domain so far
-    // (run.begin, build, the root-node scan) is the preamble; unit work is
-    // charged to per-unit domains from here on, and the run domain only
-    // accumulates the tail (run.end, stop accounting, end-of-run gauges).
-    // base + unit deltas + tail partitions exactly the charges a
+    // (run.begin, build, the root-node scan's tally) is the preamble; unit
+    // work is charged to per-unit tallies from here on, and the run domain
+    // only accumulates the tail (run.end, stop accounting, end-of-run
+    // gauges). base + unit tallies + tail partitions exactly the charges a
     // single-thread run makes, so the merged result is byte-identical for
     // every thread count — and, on a resume, composes with the prior
     // segment's boundary metrics the same way.
+    root_out.tally.ChargeTo(&domain_->registry(), top_k_ > 0);
     preamble_end_ = domain_->registry().Snapshot();
     if (root_entered && ckpt_writer_ != nullptr) {
       boundary_elapsed_ =
@@ -278,7 +276,7 @@ class GrowthEngine {
       domain_->recorder().Record("ckpt.write", last_ckpt_units_,
                                  last_ckpt_patterns_);
     }
-    AssembleResult(&result, &root_bank);
+    AssembleResult(&result, &root_out.bank);
     result.stats.mine_seconds = mine_timer.ElapsedSeconds();
     result.stats.patterns_found = result.patterns.size();
     result.stats.truncated = stop_reason != StopReason::kNone;
@@ -291,29 +289,27 @@ class GrowthEngine {
     result.stats.arena_peak_bytes =
         arenas_.total_allocated_bytes() + worker_arena_bytes_;
     result.stats.peak_rss_bytes = ReadPeakRssBytes();
-    om_.arena_peak->Set(static_cast<int64_t>(result.stats.arena_peak_bytes));
-    om_.arena_blocks->Increment(arenas_.total_blocks() + worker_arena_blocks_);
+    domain_->GetGauge("miner.arena.peak_bytes")
+        ->Set(static_cast<int64_t>(result.stats.arena_peak_bytes));
+    domain_->GetCounter("miner.arena.blocks")
+        ->Increment(arenas_.total_blocks() + worker_arena_blocks_);
     // Final VmHWM sample: a truncated run's peak was already captured by the
     // progress tracker at snapshot time; this records the end-of-run value.
     if (result.stats.peak_rss_bytes > 0) {
-      om_.process_peak_rss->Set(
-          static_cast<int64_t>(result.stats.peak_rss_bytes));
+      domain_->GetGauge("process.peak_rss_bytes")
+          ->Set(static_cast<int64_t>(result.stats.peak_rss_bytes));
     }
     domain_->RecordEvent("run.end", result.patterns.size(),
                          result.stats.nodes_expanded);
     result.stats.metrics = FinalMetrics();
     // Fold the run into the process-global registry so whole-process scrapes
-    // (--metrics-out, CI smoke asserts) see every domain's work.
+    // (--metrics-out, CI smoke asserts) see every work item's charges.
     obs::MetricsRegistry::Global().MergeSnapshot(result.stats.metrics);
     if (progress_ != nullptr) progress_->Finish();
     return result;
   }
 
  private:
-  // Per-unit flight recorders are small: a unit's postmortem value is its
-  // merged counters, and the run domain keeps the run-scoped milestones.
-  static constexpr size_t kUnitFlightCapacity = 32;
-
   // One candidate extension's child projection under construction.
   struct Bucket {
     uint32_t code = 0;
@@ -342,6 +338,12 @@ class GrowthEngine {
     bool entered = false;  ///< node charged and children finalized
   };
 
+  // What one work item produces: its pattern bank and its search tally.
+  struct ItemOutput {
+    std::vector<MinedPattern<PatternT>> bank;
+    SearchTally tally;
+  };
+
   // One execution context: the bindings a worker (or the calling thread)
   // mines with. The pointees are either engine members (root context) or a
   // WorkerSlot's privately owned copies — never shared between two
@@ -355,12 +357,9 @@ class GrowthEngine {
     std::vector<uint32_t>* seen_epoch = nullptr;
     uint32_t* epoch = nullptr;
 
-    // Current work-item bindings (swapped per unit / sub-unit).
-    obs::StatsDomain* domain = nullptr;
-    MinerMetrics om{};
-    std::vector<MinedPattern<PatternT>>* bank = nullptr;
-    uint64_t item_patterns = 0;  ///< emissions within the current item
-    obs::Counter* topk_hits = nullptr;  ///< prune.topk.hits; bar on only
+    /// The current work item's bank and tally; null between items. A
+    /// sub-unit mined while its owner joins restores the owner's.
+    ItemOutput* out = nullptr;
 
     /// Min-heap of the K best supports this context emitted (bar on only).
     std::vector<SupportCount> best;
@@ -370,6 +369,7 @@ class GrowthEngine {
     uint64_t states = 0;
     uint64_t cands = 0;
     uint64_t patterns_emitted = 0;
+    uint64_t units = 0;  ///< complete units finished (miner.worker.units)
 
     // Progress plumbing: the inline path reports run totals through
     // TickNode exactly like the single-thread engine always did; parallel
@@ -377,10 +377,6 @@ class GrowthEngine {
     bool inline_progress = false;
     uint64_t node_base = 0;
     size_t bytes_base = 0;
-
-    // Scheduling attribution (miner.worker.*); null for the root context.
-    obs::Histogram* attr_nodes = nullptr;
-    obs::Histogram* attr_units = nullptr;
   };
 
   // Everything one worker privately owns. The policy copy is cheap: the
@@ -390,8 +386,7 @@ class GrowthEngine {
     WorkerSlot(GrowthEngine* e, uint32_t id)
         : policy(e->policy_),
           arenas(&tracker),
-          guard(e->MakeWorkerLimits(), &tracker),
-          attribution(StringPrintf("worker-%u", id)) {
+          guard(e->MakeWorkerLimits(), &tracker) {
       seen_epoch.assign(e->num_symbols_, 0);
       ctx.id = id;
       ctx.policy = &policy;
@@ -400,10 +395,6 @@ class GrowthEngine {
       ctx.guard = &guard;
       ctx.seen_epoch = &seen_epoch;
       ctx.epoch = &epoch;
-      ctx.attr_nodes = attribution.GetHistogram("miner.worker.nodes",
-                                                obs::LinearBounds(0, 1, 65));
-      ctx.attr_units = attribution.GetHistogram("miner.worker.units",
-                                                obs::LinearBounds(0, 1, 65));
     }
     Policy policy;
     MemoryTracker tracker;
@@ -411,7 +402,6 @@ class GrowthEngine {
     ExecutionGuard guard;
     std::vector<uint32_t> seen_epoch;
     uint32_t epoch = 0;
-    obs::StatsDomain attribution;  // worker-<id>: miner.worker.* histograms
     WorkerCtx ctx;
   };
 
@@ -424,14 +414,14 @@ class GrowthEngine {
     const NodeProjection* view = nullptr;  ///< lives in the root's children
   };
 
-  // The merged fate of one unit. `bank`/`delta` are written by the merger
+  // The merged fate of one unit. `bank`/`tally` are written by the merger
   // (or the pre-pass / resume transfer on the calling thread) only.
   struct UnitOutcome {
     bool delivered = false;  ///< a worker finished (possibly truncated)
     bool complete = false;   ///< subtree fully mined — checkpointable
     bool from_resume = false;
     std::vector<MinedPattern<PatternT>> bank;
-    obs::MetricsSnapshot delta;  ///< empty for resumed units (in the prior)
+    SearchTally tally;  ///< zero for resumed units (in the prior metrics)
   };
 
   // A resumed unit whose key did not (or cannot yet) match a bucket: kept
@@ -446,8 +436,7 @@ class GrowthEngine {
   struct UnitDelivery {
     uint64_t unit_id = 0;
     bool complete = false;
-    std::vector<MinedPattern<PatternT>> bank;
-    obs::MetricsSnapshot delta;
+    ItemOutput out;
   };
 
   // Leaf lock (held only around the vector ops, never across metrics, I/O,
@@ -465,19 +454,16 @@ class GrowthEngine {
 
   // One stealable level-2 child of a split unit. The view and allowed set
   // live in the owner's arenas / NodeChildren, which the owner keeps alive
-  // (and does not rewind) until every sub joined. `bank`/`delta`/`complete`
-  // are written by the thief before its release-decrement on `remaining`
-  // and read by the owner after the acquire-load observes zero.
+  // (and does not rewind) until every sub joined. `out`/`complete` are
+  // written by the thief before its release-decrement on `remaining` and
+  // read by the owner after the acquire-load observes zero.
   struct SubUnit {
-    uint64_t unit_id = 0;
-    uint32_t ord = 0;  ///< deterministic child order within the unit
     const NodeProjection* view = nullptr;
     const std::vector<uint8_t>* allowed = nullptr;
     std::vector<std::pair<uint32_t, bool>> path;  ///< (code, i_ext) replay
     SplitState* split = nullptr;
     bool complete = false;
-    std::vector<MinedPattern<PatternT>> bank;
-    obs::MetricsSnapshot delta;
+    ItemOutput out;
   };
 
   // ---- Worker layer ----------------------------------------------------
@@ -522,10 +508,10 @@ class GrowthEngine {
     if (WorkerShouldStop(w)) return false;
     ++w.nodes;
     TickProgress(w);
-    w.om.node_depth->Observe(w.policy->PatternLen());
-    w.om.projected_seqs->Observe(proj.num_spans);
-    w.om.projected_states->Observe(proj.num_states);
-    if (w.attr_nodes != nullptr) w.attr_nodes->Observe(w.id);
+    SearchTally& tally = w.out->tally;
+    tally.nodes.Observe(w.policy->PatternLen());
+    tally.projected_seqs.Observe(proj.num_spans);
+    tally.projected_states.Observe(proj.num_states);
     const uint64_t node_states_before = w.states;
     const uint64_t node_cands_before = w.cands;
     w.policy->BeginNode();
@@ -563,15 +549,14 @@ class GrowthEngine {
           // The allowed set is narrowed by postfix counting when postfix
           // pruning runs; otherwise it is the pair table's frequent-symbol
           // filter — attribute the rejection accordingly.
-          (postfix_pruning_ ? w.om.postfix_hits : w.om.pair_hits)
-              ->Increment();
+          ++(postfix_pruning_ ? tally.postfix_hits : tally.pair_hits);
           frame.bucket_index.emplace(key, -1);
           return nullptr;
         }
         if (pair_pruning_ && !w.policy->InPattern(ev)) {
           for (EventId a : w.policy->PatternSymbols()) {
             if (!cooc_.IsFrequentPair(a, ev)) {
-              w.om.pair_hits->Increment();
+              ++tally.pair_hits;
               frame.bucket_index.emplace(key, -1);
               return nullptr;
             }
@@ -645,9 +630,9 @@ class GrowthEngine {
     }
 
     // Flush this node's scan tallies before recursion resets them.
-    w.om.states->Increment(w.states - node_states_before);
-    w.om.candidates->Increment(w.cands - node_cands_before);
-    w.policy->FlushNodeMetrics(w.om);
+    tally.states += w.states - node_states_before;
+    tally.candidates += w.cands - node_cands_before;
+    w.policy->FlushNodeMetrics(&tally);
 
     // ---- Children ------------------------------------------------------
     nc->child_allowed = allowed;
@@ -682,7 +667,7 @@ class GrowthEngine {
     // All parents up this context's stack finalized before recursing, so
     // nothing else is staged: the staging arena can rewind to empty.
     w.arenas->staging().Reset();
-    w.om.arena_depth_bytes->Observe(child_arena.used_bytes());
+    tally.arena_depth_bytes.Observe(child_arena.used_bytes());
     nc->entered = true;
     return true;
   }
@@ -701,7 +686,7 @@ class GrowthEngine {
     for (Bucket& b : nc.frame.buckets) {
       if (w.guard->stopped()) break;
       const NodeProjection& view = b.builder.view();
-      if (BelowFloor(w, view.num_spans)) continue;
+      if (BelowFloor(&w.out->tally, view.num_spans)) continue;
       w.policy->Apply(b.code, b.i_ext);
       ExpandSubtree(w, view, nc.child_allowed, depth + 1);
       w.policy->Undo(b.code, b.i_ext);
@@ -710,19 +695,13 @@ class GrowthEngine {
   }
 
   void EmitPattern(WorkerCtx& w, SupportCount support) {
-    w.bank->push_back(
+    w.out->bank.push_back(
         MinedPattern<PatternT>{w.policy->MakePattern(), support});
-    w.om.patterns->Increment();
+    ++w.out->tally.patterns;
     ++w.patterns_emitted;
-    ++w.item_patterns;
-    // Pattern-count watermarks give postmortems a growth curve without
-    // recording every emission. Charged per work item so the curve (and the
-    // merged event count) is identical for every thread count.
-    if ((w.item_patterns & 1023) == 0) {
-      w.domain->RecordEvent("patterns", w.item_patterns, w.nodes);
-    }
     // items + slice offsets (incl. the trailing end offset).
-    tracker_charge_pattern(w, w.bank->back());
+    w.tracker->Allocate((w.policy->PatternLen() + w.policy->NumBlocks() + 1) *
+                        sizeof(uint32_t));
     const uint64_t total =
         patterns_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     w.guard->NotePattern(total);
@@ -735,11 +714,11 @@ class GrowthEngine {
   SupportCount Floor() const { return bar_.load(std::memory_order_relaxed); }
 
   /// True when a node of this support is below the floor. Charges
-  /// prune.topk.hits when the bar, not minsup, is what cut it (never with
-  /// the bar off: the floor is then minsup itself).
-  bool BelowFloor(WorkerCtx& w, SupportCount support) {
+  /// prune.topk.hits to `tally` when the bar, not minsup, is what cut it
+  /// (never with the bar off: the floor is then minsup itself).
+  bool BelowFloor(SearchTally* tally, SupportCount support) const {
     if (support >= Floor()) return false;
-    if (support >= minsup_) w.topk_hits->Increment();
+    if (support >= minsup_) ++tally->topk_hits;
     return true;
   }
 
@@ -789,19 +768,6 @@ class GrowthEngine {
     RaiseBar(level1[top_k_ - 1]);
   }
 
-  /// prune.topk.hits bound to `domain`, registered only with the bar on so
-  /// a run without it keeps its metrics bytes.
-  obs::Counter* TopKHitsCounter(obs::StatsDomain* domain) const {
-    if (top_k_ == 0) return nullptr;
-    return domain->registry().GetCounter("prune.topk.hits");
-  }
-
-  void tracker_charge_pattern(WorkerCtx& w,
-                              const MinedPattern<PatternT>& /*p*/) {
-    w.tracker->Allocate((w.policy->PatternLen() + w.policy->NumBlocks() + 1) *
-                        sizeof(uint32_t));
-  }
-
   // ---- Scheduler layer -------------------------------------------------
 
   /// Freezes the root's bucket walk into the deterministic unit table and
@@ -828,8 +794,8 @@ class GrowthEngine {
         wu[i].weight = units_[i].view->num_spans;
       }
       // Thread-count independent: the split set depends only on the
-      // projection sizes, so the work-item set (and every per-item metrics
-      // domain) is the same for any --threads.
+      // projection sizes, so the work-item set (and every per-item tally)
+      // is the same for any --threads.
       MarkSplittableUnits(&wu, minsup_);
       for (size_t i = 0; i < units_.size(); ++i) {
         units_[i].splittable = wu[i].splittable;
@@ -866,9 +832,9 @@ class GrowthEngine {
         if (progress_ != nullptr) progress_->NoteBucketDone();
         continue;
       }
-      if (BelowFloor(root_ctx, units_[i].view->num_spans)) {
+      UnitOutcome& o = outcomes_[i];
+      if (BelowFloor(&o.tally, units_[i].view->num_spans)) {
         if (progress_ != nullptr) progress_->NoteBucketDone();
-        UnitOutcome& o = outcomes_[i];
         o.delivered = true;
         o.complete = true;
         OnUnitComplete(i);
@@ -924,7 +890,7 @@ class GrowthEngine {
       worker_peak_ += s.tracker.peak_bytes();
       worker_arena_bytes_ += s.arenas.total_allocated_bytes();
       worker_arena_blocks_ += s.arenas.total_blocks();
-      attr_parts_.push_back(s.attribution.TakeSnapshot());
+      worker_load_.push_back({s.ctx.nodes, s.ctx.units});
     }
   }
 
@@ -964,50 +930,18 @@ class GrowthEngine {
     open_items_.fetch_sub(1, std::memory_order_release);
   }
 
-  // Saved per-item bindings so nested items (an owner draining the queue
-  // while its split unit joins) restore their parent's context.
-  struct ItemBinding {
-    obs::StatsDomain* domain;
-    MinerMetrics om;
-    obs::Counter* topk_hits;
-    std::vector<MinedPattern<PatternT>>* bank;
-    uint64_t item_patterns;
-  };
-  ItemBinding BindItem(WorkerCtx& w, obs::StatsDomain* domain,
-                       std::vector<MinedPattern<PatternT>>* bank) {
-    ItemBinding saved{w.domain, w.om, w.topk_hits, w.bank, w.item_patterns};
-    w.domain = domain;
-    w.om = MinerMetrics::ForRegistry(&domain->registry());
-    w.topk_hits = TopKHitsCounter(domain);
-    w.bank = bank;
-    w.item_patterns = 0;
-    return saved;
-  }
-  void RestoreItem(WorkerCtx& w, const ItemBinding& saved) {
-    w.domain = saved.domain;
-    w.om = saved.om;
-    w.topk_hits = saved.topk_hits;
-    w.bank = saved.bank;
-    w.item_patterns = saved.item_patterns;
-  }
-
   void ProcessUnit(WorkerCtx& w, uint64_t unit_id) {
     const UnitInfo& u = units_[unit_id];
-    obs::StatsDomain domain(
-        StringPrintf("unit-%llu", static_cast<unsigned long long>(unit_id)),
-        kUnitFlightCapacity);
-    std::vector<MinedPattern<PatternT>> bank;
-    const ItemBinding saved = BindItem(w, &domain, &bank);
-    domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
+    ItemOutput out;
+    ItemOutput* const outer = std::exchange(w.out, &out);
     // The bar may have risen past this unit since the pre-pass.
-    if (!BelowFloor(w, u.view->num_spans)) {
+    if (!BelowFloor(&out.tally, u.view->num_spans)) {
       w.policy->Apply(u.code, u.i_ext);
       ExpandSubtree(w, *u.view, *root_child_allowed_, /*depth=*/1);
       w.policy->Undo(u.code, u.i_ext);
     }
-    const bool complete = !w.guard->stopped();
-    FinishUnit(w, unit_id, complete, &domain, std::move(bank));
-    RestoreItem(w, saved);
+    w.out = outer;
+    FinishUnit(w, unit_id, !w.guard->stopped(), std::move(out));
   }
 
   /// --steal path for a splittable unit: expand the unit root, publish its
@@ -1017,29 +951,22 @@ class GrowthEngine {
   /// if it had been mined in one piece.
   void ProcessSplitUnit(WorkerCtx& w, uint64_t unit_id) {
     const UnitInfo& u = units_[unit_id];
-    obs::StatsDomain domain(
-        StringPrintf("unit-%llu", static_cast<unsigned long long>(unit_id)),
-        kUnitFlightCapacity);
-    std::vector<MinedPattern<PatternT>> bank;
-    const ItemBinding saved = BindItem(w, &domain, &bank);
-    domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
+    ItemOutput out;
+    ItemOutput* const outer = std::exchange(w.out, &out);
     w.policy->Apply(u.code, u.i_ext);
     NodeChildren nc;
     const bool entered =
-        !BelowFloor(w, u.view->num_spans) &&
+        !BelowFloor(&out.tally, u.view->num_spans) &&
         ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1, &nc);
     std::deque<SubUnit> subs;  // stable addresses: published by pointer
     SplitState split;
     if (entered) {
       std::vector<void*> published;
-      uint32_t ord = 0;
       for (Bucket& b : nc.frame.buckets) {
         const NodeProjection& view = b.builder.view();
-        if (BelowFloor(w, view.num_spans)) continue;
+        if (BelowFloor(&out.tally, view.num_spans)) continue;
         subs.emplace_back();
         SubUnit& s = subs.back();
-        s.unit_id = unit_id;
-        s.ord = ord++;
         s.view = &view;
         s.allowed = &nc.child_allowed;
         s.path.push_back({u.code, u.i_ext});
@@ -1067,39 +994,21 @@ class GrowthEngine {
       }
     }
     if (entered) ReleaseNode(w, &nc, /*depth=*/1);
+    w.out = outer;
     bool complete = !w.guard->stopped();
-    std::vector<obs::DomainSnapshot> parts;
-    for (SubUnit& s : subs) {
+    for (SubUnit& s : subs) {  // child order: the serial emission order
       complete = complete && s.complete;
-      for (MinedPattern<PatternT>& p : s.bank) bank.push_back(std::move(p));
-      parts.push_back(
-          {StringPrintf("unit-%llu.%u",
-                        static_cast<unsigned long long>(unit_id), s.ord),
-           std::move(s.delta)});
-    }
-    if (parts.empty()) {
-      FinishUnit(w, unit_id, complete, &domain, std::move(bank));
-    } else {
-      if (complete) {
-        domain.RecordEvent("unit.done", unit_id, bank.size());
+      for (MinedPattern<PatternT>& p : s.out.bank) {
+        out.bank.push_back(std::move(p));
       }
-      parts.push_back(domain.TakeSnapshot());
-      DeliverUnit(unit_id, complete, std::move(bank),
-                  obs::MergeDomainSnapshots(std::move(parts)));
-      NoteUnitProgress(w);
-      if (complete) NoteUnitAttribution(w);
+      out.tally.Add(s.out.tally);
     }
-    RestoreItem(w, saved);
+    FinishUnit(w, unit_id, complete, std::move(out));
   }
 
   void ProcessSub(WorkerCtx& w, SubUnit& s) {
-    obs::StatsDomain domain(
-        StringPrintf("unit-%llu.%u",
-                     static_cast<unsigned long long>(s.unit_id), s.ord),
-        kUnitFlightCapacity);
-    std::vector<MinedPattern<PatternT>> bank;
-    const ItemBinding saved = BindItem(w, &domain, &bank);
-    if (!BelowFloor(w, s.view->num_spans)) {
+    ItemOutput* const outer = std::exchange(w.out, &s.out);
+    if (!BelowFloor(&s.out.tally, s.view->num_spans)) {
       for (const std::pair<uint32_t, bool>& step : s.path) {
         w.policy->Apply(step.first, step.second);
       }
@@ -1109,28 +1018,17 @@ class GrowthEngine {
         w.policy->Undo(s.path[i - 1].first, s.path[i - 1].second);
       }
     }
-    RestoreItem(w, saved);
+    w.out = outer;
     s.complete = !w.guard->stopped();
-    s.bank = std::move(bank);
-    s.delta = domain.TakeSnapshot().snapshot;
-    // Release-decrement publishes bank/delta/complete to the owner's
-    // acquire-load in ProcessSplitUnit.
+    // Release-decrement publishes out/complete to the owner's acquire-load
+    // in ProcessSplitUnit.
     s.split->remaining.fetch_sub(1, std::memory_order_release);
   }
 
   void FinishUnit(WorkerCtx& w, uint64_t unit_id, bool complete,
-                  obs::StatsDomain* domain,
-                  std::vector<MinedPattern<PatternT>> bank) {
-    if (complete) {
-      domain->RecordEvent("unit.done", unit_id, bank.size());
-    }
-    DeliverUnit(unit_id, complete, std::move(bank),
-                domain->TakeSnapshot().snapshot);
-    NoteUnitProgress(w);
-    if (complete) NoteUnitAttribution(w);
-  }
-
-  void NoteUnitProgress(WorkerCtx& w) {
+                  ItemOutput out) {
+    DeliverUnit(unit_id, complete, std::move(out));
+    if (complete) ++w.units;
     if (progress_ == nullptr) return;
     if (w.inline_progress) {
       progress_->NoteBucketDone();
@@ -1139,20 +1037,13 @@ class GrowthEngine {
     }
   }
 
-  void NoteUnitAttribution(WorkerCtx& w) {
-    if (w.attr_units != nullptr) w.attr_units->Observe(w.id);
-  }
-
   // ---- Merger layer ----------------------------------------------------
 
-  void DeliverUnit(uint64_t unit_id, bool complete,
-                   std::vector<MinedPattern<PatternT>> bank,
-                   obs::MetricsSnapshot delta) {
+  void DeliverUnit(uint64_t unit_id, bool complete, ItemOutput out) {
     UnitDelivery d;
     d.unit_id = unit_id;
     d.complete = complete;
-    d.bank = std::move(bank);
-    d.delta = std::move(delta);
+    d.out = std::move(out);
     // Tier E seam: delivery timing relative to other workers and the merger
     // must not matter (util/sched_test.h).
     TPM_TEST_YIELD("miner.unit.deliver");
@@ -1173,8 +1064,8 @@ class GrowthEngine {
       UnitOutcome& o = outcomes_[d.unit_id];
       o.delivered = true;
       o.complete = d.complete;
-      o.bank = std::move(d.bank);
-      o.delta = std::move(d.delta);
+      o.bank = std::move(d.out.bank);
+      o.tally = d.out.tally;
       if (d.complete) {
         OnUnitComplete(d.unit_id);
         if (!ckpt_status_.ok()) return;
@@ -1237,47 +1128,49 @@ class GrowthEngine {
   // ---- Metrics composition ---------------------------------------------
 
   /// base (preamble delta, or the resumed segment's boundary metrics) +
-  /// every delivered unit's delta + the run domain's tail + the workers'
-  /// scheduling attribution. All folds go through MergeDomainSnapshots, so
-  /// the result depends only on the multiset of charges.
+  /// the sum of every delivered unit's tally + the run domain's tail + the
+  /// workers' scheduling attribution. Resumed units carry a zero tally
+  /// (their charges are in the base); the tally sum and the fold of the
+  /// three parts are commutative, so the result depends only on the
+  /// multiset of charges.
   obs::MetricsSnapshot FinalMetrics() const {
-    std::vector<obs::DomainSnapshot> parts;
-    parts.push_back({"base", resume_ != nullptr
-                                 ? resume_->metrics
-                                 : preamble_end_.Since(obs_start_)});
-    for (size_t i = 0; i < outcomes_.size(); ++i) {
-      const UnitOutcome& o = outcomes_[i];
-      if (o.delivered && !o.from_resume) {
-        parts.push_back(
-            {StringPrintf("unit-%llu", static_cast<unsigned long long>(i)),
-             o.delta});
+    SearchTally units;
+    for (const UnitOutcome& o : outcomes_) units.Add(o.tally);
+    obs::MetricsRegistry search;
+    units.ChargeTo(&search, top_k_ > 0);
+    if (!worker_load_.empty()) {
+      TallyHistogram<kWorkerBounds> nodes;
+      TallyHistogram<kWorkerBounds> done;
+      for (size_t id = 0; id < worker_load_.size(); ++id) {
+        nodes.Observe(id, worker_load_[id].nodes);
+        done.Observe(id, worker_load_[id].units);
       }
+      nodes.ChargeTo(search.GetHistogram("miner.worker.nodes", nodes.Bounds()));
+      done.ChargeTo(search.GetHistogram("miner.worker.units", done.Bounds()));
     }
-    parts.push_back(
-        {"tail", domain_->registry().Snapshot().Since(preamble_end_)});
-    for (const obs::DomainSnapshot& a : attr_parts_) parts.push_back(a);
-    return obs::MergeDomainSnapshots(std::move(parts));
+    return obs::MergeDomainSnapshots(
+        {{"base", BaseMetrics()},
+         {"search", search.Snapshot()},
+         {"tail", domain_->registry().Snapshot().Since(preamble_end_)}});
   }
 
-  /// The checkpoint's metrics: base + the deltas of *complete* units only.
+  /// The checkpoint's metrics: base + the tallies of *complete* units only.
   /// Excludes the run-domain tail (not yet final), incomplete units (their
   /// work is not claimed), and the scheduling attribution (thread-count
   /// dependent by design — a checkpoint must be bytewise independent of
   /// how the work was scheduled).
   obs::MetricsSnapshot BoundaryMetrics() const {
-    std::vector<obs::DomainSnapshot> parts;
-    parts.push_back({"base", resume_ != nullptr
-                                 ? resume_->metrics
-                                 : preamble_end_.Since(obs_start_)});
-    for (size_t i = 0; i < outcomes_.size(); ++i) {
-      const UnitOutcome& o = outcomes_[i];
-      if (o.delivered && o.complete && !o.from_resume) {
-        parts.push_back(
-            {StringPrintf("unit-%llu", static_cast<unsigned long long>(i)),
-             o.delta});
-      }
+    SearchTally done;
+    for (const UnitOutcome& o : outcomes_) {
+      if (o.complete) done.Add(o.tally);
     }
-    return obs::MergeDomainSnapshots(std::move(parts));
+    return obs::MergeDomainSnapshots(
+        {{"base", BaseMetrics()}, {"units", done.Snapshot(top_k_ > 0)}});
+  }
+
+  obs::MetricsSnapshot BaseMetrics() const {
+    return resume_ != nullptr ? resume_->metrics
+                              : preamble_end_.Since(obs_start_);
   }
 
   // ---- Checkpoint/resume (io/checkpoint.h) -----------------------------
@@ -1411,7 +1304,6 @@ class GrowthEngine {
   // it at any point in the guard's lifetime.
   std::unique_ptr<obs::StatsDomain> owned_domain_;
   obs::StatsDomain* domain_ = nullptr;
-  MinerMetrics om_;
   obs::ProgressTracker* progress_ = nullptr;
 
   GuardLimits MakeGuardLimits() {
@@ -1469,7 +1361,13 @@ class GrowthEngine {
   size_t worker_peak_ = 0;
   size_t worker_arena_bytes_ = 0;
   uint64_t worker_arena_blocks_ = 0;
-  std::vector<obs::DomainSnapshot> attr_parts_;
+  // Per worker id: nodes expanded and complete units finished, charged to
+  // miner.worker.{nodes,units} at run end. Empty when no crew ran.
+  struct WorkerLoad {
+    uint64_t nodes = 0;
+    uint64_t units = 0;
+  };
+  std::vector<WorkerLoad> worker_load_;
 
   // --- Checkpoint/resume state (see the helper block above) ---
   CheckpointWriter* ckpt_writer_ = nullptr;  // not owned; null = off

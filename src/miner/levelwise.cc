@@ -213,8 +213,7 @@ class LevelwiseMiner {
                           ? nullptr
                           : new obs::StatsDomain(Lang::kDomainName)),
         domain_(options.stats_domain != nullptr ? options.stats_domain
-                                                : owned_domain_.get()),
-        om_(MinerMetrics::ForRegistry(&domain_->registry())) {}
+                                                : owned_domain_.get()) {}
 
   Result<MiningResult> Run() {
     MiningResult result;
@@ -252,11 +251,12 @@ class LevelwiseMiner {
     result.stats.truncated = guard_.stopped();
     result.stats.stop_reason = guard_.reason();
     RecordStopMetrics(guard_.reason(), &domain_->registry());
+    tally_.ChargeTo(&domain_->registry(), /*top_k=*/false);
     result.stats.peak_tracked_bytes = tracker_.peak_bytes();
     result.stats.peak_rss_bytes = ReadPeakRssBytes();
     if (result.stats.peak_rss_bytes > 0) {
-      om_.process_peak_rss->Set(
-          static_cast<int64_t>(result.stats.peak_rss_bytes));
+      domain_->GetGauge("process.peak_rss_bytes")
+          ->Set(static_cast<int64_t>(result.stats.peak_rss_bytes));
     }
     domain_->RecordEvent("run.end", result.patterns.size(),
                          result.stats.nodes_expanded);
@@ -277,7 +277,7 @@ class LevelwiseMiner {
     for (Frontier& cand : level) {
       if (guard_.ShouldStop()) break;
       ++out_->stats.candidates_checked;
-      om_.candidates->Increment();
+      ++tally_.candidates;
       const Pattern pattern = cand.ToPattern();
       SupportCount support = 0;
       for (const auto& seq : ldb_.sequences()) {
@@ -285,11 +285,11 @@ class LevelwiseMiner {
       }
       if (support < minsup_) continue;
       ++out_->stats.nodes_expanded;
-      om_.node_depth->Observe(cand.items.size());
+      tally_.nodes.Observe(cand.items.size());
       frequent_.insert(pattern);
       if (Lang::CanEmit(cand)) {
         out_->patterns.push_back(MinedPattern<Pattern>{pattern, support});
-        om_.patterns->Increment();
+        ++tally_.patterns;
         guard_.NotePattern(out_->patterns.size());
       }
       level_bytes += cand.Bytes();
@@ -300,7 +300,7 @@ class LevelwiseMiner {
     std::vector<Frontier> next;
     auto admit = [&](Frontier c) {
       if (config_.apriori_check && !PassesApriori(c)) {
-        om_.apriori_hits->Increment();
+        ++tally_.apriori_hits;
         return;
       }
       next.push_back(std::move(c));
@@ -359,7 +359,7 @@ class LevelwiseMiner {
   // guard's lifetime.
   std::unique_ptr<obs::StatsDomain> owned_domain_;
   obs::StatsDomain* domain_ = nullptr;
-  MinerMetrics om_;
+  SearchTally tally_;  // charged to domain_ once, at run end
   MemoryTracker tracker_;
   ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
   MiningResult* out_ = nullptr;

@@ -1,14 +1,23 @@
-// Cached metric handles for the mining hot paths. All miners share one name
-// space so pruning effectiveness is comparable across algorithms (see
-// docs/OBSERVABILITY.md for the taxonomy). The handles can be bound to any
-// registry: Get() caches the process-global binding, ForRegistry() binds a
-// per-run StatsDomain registry (obs/stats_domain.h) so workers account their
-// search in isolation.
+// Search metrics for the mining hot paths. All miners share one name space
+// so pruning effectiveness is comparable across algorithms (see
+// docs/OBSERVABILITY.md for the taxonomy).
+//
+// A SearchTally is a plain struct one thread charges with non-atomic adds:
+// each work item of a growth run owns one, the merger sums them element-wise
+// (Add), and ChargeTo converts the sum into a MetricsRegistry under the
+// shared names — at checkpoint boundaries and at run end, never per node.
+// Going through a registry keeps the TPM_OBS_DISABLED contract: the
+// converted snapshots are empty there.
 
 #pragma once
 
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -17,61 +26,127 @@
 
 namespace tpm {
 
-struct MinerMetrics {
-  // Prune-rule hit counters: one admission/close the rule decided.
-  obs::Counter* pair_hits;      ///< candidates rejected by pair pruning
-  obs::Counter* postfix_hits;   ///< candidates rejected by postfix pruning
-  obs::Counter* validity_hits;  ///< closes driven directly by obligations
-  obs::Counter* apriori_hits;   ///< levelwise candidates failing Apriori
+/// {start, start + step, ...}: obs::LinearBounds as a constant array.
+template <size_t N>
+constexpr std::array<uint64_t, N> LinearTallyBounds(uint64_t start,
+                                                    uint64_t step) {
+  std::array<uint64_t, N> bounds{};
+  for (size_t i = 0; i < N; ++i) bounds[i] = start + i * step;
+  return bounds;
+}
 
-  obs::Counter* candidates;  ///< extension candidates considered
-  obs::Counter* states;      ///< occurrence states / projected entries
-  obs::Counter* patterns;    ///< frequent patterns reported
+/// {start, start * 4, start * 16, ...}: obs::ExponentialBounds(start, 4.0, N)
+/// as a constant array.
+template <size_t N>
+constexpr std::array<uint64_t, N> Pow4TallyBounds(uint64_t start) {
+  std::array<uint64_t, N> bounds{};
+  for (size_t i = 0; i < N; ++i) bounds[i] = start << (2 * i);
+  return bounds;
+}
 
-  obs::Histogram* node_depth;       ///< search.nodes: one observation per
-                                    ///< node, value = pattern item count
-  obs::Histogram* projected_seqs;   ///< sequences in a node's projection
-  obs::Histogram* projected_states; ///< states in a node's projection
+inline constexpr auto kNodeDepthBounds = LinearTallyBounds<17>(0, 1);
+inline constexpr auto kProjectedSeqsBounds = Pow4TallyBounds<10>(1);
+inline constexpr auto kProjectedStatesBounds = Pow4TallyBounds<12>(1);
+inline constexpr auto kArenaDepthBounds = Pow4TallyBounds<12>(1024);
+inline constexpr auto kWorkerBounds = LinearTallyBounds<65>(0, 1);
 
-  // Projection-arena accounting (growth engines; see docs/ARCHITECTURE.md).
-  obs::Gauge* arena_peak;            ///< miner.arena.peak_bytes: blocks
-                                     ///< mapped by the last run's arenas
-  obs::Counter* arena_blocks;        ///< miner.arena.blocks: blocks mapped
-  obs::Histogram* arena_depth_bytes; ///< per-node bytes of the child-depth
-                                     ///< arena after finalize
+/// Fixed-bound histogram with obs::Histogram's bucket rule: a value lands in
+/// the first bucket whose bound is >= it, otherwise in the overflow bucket.
+template <const auto& kBounds>
+struct TallyHistogram {
+  std::array<uint64_t, kBounds.size() + 1> counts{};
+  uint64_t sum = 0;
 
-  obs::Gauge* process_peak_rss;      ///< process.peak_rss_bytes: VmHWM at
-                                     ///< run end (0 off-Linux)
-
-  /// Handles bound to `r`. Registration takes the registry mutex — bind
-  /// once per run, not per node.
-  static MinerMetrics ForRegistry(obs::MetricsRegistry* r) {
-    MinerMetrics mm;
-    mm.pair_hits = r->GetCounter("prune.pair.hits");
-    mm.postfix_hits = r->GetCounter("prune.postfix.hits");
-    mm.validity_hits = r->GetCounter("prune.validity.hits");
-    mm.apriori_hits = r->GetCounter("prune.apriori.hits");
-    mm.candidates = r->GetCounter("search.candidates");
-    mm.states = r->GetCounter("search.states");
-    mm.patterns = r->GetCounter("search.patterns");
-    mm.node_depth =
-        r->GetHistogram("search.nodes", obs::LinearBounds(0, 1, 17));
-    mm.projected_seqs =
-        r->GetHistogram("search.projected_seqs", obs::ExponentialBounds(1, 4.0, 10));
-    mm.projected_states = r->GetHistogram("search.projected_states",
-                                          obs::ExponentialBounds(1, 4.0, 12));
-    mm.arena_peak = r->GetGauge("miner.arena.peak_bytes");
-    mm.arena_blocks = r->GetCounter("miner.arena.blocks");
-    mm.arena_depth_bytes = r->GetHistogram("miner.arena.depth_bytes",
-                                           obs::ExponentialBounds(1024, 4.0, 12));
-    mm.process_peak_rss = r->GetGauge("process.peak_rss_bytes");
-    return mm;
+  /// Records `times` observations of `v`.
+  void Observe(uint64_t v, uint64_t times = 1) {
+    const size_t b = static_cast<size_t>(
+        std::lower_bound(kBounds.begin(), kBounds.end(), v) - kBounds.begin());
+    counts[b] += times;
+    sum += v * times;
   }
 
-  static const MinerMetrics& Get() {
-    static const MinerMetrics m =
-        ForRegistry(&obs::MetricsRegistry::Global());
-    return m;
+  void Add(const TallyHistogram& o) {
+    for (size_t i = 0; i < counts.size(); ++i) counts[i] += o.counts[i];
+    sum += o.sum;
+  }
+
+  static std::vector<uint64_t> Bounds() {
+    return {kBounds.begin(), kBounds.end()};
+  }
+
+  /// Adds the buckets to `h`, a registry histogram registered with Bounds().
+  void ChargeTo(obs::Histogram* h) const {
+    h->MergeCounts(Bounds(), {counts.begin(), counts.end()}, sum);
+  }
+};
+
+/// One work item's (or one run's) search charges.
+struct SearchTally {
+  // Prune-rule hit counters: one admission/close the rule decided.
+  uint64_t pair_hits = 0;      ///< candidates rejected by pair pruning
+  uint64_t postfix_hits = 0;   ///< candidates rejected by postfix pruning
+  uint64_t validity_hits = 0;  ///< closes driven directly by obligations
+  uint64_t apriori_hits = 0;   ///< levelwise candidates failing Apriori
+  uint64_t topk_hits = 0;      ///< children cut by the top-K bar, not minsup
+
+  uint64_t candidates = 0;  ///< extension candidates considered
+  uint64_t states = 0;      ///< occurrence states / projected entries
+  uint64_t patterns = 0;    ///< frequent patterns reported
+
+  /// search.nodes: one observation per node, value = pattern item count.
+  TallyHistogram<kNodeDepthBounds> nodes;
+  TallyHistogram<kProjectedSeqsBounds> projected_seqs;
+  TallyHistogram<kProjectedStatesBounds> projected_states;
+  /// miner.arena.depth_bytes: per-node bytes of the child-depth arena after
+  /// finalize (growth engines; see docs/ARCHITECTURE.md).
+  TallyHistogram<kArenaDepthBounds> arena_depth_bytes;
+
+  void Add(const SearchTally& o) {
+    pair_hits += o.pair_hits;
+    postfix_hits += o.postfix_hits;
+    validity_hits += o.validity_hits;
+    apriori_hits += o.apriori_hits;
+    topk_hits += o.topk_hits;
+    candidates += o.candidates;
+    states += o.states;
+    patterns += o.patterns;
+    nodes.Add(o.nodes);
+    projected_seqs.Add(o.projected_seqs);
+    projected_states.Add(o.projected_states);
+    arena_depth_bytes.Add(o.arena_depth_bytes);
+  }
+
+  /// Charges the tally to `r`. Every miner metric is registered, charged or
+  /// not, so snapshots keep one shape whatever the search hit — including
+  /// the run-end resource metrics the miners set at exit. prune.topk.hits
+  /// is written only with the top-K bar on (`top_k`), so runs without it
+  /// keep their metrics bytes.
+  void ChargeTo(obs::MetricsRegistry* r, bool top_k) const {
+    r->GetCounter("prune.pair.hits")->Increment(pair_hits);
+    r->GetCounter("prune.postfix.hits")->Increment(postfix_hits);
+    r->GetCounter("prune.validity.hits")->Increment(validity_hits);
+    r->GetCounter("prune.apriori.hits")->Increment(apriori_hits);
+    if (top_k) r->GetCounter("prune.topk.hits")->Increment(topk_hits);
+    r->GetCounter("search.candidates")->Increment(candidates);
+    r->GetCounter("search.states")->Increment(states);
+    r->GetCounter("search.patterns")->Increment(patterns);
+    nodes.ChargeTo(r->GetHistogram("search.nodes", nodes.Bounds()));
+    projected_seqs.ChargeTo(
+        r->GetHistogram("search.projected_seqs", projected_seqs.Bounds()));
+    projected_states.ChargeTo(
+        r->GetHistogram("search.projected_states", projected_states.Bounds()));
+    arena_depth_bytes.ChargeTo(r->GetHistogram("miner.arena.depth_bytes",
+                                               arena_depth_bytes.Bounds()));
+    r->GetCounter("miner.arena.blocks");
+    r->GetGauge("miner.arena.peak_bytes");
+    r->GetGauge("process.peak_rss_bytes");
+  }
+
+  /// The tally alone, converted through a private registry.
+  obs::MetricsSnapshot Snapshot(bool top_k) const {
+    obs::MetricsRegistry r;
+    ChargeTo(&r, top_k);
+    return r.Snapshot();
   }
 };
 
@@ -106,4 +181,3 @@ inline bool MinerFaultPoint(const char* site,
 }
 
 }  // namespace tpm
-

@@ -53,7 +53,7 @@ struct WorkItem {
 /// Marks units whose subtrees are worth splitting: weight at least
 /// `min_spans` and at least twice the mean weight. Depends only on the
 /// projection sizes — never on the thread count — so the work-item set (and
-/// therefore every per-item metrics domain) is identical for any --threads.
+/// therefore every per-item tally) is identical for any --threads.
 void MarkSplittableUnits(std::vector<WorkUnit>* units, uint64_t min_spans);
 
 /// FIFO work queue shared by the workers. Sub-units outrank whole units so

@@ -160,14 +160,14 @@ class Histogram {
 
   void Observe(uint64_t v);
 
+  /// Adds pre-aggregated bucket counts (MergeSnapshot, SearchTally); no-op
+  /// unless `bounds` matches this histogram's shape exactly.
+  void MergeCounts(const std::vector<uint64_t>& bounds,
+                   const std::vector<uint64_t>& counts, uint64_t sum);
+
  private:
   friend class MetricsRegistry;
   void Reset();
-
-  // Adds pre-aggregated bucket counts (MergeSnapshot); no-op unless `bounds`
-  // matches this histogram's shape exactly.
-  void MergeCounts(const std::vector<uint64_t>& bounds,
-                   const std::vector<uint64_t>& counts, uint64_t sum);
 
   struct Shard {
     std::vector<std::atomic<uint64_t>> counts;  // bounds.size() + 1
@@ -256,6 +256,8 @@ class Gauge {
 class Histogram {
  public:
   void Observe(uint64_t) {}
+  void MergeCounts(const std::vector<uint64_t>&, const std::vector<uint64_t>&,
+                   uint64_t) {}
 };
 
 class MetricsRegistry {

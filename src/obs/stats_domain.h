@@ -1,28 +1,32 @@
-// StatsDomain: an isolated per-worker / per-request observability domain.
+// StatsDomain: an isolated per-run observability domain.
 //
 // The global MetricsRegistry is the right sink for a single-run CLI process,
-// but the parallel miner (ROADMAP item 1) and `tpm serve` (item 2) need each
-// worker / request to account its search in isolation and then fold the
-// results together deterministically. A StatsDomain bundles a private
+// but a run that shares its process with others (tests, benchmarks, a
+// library caller) needs to account its search in isolation and then fold
+// the result in deterministically. A StatsDomain bundles a private
 // MetricsRegistry (same lock-free handles, same names as the global
 // taxonomy) with a FlightRecorder for postmortems; miners charge the domain
 // instead of the process-global registry and the owner decides what to do
 // with the numbers:
 //
-//   obs::StatsDomain domain("worker-3");
+//   obs::StatsDomain domain("mine");
 //   options.stats_domain = &domain;            // miner charges this domain
 //   ... mine ...
 //   merged = obs::MergeDomainSnapshots({d1.TakeSnapshot(), d2.TakeSnapshot()});
 //   domain.PublishTo(&obs::MetricsRegistry::Global());   // or fold globally
 //
-// MergeDomainSnapshots is the parallel-merger contract: the result is
-// byte-identical for any completion / registration order of the input
-// domains (see the function comment for the exact fold rules).
+// Work items inside a growth run do not get a domain: they charge a plain
+// SearchTally (miner/miner_metrics.h) that the run converts at checkpoint
+// boundaries and at run end.
+//
+// MergeDomainSnapshots is the merge contract: the result is byte-identical
+// for any completion / registration order of the input domains (see the
+// function comment for the exact fold rules).
 //
 // Thread-compatibility: the registry inside a domain is as thread-safe as
-// the global one, so several threads MAY charge one domain; the intended
-// design is one domain per worker. The FlightRecorder and TakeSnapshot are
-// single-owner, like the miner that drives them.
+// the global one, so several threads MAY charge one domain. The
+// FlightRecorder and TakeSnapshot are single-owner, like the miner that
+// drives them.
 
 #pragma once
 
@@ -121,8 +125,9 @@ class StatsDomain {
 ///                 differ from the name's first (in sorted domain order)
 ///                 occurrence is dropped, so shape conflicts cannot make the
 ///                 output order-dependent.
-/// This is the merge contract the parallel miner relies on: N workers
-/// finishing in any order produce byte-identical merged snapshots.
+/// The growth engine folds its run-level parts (preamble, summed unit
+/// tallies, tail) through it, so the merged snapshot is byte-identical for
+/// any thread count and completion order.
 MetricsSnapshot MergeDomainSnapshots(std::vector<DomainSnapshot> domains);
 
 /// Renders a postmortem JSON document for a domain: its id, an outcome tag

@@ -184,5 +184,32 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
   }
 }
 
+// --steal changes how a unit's work is split into items, never what the run
+// reports: the serial merged metrics with and without it must match in
+// full. The input is large enough that a single unit emits more than 1,024
+// patterns, where per-item bookkeeping (the old pattern-count watermark
+// events) used to leak the item split into obs.flight.events.
+TEST(StealDeterminismTest, StealDoesNotChangeMergedMetrics) {
+  QuestConfig config;
+  config.num_sequences = 500;
+  config.num_symbols = 200;
+  config.avg_intervals_per_sequence = 8.0;
+  config.seed = 101;
+  auto db = GenerateQuest(config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  MinerOptions options;
+  options.min_support = 0.02;
+  auto plain = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_GT(plain->stats.patterns_found, 1024u);
+  options.steal = true;
+  auto stolen = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
+  ASSERT_TRUE(stolen.ok()) << stolen.status();
+  EXPECT_EQ(EmissionOrderRender(*stolen, db->dict()),
+            EmissionOrderRender(*plain, db->dict()));
+  EXPECT_EQ(ComparableMetricsJson(stolen->stats.metrics),
+            ComparableMetricsJson(plain->stats.metrics));
+}
+
 }  // namespace
 }  // namespace tpm

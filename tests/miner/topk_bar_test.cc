@@ -100,20 +100,6 @@ std::vector<std::string> Ranked(std::vector<MinedPattern<PatternT>> patterns,
   return out;
 }
 
-uint64_t CounterValue(const obs::MetricsSnapshot& snap, const char* name) {
-  for (const obs::CounterSample& c : snap.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-bool HasCounter(const obs::MetricsSnapshot& snap, const char* name) {
-  for (const obs::CounterSample& c : snap.counters) {
-    if (c.name == name) return true;
-  }
-  return false;
-}
-
 template <typename MinerT>
 void CheckBar(const std::function<std::unique_ptr<MinerT>()>& make,
               const Input& in) {
@@ -197,14 +183,16 @@ TEST(TopKBarTest, PrunesAndCountsHits) {
   options.min_support = 0.1;
   auto full = MakePTPMinerC()->Mine(db, options);
   ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_FALSE(HasCounter(full->stats.metrics, "prune.topk.hits"));
+  EXPECT_EQ(full->stats.metrics.FindCounter("prune.topk.hits"), nullptr);
 
   options.top_k = 10;
   auto barred = MakePTPMinerC()->Mine(db, options);
   ASSERT_TRUE(barred.ok()) << barred.status();
   EXPECT_LT(barred->stats.nodes_expanded, full->stats.nodes_expanded / 2);
   EXPECT_LT(barred->stats.patterns_found, full->stats.patterns_found);
-  EXPECT_GT(CounterValue(barred->stats.metrics, "prune.topk.hits"), 0u);
+#ifndef TPM_OBS_DISABLED
+  EXPECT_GT(barred->stats.metrics.CounterValue("prune.topk.hits"), 0u);
+#endif
 }
 
 // Checkpointed units must bank their whole subtree, so a checkpointing run
@@ -225,7 +213,7 @@ TEST(TopKBarTest, OffUnderCheckpointing) {
   EXPECT_EQ(ckpt->stats.nodes_expanded, full->stats.nodes_expanded);
   EXPECT_EQ(testing::Render(*ckpt, db.dict()),
             testing::Render(*full, db.dict()));
-  EXPECT_FALSE(HasCounter(ckpt->stats.metrics, "prune.topk.hits"));
+  EXPECT_EQ(ckpt->stats.metrics.FindCounter("prune.topk.hits"), nullptr);
 }
 
 }  // namespace
