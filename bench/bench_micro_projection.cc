@@ -131,8 +131,9 @@ int main() {
       CellFrom("P-TPMiner/C", "pseudo", cp->stats, cp->patterns.size()));
   // 3. Observability overhead: the same endpoint run with and without a
   //    progress tracker at the default `tpm mine --progress` cadence (1s).
-  //    The tracker's hot cost is TickNode — one branch per expanded node
-  //    plus a clock read every 32nd — so the guardrail is <5% growth-phase
+  //    The tracker's hot cost is TickWorker — a relaxed slot bump and one
+  //    branch per expanded node, plus a clock read every 32nd node of
+  //    worker 0 — so the guardrail is <5% growth-phase
   //    overhead (docs/OBSERVABILITY.md, "Progress overhead").
   options.progress = nullptr;
   auto off = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});

@@ -33,24 +33,30 @@
 //              (the split decision depends only on projection sizes, never
 //              on the thread count).
 //
-//   workers    Each worker owns a full WorkerCtx: a copy of the built
-//              policy (cheap — the language representation is shared via
-//              shared_ptr), its own MemoryTracker, ProjectionArenas,
-//              ExecutionGuard, and postfix-count scratch. Every work item
-//              charges its own plain SearchTally (miner/miner_metrics.h)
-//              with non-atomic adds, so nothing mutable is shared between
-//              workers on the hot path; a split unit adds its sub-units'
-//              tallies at the join. With --threads=1 the same loop runs
-//              inline on the calling thread.
+//   workers    --threads=N runs N workers: the calling thread is worker 0
+//              and N-1 helper threads are the rest (none at N=1), all in
+//              the same WorkerLoop. Each worker owns a WorkerSlot: a copy of
+//              the built policy (cheap — the language representation is
+//              shared via shared_ptr), ProjectionArenas, ExecutionGuard, and
+//              postfix-count scratch. Every work item charges its own plain
+//              SearchTally (miner/miner_metrics.h) with non-atomic adds, so
+//              nothing mutable is shared between workers on the hot path; a
+//              split unit adds its sub-units' tallies at the join. Memory is
+//              the exception by design: every arena and guard charges and
+//              reads the engine's one MemoryTracker (atomic, touched per
+//              arena block and per pattern, never per node), so the budget
+//              bounds the whole-run total at every thread count.
 //
 //   merger     Workers deliver finished units (pattern bank + tally)
-//              through a single mutex-guarded inbox; the calling thread
-//              records them in the unit table, advances the checkpoint
-//              frontier, and assembles the final pattern list in unit-id
-//              order. The unit tallies are summed — a commutative fold —
-//              and converted to metrics only at checkpoint boundaries and
-//              at run end, so patterns and metrics are byte-identical for
-//              any thread count and any completion order.
+//              through a single mutex-guarded inbox. Worker 0 merges them
+//              between its own items and in its idle back-off (and once
+//              more after joining the helpers): it records them in the unit
+//              table, advances the checkpoint frontier, and the run
+//              assembles the final pattern list in unit-id order. The unit
+//              tallies are summed — a commutative fold — and converted to
+//              metrics only at checkpoint boundaries and at run end, so
+//              patterns and metrics are byte-identical for any thread count
+//              and any completion order.
 //
 // Top-K support bar: with MinerOptions::top_k = K > 0 the search floor is
 // max(minsup, bar) instead of minsup. The bar is seeded from the emittable
@@ -70,8 +76,8 @@
 //
 // Projection storage is delegated to core/projection.h: the engine stages
 // into a per-worker shared arena (reset once per node) and finalizes into
-// per-depth arenas (rewound when the subtree exits), making each
-// MemoryTracker's view of projection bytes exact. The physical-projection
+// per-depth arenas (rewound when the subtree exits), making the run's
+// MemoryTracker view of projection bytes exact. The physical-projection
 // baselines differ only in copying each node's postfix before scanning it.
 
 #pragma once
@@ -212,21 +218,22 @@ class GrowthEngine {
     }
     out_ = &result;
     SeedFromResume();
+    if (progress_ != nullptr) {
+      progress_->ConfigureWorkers(NumWorkers(), &tracker_);
+    }
 
     // The calling thread's context: the root node is expanded against the
-    // engine-owned policy/tracker/arenas/guard — exactly the single-thread
-    // preamble every thread count shares.
+    // engine-owned policy/arenas/guard — exactly the single-thread preamble
+    // every thread count shares. It publishes progress as worker 0.
     WorkerCtx root_ctx;
     root_ctx.id = 0;
     root_ctx.policy = &policy_;
-    root_ctx.tracker = &tracker_;
     root_ctx.arenas = &arenas_;
     root_ctx.guard = &guard_;
     root_ctx.seen_epoch = &seen_epoch_;
     root_ctx.epoch = &epoch_;
     ItemOutput root_out;
     root_ctx.out = &root_out;
-    root_ctx.inline_progress = true;
 
     NodeChildren root_nc;
     const bool root_entered = ExpandNode(root_ctx, root, allowed, 0, &root_nc);
@@ -253,7 +260,7 @@ class GrowthEngine {
     }
 
     if (root_entered) {
-      RunUnits(root_ctx);
+      RunUnits();
       ReleaseNode(root_ctx, &root_nc, 0);
     }
 
@@ -282,10 +289,12 @@ class GrowthEngine {
     result.stats.truncated = stop_reason != StopReason::kNone;
     result.stats.stop_reason = stop_reason;
     RecordStopMetrics(stop_reason, &domain_->registry());
+    SearchTally search = UnitTallies();
+    search.Add(root_out.tally);
     result.stats.nodes_expanded = root_ctx.nodes + worker_nodes_;
-    result.stats.candidates_checked = root_ctx.cands + worker_cands_;
-    result.stats.states_created = root_ctx.states + worker_states_;
-    result.stats.peak_tracked_bytes = tracker_.peak_bytes() + worker_peak_;
+    result.stats.candidates_checked = search.candidates;
+    result.stats.states_created = search.states;
+    result.stats.peak_tracked_bytes = tracker_.peak_bytes();
     result.stats.arena_peak_bytes =
         arenas_.total_allocated_bytes() + worker_arena_bytes_;
     result.stats.peak_rss_bytes = ReadPeakRssBytes();
@@ -344,14 +353,14 @@ class GrowthEngine {
     SearchTally tally;
   };
 
-  // One execution context: the bindings a worker (or the calling thread)
-  // mines with. The pointees are either engine members (root context) or a
-  // WorkerSlot's privately owned copies — never shared between two
-  // concurrently mining contexts.
+  // One execution context: the bindings a worker (or the calling thread's
+  // root expansion) mines with. The pointees are either engine members
+  // (root context) or a WorkerSlot's privately owned copies — never shared
+  // between two concurrently mining contexts. `id` is the worker (and
+  // progress slot) index; the calling thread is 0.
   struct WorkerCtx {
     uint32_t id = 0;
     Policy* policy = nullptr;
-    MemoryTracker* tracker = nullptr;
     ProjectionArenas* arenas = nullptr;
     ExecutionGuard* guard = nullptr;
     std::vector<uint32_t>* seen_epoch = nullptr;
@@ -366,38 +375,27 @@ class GrowthEngine {
 
     // Cumulative counters, folded into MiningStats after the join.
     uint64_t nodes = 0;
-    uint64_t states = 0;
-    uint64_t cands = 0;
-    uint64_t patterns_emitted = 0;
     uint64_t units = 0;  ///< complete units finished (miner.worker.units)
-
-    // Progress plumbing: the inline path reports run totals through
-    // TickNode exactly like the single-thread engine always did; parallel
-    // workers publish their own totals into a padded slot instead.
-    bool inline_progress = false;
-    uint64_t node_base = 0;
-    size_t bytes_base = 0;
   };
 
   // Everything one worker privately owns. The policy copy is cheap: the
   // built language representation is shared behind a shared_ptr and the
-  // DFS stacks are empty at unit-phase start.
+  // DFS stacks are empty at unit-phase start. Arenas and guard charge and
+  // read the run's one memory account.
   struct WorkerSlot {
     WorkerSlot(GrowthEngine* e, uint32_t id)
         : policy(e->policy_),
-          arenas(&tracker),
-          guard(e->MakeWorkerLimits(), &tracker) {
+          arenas(&e->tracker_),
+          guard(e->MakeWorkerLimits(), &e->tracker_) {
       seen_epoch.assign(e->num_symbols_, 0);
       ctx.id = id;
       ctx.policy = &policy;
-      ctx.tracker = &tracker;
       ctx.arenas = &arenas;
       ctx.guard = &guard;
       ctx.seen_epoch = &seen_epoch;
       ctx.epoch = &epoch;
     }
     Policy policy;
-    MemoryTracker tracker;
     ProjectionArenas arenas;
     ExecutionGuard guard;
     std::vector<uint32_t> seen_epoch;
@@ -480,18 +478,6 @@ class GrowthEngine {
     return w.guard->ShouldStop();
   }
 
-  void TickProgress(WorkerCtx& w) {
-    if (progress_ == nullptr) return;
-    if (w.inline_progress) {
-      progress_->TickNode(w.node_base + w.nodes,
-                          patterns_total_.load(std::memory_order_relaxed),
-                          w.bytes_base + w.tracker->current_bytes());
-    } else {
-      progress_->TickWorker(w.id, w.nodes, w.patterns_emitted,
-                            w.tracker->current_bytes());
-    }
-  }
-
   /// Expands one node: charges it, emits when the policy deems the pattern
   /// complete, scans the projection, and finalizes the children into `nc`.
   /// Returns false when the node produced no children to walk (guard stop,
@@ -507,13 +493,11 @@ class GrowthEngine {
     proj.CheckAlive();
     if (WorkerShouldStop(w)) return false;
     ++w.nodes;
-    TickProgress(w);
+    if (progress_ != nullptr) progress_->TickWorker(w.id);
     SearchTally& tally = w.out->tally;
     tally.nodes.Observe(w.policy->PatternLen());
     tally.projected_seqs.Observe(proj.num_spans);
     tally.projected_states.Observe(proj.num_states);
-    const uint64_t node_states_before = w.states;
-    const uint64_t node_cands_before = w.cands;
     w.policy->BeginNode();
 
     // Report the pattern at this node when the policy deems it complete.
@@ -541,7 +525,7 @@ class GrowthEngine {
       if (it != frame.bucket_index.end()) {
         return it->second < 0 ? nullptr : &frame.buckets[it->second];
       }
-      ++w.cands;
+      ++tally.candidates;
       // Admission checks for extensions introducing a new symbol.
       if (Policy::IntroducesSymbol(code)) {
         const EventId ev = Policy::SymbolOf(code);
@@ -577,7 +561,7 @@ class GrowthEngine {
                         uint32_t anchor) -> uint32_t* {
       Bucket* b = bucket_for(code, i_ext);
       if (b == nullptr) return nullptr;
-      ++w.states;
+      ++tally.states;
       return b->builder.Push(frame.cur_seq, item, anchor);
     };
 
@@ -629,9 +613,6 @@ class GrowthEngine {
       }
     }
 
-    // Flush this node's scan tallies before recursion resets them.
-    tally.states += w.states - node_states_before;
-    tally.candidates += w.cands - node_cands_before;
     w.policy->FlushNodeMetrics(&tally);
 
     // ---- Children ------------------------------------------------------
@@ -644,8 +625,9 @@ class GrowthEngine {
     }
 
     // Projection storage is charged exactly by the arenas as blocks map;
-    // only the baselines' physical postfix copies are charged here.
-    w.tracker->Allocate(frame.copies_bytes);
+    // only the baselines' physical postfix copies are charged here (never
+    // for P-TPMiner, which keeps the shared account off the per-node path).
+    if (frame.copies_bytes > 0) tracker_.Allocate(frame.copies_bytes);
 
     // Deterministic child order.
     std::sort(frame.buckets.begin(), frame.buckets.end(),
@@ -673,7 +655,7 @@ class GrowthEngine {
   }
 
   void ReleaseNode(WorkerCtx& w, NodeChildren* nc, uint32_t depth) {
-    w.tracker->Release(nc->frame.copies_bytes);
+    if (nc->frame.copies_bytes > 0) tracker_.Release(nc->frame.copies_bytes);
     w.arenas->depth(depth + 1).Rewind(nc->child_mark);
   }
 
@@ -698,10 +680,10 @@ class GrowthEngine {
     w.out->bank.push_back(
         MinedPattern<PatternT>{w.policy->MakePattern(), support});
     ++w.out->tally.patterns;
-    ++w.patterns_emitted;
+    if (progress_ != nullptr) progress_->NoteWorkerPattern(w.id);
     // items + slice offsets (incl. the trailing end offset).
-    w.tracker->Allocate((w.policy->PatternLen() + w.policy->NumBlocks() + 1) *
-                        sizeof(uint32_t));
+    tracker_.Allocate((w.policy->PatternLen() + w.policy->NumBlocks() + 1) *
+                      sizeof(uint32_t));
     const uint64_t total =
         patterns_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     w.guard->NotePattern(total);
@@ -821,20 +803,20 @@ class GrowthEngine {
   }
 
   /// The unit phase: pre-pass trivial units on the calling thread, then
-  /// drain the scheduler inline (--threads=1) or across worker threads
-  /// with the calling thread merging.
-  void RunUnits(WorkerCtx& root_ctx) {
+  /// drain the scheduler with N workers — the calling thread as worker 0
+  /// (and merger) plus N-1 helper threads — and merge what is left.
+  void RunUnits() {
     std::vector<WorkUnit> pending;
     for (size_t i = 0; i < units_.size(); ++i) {
       if (outcomes_[i].delivered) {
         // Seeded from the checkpoint: re-expanding would double-count both
         // the patterns and the metrics.
-        if (progress_ != nullptr) progress_->NoteBucketDone();
+        if (progress_ != nullptr) progress_->NoteWorkerBucketDone(0);
         continue;
       }
       UnitOutcome& o = outcomes_[i];
       if (BelowFloor(&o.tally, units_[i].view->num_spans)) {
-        if (progress_ != nullptr) progress_->NoteBucketDone();
+        if (progress_ != nullptr) progress_->NoteWorkerBucketDone(0);
         o.delivered = true;
         o.complete = true;
         OnUnitComplete(i);
@@ -850,70 +832,60 @@ class GrowthEngine {
     }
     if (pending.empty()) return;
     scheduler_.Reset(std::move(pending));
-    open_items_.store(scheduler_units_pending(), std::memory_order_relaxed);
+    open_items_.store(scheduler_.units_pending(), std::memory_order_relaxed);
 
-    const uint32_t nthreads = options_.threads > 0 ? options_.threads : 1;
     std::deque<WorkerSlot> slots;
-    if (nthreads <= 1) {
-      slots.emplace_back(this, 0u);
-      WorkerCtx& w = slots.back().ctx;
-      w.inline_progress = true;
-      w.node_base = root_ctx.nodes;
-      w.bytes_base = tracker_.current_bytes();
-      WorkerLoop(w, /*inline_merge=*/true);
-      MergeDeliveries();
-    } else {
-      if (progress_ != nullptr) progress_->ConfigureWorkers(nthreads);
-      for (uint32_t i = 0; i < nthreads; ++i) slots.emplace_back(this, i);
-      std::vector<std::thread> crew;
-      crew.reserve(nthreads);
-      for (uint32_t i = 0; i < nthreads; ++i) {
-        WorkerCtx* w = &slots[i].ctx;
-        crew.emplace_back([this, w] { WorkerLoop(*w, false); });
-      }
-      // Merger loop: fold deliveries, advance the checkpoint frontier, and
-      // keep the progress line moving until the queue drains or a stop
-      // (guard trip, SIGINT, checkpoint failure) winds the crew down.
-      while (open_items_.load(std::memory_order_acquire) > 0 &&
-             !stop_flag_.load(std::memory_order_relaxed)) {
-        MergeDeliveries();
-        if (progress_ != nullptr) progress_->PollEmit();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      for (std::thread& t : crew) t.join();
-      MergeDeliveries();
+    for (uint32_t i = 0; i < NumWorkers(); ++i) slots.emplace_back(this, i);
+    std::vector<std::thread> helpers;
+    helpers.reserve(slots.size() - 1);
+    for (size_t i = 1; i < slots.size(); ++i) {
+      WorkerCtx* w = &slots[i].ctx;
+      helpers.emplace_back([this, w] { WorkerLoop(*w); });
     }
+    WorkerLoop(slots[0].ctx);
+    for (std::thread& t : helpers) t.join();
+    MergeDeliveries();
     for (WorkerSlot& s : slots) {
       worker_nodes_ += s.ctx.nodes;
-      worker_states_ += s.ctx.states;
-      worker_cands_ += s.ctx.cands;
-      worker_peak_ += s.tracker.peak_bytes();
       worker_arena_bytes_ += s.arenas.total_allocated_bytes();
       worker_arena_blocks_ += s.arenas.total_blocks();
       worker_load_.push_back({s.ctx.nodes, s.ctx.units});
     }
   }
 
-  uint64_t scheduler_units_pending() { return scheduler_.units_pending(); }
+  uint32_t NumWorkers() const {
+    return options_.threads > 0 ? options_.threads : 1;
+  }
 
-  void WorkerLoop(WorkerCtx& w, bool inline_merge) {
+  /// Runs until the scheduler drains or a stop (guard trip, SIGINT,
+  /// checkpoint failure) winds the crew down. Worker 0 also merges after
+  /// each of its items, so deliveries and periodic checkpoints fold between
+  /// them.
+  void WorkerLoop(WorkerCtx& w) {
     while (!w.guard->stopped() &&
            !stop_flag_.load(std::memory_order_relaxed)) {
       WorkItem item;
       if (scheduler_.TryNext(&item)) {
         ProcessItem(w, item);
-        if (inline_merge) {
-          MergeDeliveries();
-          if (!ckpt_status_.ok()) return;
-        }
+        if (w.id == 0) MergeDeliveries();
       } else if (open_items_.load(std::memory_order_acquire) == 0) {
         break;
       } else {
         // Another worker is splitting a unit (its subs are not published
         // yet) or the tail items are in flight elsewhere.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        IdleBackoff(w, std::chrono::microseconds(50));
       }
     }
+  }
+
+  /// Waits a little for other workers; worker 0 merges and keeps the
+  /// progress line moving meanwhile.
+  void IdleBackoff(WorkerCtx& w, std::chrono::microseconds pause) {
+    if (w.id == 0) {
+      MergeDeliveries();
+      if (progress_ != nullptr) progress_->PollEmit();
+    }
+    std::this_thread::sleep_for(pause);
   }
 
   void ProcessItem(WorkerCtx& w, const WorkItem& item) {
@@ -990,7 +962,7 @@ class GrowthEngine {
       if (scheduler_.TryNextSub(&item)) {
         ProcessItem(w, item);
       } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        IdleBackoff(w, std::chrono::microseconds(20));
       }
     }
     if (entered) ReleaseNode(w, &nc, /*depth=*/1);
@@ -1029,12 +1001,7 @@ class GrowthEngine {
                   ItemOutput out) {
     DeliverUnit(unit_id, complete, std::move(out));
     if (complete) ++w.units;
-    if (progress_ == nullptr) return;
-    if (w.inline_progress) {
-      progress_->NoteBucketDone();
-    } else {
-      progress_->NoteWorkerBucketDone(w.id);
-    }
+    if (progress_ != nullptr) progress_->NoteWorkerBucketDone(w.id);
   }
 
   // ---- Merger layer ----------------------------------------------------
@@ -1051,9 +1018,10 @@ class GrowthEngine {
     inbox_.items.push_back(std::move(d));
   }
 
-  /// Calling-thread only: folds delivered units into the outcome table and
-  /// advances the checkpoint frontier. Incomplete (stop-truncated) units
-  /// keep their partial bank for the result but are never checkpointed.
+  /// Worker 0 (the calling thread) only: folds delivered units into the
+  /// outcome table and advances the checkpoint frontier. Incomplete
+  /// (stop-truncated) units keep their partial bank for the result but are
+  /// never checkpointed.
   void MergeDeliveries() {
     std::vector<UnitDelivery> batch;
     {
@@ -1134,8 +1102,7 @@ class GrowthEngine {
   /// three parts are commutative, so the result depends only on the
   /// multiset of charges.
   obs::MetricsSnapshot FinalMetrics() const {
-    SearchTally units;
-    for (const UnitOutcome& o : outcomes_) units.Add(o.tally);
+    const SearchTally units = UnitTallies();
     obs::MetricsRegistry search;
     units.ChargeTo(&search, top_k_ > 0);
     if (!worker_load_.empty()) {
@@ -1152,6 +1119,13 @@ class GrowthEngine {
         {{"base", BaseMetrics()},
          {"search", search.Snapshot()},
          {"tail", domain_->registry().Snapshot().Since(preamble_end_)}});
+  }
+
+  /// Every delivered unit's tally summed (resumed units add zero).
+  SearchTally UnitTallies() const {
+    SearchTally sum;
+    for (const UnitOutcome& o : outcomes_) sum.Add(o.tally);
+    return sum;
   }
 
   /// The checkpoint's metrics: base + the tallies of *complete* units only.
@@ -1317,10 +1291,9 @@ class GrowthEngine {
   }
 
   /// Worker budgets derived so the crew respects the run's limits: the
-  /// remaining wall budget as-is (the deadline is absolute), the remaining
-  /// memory budget split evenly (exact for one worker, a fair share
-  /// otherwise — the RSS backstop still guards gross overshoot), and the
-  /// pattern cap enforced exactly via the shared emission total.
+  /// remaining wall budget (the deadline is absolute), the whole memory
+  /// budget against the shared run account, and the pattern cap enforced
+  /// exactly via the shared emission total.
   GuardLimits MakeWorkerLimits() {
     GuardLimits limits = options_.ToGuardLimits();
     if (limits.time_budget_seconds > 0.0) {
@@ -1328,18 +1301,12 @@ class GrowthEngine {
           limits.time_budget_seconds - run_timer_.ElapsedSeconds();
       limits.time_budget_seconds = remaining > 1e-9 ? remaining : 1e-9;
     }
-    if (limits.memory_budget_bytes > 0) {
-      const size_t used = tracker_.current_bytes();
-      const size_t left = limits.memory_budget_bytes > used
-                              ? limits.memory_budget_bytes - used
-                              : 1;
-      const uint32_t n = options_.threads > 0 ? options_.threads : 1;
-      limits.memory_budget_bytes = std::max<size_t>(left / n, 1);
-    }
     limits.on_stop = [this](StopReason reason) { NoteStop(reason); };
     return limits;
   }
 
+  // The run's one memory account: the build, the root arenas, every
+  // worker's arenas and every emitted pattern charge it.
   MemoryTracker tracker_;
   ProjectionArenas arenas_;
   ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
@@ -1356,13 +1323,10 @@ class GrowthEngine {
   std::atomic<int> first_stop_reason_{0};
   std::atomic<uint64_t> patterns_total_{0};
   uint64_t worker_nodes_ = 0;
-  uint64_t worker_states_ = 0;
-  uint64_t worker_cands_ = 0;
-  size_t worker_peak_ = 0;
   size_t worker_arena_bytes_ = 0;
   uint64_t worker_arena_blocks_ = 0;
   // Per worker id: nodes expanded and complete units finished, charged to
-  // miner.worker.{nodes,units} at run end. Empty when no crew ran.
+  // miner.worker.{nodes,units} at run end. Empty when no unit ran.
   struct WorkerLoad {
     uint64_t nodes = 0;
     uint64_t units = 0;

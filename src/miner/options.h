@@ -105,11 +105,11 @@ struct MinerOptions {
   }
 
   /// Worker threads for the growth engines' unit phase
-  /// (docs/ARCHITECTURE.md, "Scheduler / worker / merger"). 1 (the default)
-  /// mines every unit inline on the calling thread; N > 1 spawns N workers
-  /// that each own their arenas/guard/stats and drain the shared work-unit
-  /// queue, with the calling thread merging completed units. Output is
-  /// byte-identical for every value. Level-wise miners ignore this.
+  /// (docs/ARCHITECTURE.md, "Scheduler / worker / merger"). N workers drain
+  /// the shared work-unit queue: the calling thread is worker 0 and merges
+  /// completed units, and N > 1 adds N-1 helper threads. Each worker owns
+  /// its arenas and guard; all charge the run's one memory account. Output
+  /// is byte-identical for every value. Level-wise miners ignore this.
   uint32_t threads = 1;
 
   /// Opt-in work stealing: split heavyweight depth-0 units into per-child

@@ -38,24 +38,23 @@ ProgressTracker::ProgressTracker(double interval_seconds, Sink sink,
   }
 }
 
-void ProgressTracker::ConfigureWorkers(uint32_t num_workers) {
+void ProgressTracker::ConfigureWorkers(uint32_t num_workers,
+                                       const MemoryTracker* account) {
   slots_.reset(num_workers > 0 ? new WorkerSlot[num_workers] : nullptr);
   num_slots_ = num_workers;
+  account_ = account;
 }
 
 ProgressSnapshot ProgressTracker::Build(double elapsed,
                                         bool final_snapshot) const {
-  // Fold the worker slots over the owner-thread base totals. Relaxed reads:
-  // the slots are monotone progress counters, and a slightly stale value
-  // only shifts one status line, never correctness.
-  uint64_t nodes = nodes_;
-  uint64_t patterns = patterns_;
-  uint64_t bytes = projected_bytes_;
-  uint64_t buckets_done = buckets_done_;
+  // Relaxed reads: the slots are monotone progress counters, and a slightly
+  // stale value only shifts one status line, never correctness.
+  uint64_t nodes = 0;
+  uint64_t patterns = 0;
+  uint64_t buckets_done = 0;
   for (uint32_t w = 0; w < num_slots_; ++w) {
     nodes += slots_[w].nodes.load(std::memory_order_relaxed);
     patterns += slots_[w].patterns.load(std::memory_order_relaxed);
-    bytes += slots_[w].bytes.load(std::memory_order_relaxed);
     buckets_done += slots_[w].buckets.load(std::memory_order_relaxed);
   }
   ProgressSnapshot snap;
@@ -64,7 +63,7 @@ ProgressSnapshot ProgressTracker::Build(double elapsed,
   snap.buckets_total = buckets_total_;
   snap.nodes = nodes;
   snap.patterns = patterns;
-  snap.projected_bytes = bytes;
+  snap.projected_bytes = account_ != nullptr ? account_->current_bytes() : 0;
   snap.nodes_per_second =
       elapsed > 0.0 ? static_cast<double>(nodes) / elapsed : 0.0;
   if (!final_snapshot && buckets_total_ > 0 && buckets_done > 0 &&

@@ -1,32 +1,36 @@
 // Live progress / ETA for long mining runs (`tpm mine --progress`).
 //
-// The growth engines call TickNode() once per expanded node; like
-// ExecutionGuard, the tracker amortizes the clock: it counts down
-// kCheckInterval ticks between steady-clock reads, so the steady-state cost
-// is one predictable branch per node, and only every 32nd node pays a clock
-// read (and, when the emission interval elapsed, a snapshot + sink call).
+// The growth engine runs N workers, the calling thread being worker 0. It
+// calls ConfigureWorkers(N, &account) once per run, before the root node is
+// expanded; every context then publishes through its own cache-line-padded
+// slot: TickWorker once per expanded node, NoteWorkerPattern per emitted
+// pattern, NoteWorkerBucketDone per finished depth-0 bucket. Each slot has a
+// single writer (worker w's thread), so a publish is a relaxed load and
+// store — no shared hot counter, no contention.
+//
+// Slot 0 is the owner's: its ticks also drive emission. Like ExecutionGuard,
+// TickWorker(0) amortizes the clock: it counts down kCheckInterval ticks
+// between steady-clock reads, so the steady-state cost is one predictable
+// branch per node, and only every 32nd node of worker 0 pays a clock read
+// (and, when the emission interval elapsed, a snapshot + sink call). While
+// worker 0 waits for other workers' tails it calls PollEmit instead.
+// Emission folds every slot; the live-bytes figure is the run's memory
+// account, read at emission.
 //
 // ETA comes from the level-1 bucket walk: the engine announces how many
-// admitted root buckets exist (SetTotalBuckets) and marks each one done
-// (NoteBucketDone), so `elapsed / done * (total - done)` projects the
-// remaining wall time from completed subtrees — coarse, but honest about the
-// only unit of work whose total is known up front. Before the first bucket
-// completes the ETA is unknown (-1).
+// admitted root buckets exist (SetTotalBuckets) and marks each one done, so
+// `elapsed / done * (total - done)` projects the remaining wall time from
+// completed subtrees — coarse, but honest about the only unit of work whose
+// total is known up front. Before the first bucket completes the ETA is
+// unknown (-1).
 //
 // Every emission samples the Linux VmHWM peak-RSS gauge (0 on other
 // platforms, see util/memory.h), so a truncated run's recorded peak is the
 // peak *at truncation time*, not just at exit. Emissions are charged to the
 // owning StatsDomain (progress.snapshots counter, process.peak_rss_bytes
-// gauge) when one is attached.
-//
-// Single-thread runs drive TickNode/NoteBucketDone directly. The parallel
-// miner instead calls ConfigureWorkers(N) once, has each worker write its
-// own totals through TickWorker/NoteWorkerBucketDone (a relaxed store into
-// that worker's cache-line-padded slot — no shared hot counter, no
-// contention), and the merger thread folds every slot at emission time via
-// PollEmit/Finish. Emission (the sink, the domain charges) stays
-// single-owner: only the owning/merger thread may call SetTotalBuckets,
-// NoteBucketDone, TickNode, PollEmit, or Finish.
+// gauge) when one is attached. Emission stays single-owner: only worker 0's
+// thread may call ConfigureWorkers, SetTotalBuckets, TickWorker(0),
+// PollEmit, or Finish.
 
 #pragma once
 
@@ -37,6 +41,7 @@
 #include <memory>
 #include <string>
 
+#include "util/memory.h"
 #include "util/timer.h"
 
 namespace tpm {
@@ -81,49 +86,33 @@ class ProgressTracker {
   ProgressTracker(const ProgressTracker&) = delete;
   ProgressTracker& operator=(const ProgressTracker&) = delete;
 
-  void SetTotalBuckets(uint64_t total) { buckets_total_ = total; }
-  void NoteBucketDone() { ++buckets_done_; }
+  /// Allocates `num_workers` zeroed slots and binds the run's memory
+  /// account (may be null: bytes then read 0), which must outlive every
+  /// later emission. Call once per run, before any worker ticks.
+  void ConfigureWorkers(uint32_t num_workers, const MemoryTracker* account);
 
-  /// Hot-path hook: records the run's current totals and, every
-  /// kCheckInterval calls, checks the clock and possibly emits.
-  void TickNode(uint64_t nodes, uint64_t patterns, uint64_t projected_bytes) {
-    nodes_ = nodes;
-    patterns_ = patterns;
-    projected_bytes_ = projected_bytes;
-    if (countdown_-- == 0) {
+  void SetTotalBuckets(uint64_t total) { buckets_total_ = total; }
+
+  /// Hot-path hook: worker `w` expanded one more node. On slot 0 it also
+  /// checks the clock every kCheckInterval calls and possibly emits.
+  void TickWorker(uint32_t w) {
+    Bump(slots_[w].nodes);
+    if (w == 0 && countdown_-- == 0) {
       countdown_ = kCheckInterval - 1;
       MaybeEmit();
     }
   }
 
-  // --- Multi-worker charging (parallel growth engine) -------------------
+  /// Worker `w` emitted one more pattern.
+  void NoteWorkerPattern(uint32_t w) { Bump(slots_[w].patterns); }
 
-  /// Allocates `num_workers` padded slots. Call once, before any worker
-  /// thread starts ticking; callable by the owner thread only.
-  void ConfigureWorkers(uint32_t num_workers);
+  /// Worker `w` finished one more depth-0 bucket.
+  void NoteWorkerBucketDone(uint32_t w) { Bump(slots_[w].buckets); }
 
-  /// Worker-side hot hook: publishes worker `w`'s own cumulative totals.
-  /// Relaxed stores into the worker's private slot — safe to call
-  /// concurrently with every other worker and with the merger's PollEmit.
-  void TickWorker(uint32_t w, uint64_t nodes, uint64_t patterns,
-                  uint64_t projected_bytes) {
-    WorkerSlot& slot = slots_[w];
-    slot.nodes.store(nodes, std::memory_order_relaxed);
-    slot.patterns.store(patterns, std::memory_order_relaxed);
-    slot.bytes.store(projected_bytes, std::memory_order_relaxed);
-  }
-
-  /// Worker-side: one more depth-0 bucket finished on worker `w`.
-  void NoteWorkerBucketDone(uint32_t w) {
-    slots_[w].buckets.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Merger-side: folds every worker slot into the run totals and emits if
-  /// the interval elapsed. Owner thread only.
+  /// Owner-side: emits if the interval elapsed (worker 0's idle back-off).
   void PollEmit() { MaybeEmit(); }
 
-  /// Emits the final snapshot (always, regardless of interval), folding any
-  /// worker slots first.
+  /// Emits the final snapshot (always, regardless of interval).
   void Finish();
 
   uint64_t snapshots_emitted() const { return emitted_; }
@@ -133,9 +122,13 @@ class ProgressTracker {
   struct alignas(64) WorkerSlot {
     std::atomic<uint64_t> nodes{0};
     std::atomic<uint64_t> patterns{0};
-    std::atomic<uint64_t> bytes{0};
     std::atomic<uint64_t> buckets{0};
   };
+
+  // Single-writer increment: a relaxed load and store, no locked RMW.
+  static void Bump(std::atomic<uint64_t>& c) {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
 
   void MaybeEmit();
   ProgressSnapshot Build(double elapsed, bool final_snapshot) const;
@@ -151,11 +144,8 @@ class ProgressTracker {
   uint64_t emitted_ = 0;
   uint32_t countdown_ = 0;  // first tick always reaches MaybeEmit
 
-  uint64_t buckets_done_ = 0;
   uint64_t buckets_total_ = 0;
-  uint64_t nodes_ = 0;
-  uint64_t patterns_ = 0;
-  uint64_t projected_bytes_ = 0;
+  const MemoryTracker* account_ = nullptr;
 
   std::unique_ptr<WorkerSlot[]> slots_;
   uint32_t num_slots_ = 0;

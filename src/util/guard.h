@@ -2,10 +2,11 @@
 //
 // Every miner used to carry its own copy of the time-budget check; this
 // header unifies them behind one ExecutionGuard that enforces a wall-clock
-// deadline, a logical-byte memory budget (MemoryTracker plus a periodic RSS
-// backstop), a pattern cap, and cooperative cancellation — and remembers
-// *why* it stopped, so callers can report a StopReason alongside their
-// partial results instead of a bare `truncated` bit.
+// deadline, a logical-byte memory budget (a MemoryTracker, possibly shared
+// by several guards, plus a periodic RSS backstop), a pattern cap, and
+// cooperative cancellation — and remembers *why* it stopped, so callers can
+// report a StopReason alongside their partial results instead of a bare
+// `truncated` bit.
 //
 // The guard is designed for hot loops: ShouldStop() is amortized. Cheap
 // conditions (cancellation flag, logical-byte comparison) run on every call;
@@ -101,7 +102,10 @@ struct GuardLimits {
 /// miner must give each worker its own guard (tripped externally via
 /// Trip()/CancellationToken, whose flag IS atomic and async-signal-safe)
 /// rather than share one; the Tier D locking lint flags any future attempt
-/// to wrap a shared guard in a Mutex-owning class without annotations.
+/// to wrap a shared guard in a Mutex-owning class without annotations. The
+/// guards may share one MemoryTracker, which is atomic: the parallel growth
+/// engine's workers all compare the run's single account with the whole
+/// memory budget.
 class ExecutionGuard {
  public:
   /// How many ShouldStop() calls between wall-clock reads.

@@ -4,7 +4,8 @@
 // the projection arenas (charged per mapped block, never released until the
 // engine dies), and the emitted patterns — so the MemoryTracker high-water
 // mark must equal their sum EXACTLY, not approximately. Any drift means a
-// component went back to estimate-based accounting.
+// component went back to estimate-based accounting. Every worker charges the
+// run's one tracker, so the identity holds at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -44,42 +45,57 @@ size_t PatternBytes(const ResultT& result) {
   return bytes;
 }
 
+constexpr uint32_t kThreadCounts[] = {1, 2, 4};
+
 TEST(MemoryAccountingTest, EndpointPeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(7);
-  MinerOptions options;
-  options.min_support = 0.15;
-  auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_GT(result->patterns.size(), 0u);
-  EXPECT_GT(result->stats.arena_peak_bytes, 0u);
-  EXPECT_EQ(result->stats.peak_tracked_bytes,
-            result->stats.build_bytes + result->stats.arena_peak_bytes +
-                PatternBytes(*result));
+  for (uint32_t threads : kThreadCounts) {
+    MinerOptions options;
+    options.min_support = 0.15;
+    options.threads = threads;
+    auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_GT(result->patterns.size(), 0u);
+    EXPECT_GT(result->stats.arena_peak_bytes, 0u);
+    EXPECT_EQ(result->stats.peak_tracked_bytes,
+              result->stats.build_bytes + result->stats.arena_peak_bytes +
+                  PatternBytes(*result))
+        << "threads " << threads;
+  }
 }
 
 TEST(MemoryAccountingTest, CoincidencePeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(11);
-  MinerOptions options;
-  options.min_support = 0.15;
-  auto result = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_GT(result->patterns.size(), 0u);
-  EXPECT_EQ(result->stats.peak_tracked_bytes,
-            result->stats.build_bytes + result->stats.arena_peak_bytes +
-                PatternBytes(*result));
+  for (uint32_t threads : kThreadCounts) {
+    MinerOptions options;
+    options.min_support = 0.15;
+    options.threads = threads;
+    auto result =
+        MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_GT(result->patterns.size(), 0u);
+    EXPECT_EQ(result->stats.peak_tracked_bytes,
+              result->stats.build_bytes + result->stats.arena_peak_bytes +
+                  PatternBytes(*result))
+        << "threads " << threads;
+  }
 }
 
 // With a support threshold nothing can reach, no patterns are emitted and the
 // identity reduces to its pure form: peak == build + arena, byte for byte.
 TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
   const IntervalDatabase db = MakeDb(13);
-  MinerOptions options;
-  options.min_support = static_cast<double>(db.size() + 1);  // unreachable
-  auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->patterns.size(), 0u);
-  EXPECT_EQ(result->stats.peak_tracked_bytes,
-            result->stats.build_bytes + result->stats.arena_peak_bytes);
+  for (uint32_t threads : kThreadCounts) {
+    MinerOptions options;
+    options.min_support = static_cast<double>(db.size() + 1);  // unreachable
+    options.threads = threads;
+    auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->patterns.size(), 0u);
+    EXPECT_EQ(result->stats.peak_tracked_bytes,
+              result->stats.build_bytes + result->stats.arena_peak_bytes)
+        << "threads " << threads;
+  }
 }
 
 // The physical-projection baseline (TPrefixSpan) stores its states in the

@@ -118,6 +118,23 @@ std::string EmissionOrderRender(const MiningResult<PatternT>& result,
   return out;
 }
 
+// MiningStats' state and candidate counts are summed from the same per-item
+// tallies as the search.* metrics, so on a fresh run the two must agree.
+template <typename ResultT>
+void ExpectCountsMatchMetrics(const ResultT& result, uint32_t threads) {
+#ifndef TPM_OBS_DISABLED
+  EXPECT_EQ(result.stats.states_created,
+            result.stats.metrics.CounterValue("search.states"))
+      << "threads " << threads;
+  EXPECT_EQ(result.stats.candidates_checked,
+            result.stats.metrics.CounterValue("search.candidates"))
+      << "threads " << threads;
+#else
+  (void)result;
+  (void)threads;
+#endif
+}
+
 // --threads sweep: mining with 2/4/8 workers (and with --steal splitting
 // heavyweight subtrees) must be byte-identical to --threads=1 — patterns in
 // emission order AND the full merged metrics delta (modulo the memory /
@@ -130,6 +147,7 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
     options.stats_domain = &base_domain;
     auto single = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
     ASSERT_TRUE(single.ok()) << single.status();
+    ExpectCountsMatchMetrics(*single, 1);
     const std::string want = EmissionOrderRender(*single, db.dict());
     const std::string want_metrics =
         ComparableMetricsJson(single->stats.metrics);
@@ -144,6 +162,7 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
         par.stats_domain = &domain;
         auto result = MineEndpointGrowth(db, par, EndpointGrowthConfig{});
         ASSERT_TRUE(result.ok()) << result.status();
+        ExpectCountsMatchMetrics(*result, threads);
         EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
             << "mask " << mask << " threads " << threads << " steal " << steal;
         EXPECT_EQ(ComparableMetricsJson(result->stats.metrics), want_metrics)
@@ -163,6 +182,7 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
     options.stats_domain = &base_domain;
     auto single = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
     ASSERT_TRUE(single.ok()) << single.status();
+    ExpectCountsMatchMetrics(*single, 1);
     const std::string want = EmissionOrderRender(*single, db.dict());
     const std::string want_metrics =
         ComparableMetricsJson(single->stats.metrics);
@@ -176,6 +196,7 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
       par.stats_domain = &domain;
       auto result = MineCoincidenceGrowth(db, par, CoincidenceGrowthConfig{});
       ASSERT_TRUE(result.ok()) << result.status();
+      ExpectCountsMatchMetrics(*result, threads);
       EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
           << "mask " << mask << " threads " << threads;
       EXPECT_EQ(ComparableMetricsJson(result->stats.metrics), want_metrics)

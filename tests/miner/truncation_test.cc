@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "miner/miner.h"
 #include "testing/test_util.h"
+#include "util/arena.h"
 #include "util/guard.h"
+#include "util/rng.h"
 
 namespace tpm {
 namespace {
@@ -112,6 +115,84 @@ TEST(TruncationTest, MemoryBudgetReportsMemoryReason) {
     EXPECT_TRUE(result->stats.truncated);
     EXPECT_EQ(result->stats.stop_reason, StopReason::kMemory);
   }
+}
+
+// One heavyweight unit among many light ones: symbol A recurs in every
+// sequence, so A's subtree needs far larger projection arenas than any other
+// unit's, whichever worker mines it.
+IntervalDatabase SkewedDatabase() {
+  IntervalDatabase db;
+  constexpr uint32_t kLight = 12;
+  for (uint32_t i = 0; i <= kLight; ++i) {
+    db.dict().Intern(std::string(1, static_cast<char>('A' + i)));
+  }
+  Rng rng(3);
+  for (uint32_t s = 0; s < 150; ++s) {
+    EventSequence seq;
+    for (TimeT k = 0; k < 12; ++k) seq.Add(0, k * 10, k * 10 + 3);
+    for (uint32_t j = 0; j < 6; ++j) {
+      const EventId e = static_cast<EventId>(1 + rng.Uniform(kLight));
+      const TimeT b = static_cast<TimeT>(rng.Uniform(120));
+      seq.Add(e, b, b + 1 + static_cast<TimeT>(rng.Uniform(19)));
+    }
+    seq.MergeSameSymbolConflicts();
+    db.AddSequence(std::move(seq));
+  }
+  return db;
+}
+
+// --memory-budget-mb bounds the whole run's tracked total at every thread
+// count. A budget just above the largest unbudgeted 4-thread peak must
+// therefore truncate no thread count, with or without stealing. (An equal
+// per-worker share of the budget would trip whichever worker took the heavy
+// unit.)
+template <typename MakeMiner>
+void CheckBudgetAboveParallelPeak(MakeMiner make_miner) {
+  const IntervalDatabase db = SkewedDatabase();
+  MinerOptions options;
+  options.min_support = 0.3;
+  auto serial = make_miner()->Mine(db, options);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_FALSE(serial->stats.truncated);
+  const auto want = Render(*serial, db.dict());
+
+  // The 4-thread peak depends on which worker mined what (each worker's
+  // arenas grow to fit the largest item it took); take the largest of a few
+  // runs, plus four default arena blocks of slack. The heavy unit's worker
+  // alone needs well over a quarter of that.
+  size_t p4 = 0;
+  options.threads = 4;
+  for (bool steal : {false, true, true}) {
+    for (int rep = 0; rep < 2; ++rep) {
+      options.steal = steal;
+      auto run = make_miner()->Mine(db, options);
+      ASSERT_TRUE(run.ok()) << run.status();
+      p4 = std::max(p4, run->stats.peak_tracked_bytes);
+    }
+  }
+  options.memory_budget_bytes = p4 + 4 * Arena::kDefaultMinBlockBytes;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    for (bool steal : {false, true}) {
+      options.threads = threads;
+      options.steal = steal;
+      auto run = make_miner()->Mine(db, options);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_FALSE(run->stats.truncated)
+          << "threads " << threads << " steal " << steal << " reason "
+          << StopReasonName(run->stats.stop_reason) << " budget "
+          << options.memory_budget_bytes;
+      EXPECT_EQ(Render(*run, db.dict()), want)
+          << "threads " << threads << " steal " << steal;
+    }
+  }
+}
+
+TEST(TruncationTest, BudgetAboveParallelPeakPTPMinerC) {
+  CheckBudgetAboveParallelPeak([] { return MakePTPMinerC(); });
+}
+
+TEST(TruncationTest, BudgetAboveParallelPeakPTPMinerE) {
+  CheckBudgetAboveParallelPeak([] { return MakePTPMinerE(); });
 }
 
 TEST(TruncationTest, UntruncatedRunsReportNone) {

@@ -1,5 +1,6 @@
-// ProgressTracker: amortized ticking, interval gating, ETA projection, and
-// the StatsDomain charges per emission.
+// ProgressTracker: per-worker slots, slot 0's amortized ticking and
+// interval gating, ETA projection, live bytes from the run's memory account,
+// and the StatsDomain charges per emission.
 
 #include "obs/progress.h"
 
@@ -8,6 +9,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/stats_domain.h"
+#include "util/memory.h"
 
 namespace tpm {
 namespace obs {
@@ -17,10 +19,11 @@ TEST(ProgressTrackerTest, ZeroIntervalEmitsOnEveryClockCheck) {
   std::vector<ProgressSnapshot> seen;
   ProgressTracker tracker(0.0,
                           [&seen](const ProgressSnapshot& s) { seen.push_back(s); });
-  // The countdown reaches the clock once per kCheckInterval ticks; with a
-  // zero interval every check emits.
+  tracker.ConfigureWorkers(1, nullptr);
+  // Slot 0's countdown reaches the clock once per kCheckInterval ticks;
+  // with a zero interval every check emits.
   const uint64_t ticks = ProgressTracker::kCheckInterval * 3;
-  for (uint64_t i = 1; i <= ticks; ++i) tracker.TickNode(i, i / 2, i * 10);
+  for (uint64_t i = 1; i <= ticks; ++i) tracker.TickWorker(0);
   EXPECT_EQ(seen.size(), 3u);
   EXPECT_EQ(tracker.snapshots_emitted(), 3u);
   EXPECT_EQ(seen.back().nodes, ticks - ProgressTracker::kCheckInterval + 1);
@@ -31,8 +34,9 @@ TEST(ProgressTrackerTest, LargeIntervalSuppressesPeriodicEmissions) {
   std::vector<ProgressSnapshot> seen;
   ProgressTracker tracker(3600.0,
                           [&seen](const ProgressSnapshot& s) { seen.push_back(s); });
+  tracker.ConfigureWorkers(1, nullptr);
   for (uint64_t i = 1; i <= 10 * ProgressTracker::kCheckInterval; ++i) {
-    tracker.TickNode(i, 0, 0);
+    tracker.TickWorker(0);
   }
   EXPECT_TRUE(seen.empty());
   tracker.Finish();  // the final snapshot ignores the interval
@@ -45,19 +49,20 @@ TEST(ProgressTrackerTest, EtaComesFromBucketCompletion) {
   std::vector<ProgressSnapshot> seen;
   ProgressTracker tracker(0.0,
                           [&seen](const ProgressSnapshot& s) { seen.push_back(s); });
+  tracker.ConfigureWorkers(1, nullptr);
   tracker.SetTotalBuckets(10);
   // No bucket done yet: ETA unknown.
   for (uint64_t i = 1; i <= ProgressTracker::kCheckInterval; ++i) {
-    tracker.TickNode(i, 0, 0);
+    tracker.TickWorker(0);
   }
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen.back().buckets_total, 10u);
   EXPECT_EQ(seen.back().buckets_done, 0u);
   EXPECT_LT(seen.back().eta_seconds, 0.0);
   // Half the buckets done: ETA is defined and roughly equals elapsed.
-  for (int d = 0; d < 5; ++d) tracker.NoteBucketDone();
+  for (int d = 0; d < 5; ++d) tracker.NoteWorkerBucketDone(0);
   for (uint64_t i = 1; i <= ProgressTracker::kCheckInterval; ++i) {
-    tracker.TickNode(100 + i, 0, 0);
+    tracker.TickWorker(0);
   }
   const ProgressSnapshot& last = seen.back();
   EXPECT_EQ(last.buckets_done, 5u);
@@ -69,9 +74,14 @@ TEST(ProgressTrackerTest, FinalSnapshotHasNoEta) {
   ProgressSnapshot last;
   ProgressTracker tracker(3600.0,
                           [&last](const ProgressSnapshot& s) { last = s; });
+  MemoryTracker account;
+  account.Allocate(100);
+  tracker.ConfigureWorkers(1, &account);
   tracker.SetTotalBuckets(4);
-  tracker.NoteBucketDone();
-  tracker.TickNode(5, 2, 100);
+  tracker.NoteWorkerBucketDone(0);
+  tracker.TickWorker(0);
+  tracker.NoteWorkerPattern(0);
+  tracker.NoteWorkerPattern(0);
   tracker.Finish();
   EXPECT_TRUE(last.final_snapshot);
   EXPECT_LT(last.eta_seconds, 0.0);
@@ -83,8 +93,9 @@ TEST(ProgressTrackerTest, FinalSnapshotHasNoEta) {
 TEST(ProgressTrackerTest, ChargesDomainPerEmission) {
   StatsDomain domain("d");
   ProgressTracker tracker(0.0, nullptr, &domain);
+  tracker.ConfigureWorkers(1, nullptr);
   for (uint64_t i = 1; i <= 2 * ProgressTracker::kCheckInterval; ++i) {
-    tracker.TickNode(i, 0, 0);
+    tracker.TickWorker(0);
   }
   tracker.Finish();
   EXPECT_EQ(domain.Snapshot().CounterValue("progress.snapshots"),
@@ -97,47 +108,67 @@ TEST(ProgressTrackerTest, WorkerSlotsFoldIntoSnapshots) {
   std::vector<ProgressSnapshot> seen;
   ProgressTracker tracker(3600.0,
                           [&seen](const ProgressSnapshot& s) { seen.push_back(s); });
+  MemoryTracker account;
   tracker.SetTotalBuckets(6);
-  tracker.ConfigureWorkers(3);
-  // The owner thread keeps its own base totals (the root expansion in the
-  // parallel engine); workers publish cumulative totals into their slots.
-  tracker.TickNode(10, 1, 100);
-  tracker.TickWorker(0, 50, 3, 1000);
-  tracker.TickWorker(1, 30, 2, 500);
-  tracker.TickWorker(2, 5, 0, 50);
-  tracker.NoteBucketDone();           // owner-side bucket
+  tracker.ConfigureWorkers(3, &account);
+  // Each worker publishes into its own slot; the live bytes are the shared
+  // run account's value at emission, not a per-slot sum.
+  const uint64_t nodes[3] = {50, 30, 5};
+  const uint64_t patterns[3] = {3, 2, 0};
+  for (uint32_t w = 0; w < 3; ++w) {
+    for (uint64_t i = 0; i < nodes[w]; ++i) tracker.TickWorker(w);
+    for (uint64_t i = 0; i < patterns[w]; ++i) tracker.NoteWorkerPattern(w);
+  }
   tracker.NoteWorkerBucketDone(0);
   tracker.NoteWorkerBucketDone(0);
   tracker.NoteWorkerBucketDone(2);
+  account.Allocate(1550);
   tracker.Finish();
   ASSERT_EQ(seen.size(), 1u);
   const ProgressSnapshot& snap = seen.back();
-  EXPECT_EQ(snap.nodes, 10u + 50 + 30 + 5);
-  EXPECT_EQ(snap.patterns, 1u + 3 + 2);
-  EXPECT_EQ(snap.projected_bytes, 100u + 1000 + 500 + 50);
-  EXPECT_EQ(snap.buckets_done, 4u);
+  EXPECT_EQ(snap.nodes, 50u + 30 + 5);
+  EXPECT_EQ(snap.patterns, 3u + 2);
+  EXPECT_EQ(snap.projected_bytes, 1550u);
+  EXPECT_EQ(snap.buckets_done, 3u);
   EXPECT_EQ(snap.buckets_total, 6u);
 }
 
+TEST(ProgressTrackerTest, OnlySlotZeroDrivesEmission) {
+  std::vector<ProgressSnapshot> seen;
+  ProgressTracker tracker(0.0,
+                          [&seen](const ProgressSnapshot& s) { seen.push_back(s); });
+  tracker.ConfigureWorkers(2, nullptr);
+  for (uint64_t i = 0; i < 10 * ProgressTracker::kCheckInterval; ++i) {
+    tracker.TickWorker(1);
+  }
+  EXPECT_TRUE(seen.empty());
+  tracker.TickWorker(0);  // the owner's first tick reaches the clock
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].nodes, 10u * ProgressTracker::kCheckInterval + 1);
+}
+
 TEST(ProgressTrackerTest, ConcurrentWorkerTicksAreSafe) {
-  // Hammer TickWorker/NoteWorkerBucketDone from several threads while the
-  // owner polls — meaningful under TSan; the final fold must see each
-  // worker's last published totals exactly once.
+  // Helpers hammer their slots and the shared account while worker 0 ticks
+  // (and so emits) and polls — meaningful under TSan; the final fold must
+  // see every slot's ticks exactly once.
   std::vector<ProgressSnapshot> seen;
   ProgressTracker tracker(0.0,
                           [&seen](const ProgressSnapshot& s) { seen.push_back(s); });
   constexpr uint32_t kWorkers = 4;
   constexpr uint64_t kTicks = 2000;
-  tracker.ConfigureWorkers(kWorkers);
+  MemoryTracker account;
+  tracker.ConfigureWorkers(kWorkers, &account);
+  auto work = [&tracker, &account](uint32_t w) {
+    for (uint64_t i = 1; i <= kTicks; ++i) {
+      tracker.TickWorker(w);
+      if (i % 10 == 0) tracker.NoteWorkerPattern(w);
+      account.Allocate(4);
+    }
+    tracker.NoteWorkerBucketDone(w);
+  };
   std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&tracker, w] {
-      for (uint64_t i = 1; i <= kTicks; ++i) {
-        tracker.TickWorker(w, i, i / 10, i * 4);
-      }
-      tracker.NoteWorkerBucketDone(w);
-    });
-  }
+  for (uint32_t w = 1; w < kWorkers; ++w) threads.emplace_back(work, w);
+  work(0);
   for (int poll = 0; poll < 100; ++poll) tracker.PollEmit();
   for (std::thread& th : threads) th.join();
   tracker.Finish();
@@ -145,6 +176,7 @@ TEST(ProgressTrackerTest, ConcurrentWorkerTicksAreSafe) {
   const ProgressSnapshot& snap = seen.back();
   EXPECT_EQ(snap.nodes, kWorkers * kTicks);
   EXPECT_EQ(snap.patterns, kWorkers * (kTicks / 10));
+  EXPECT_EQ(snap.projected_bytes, kWorkers * kTicks * 4);
   EXPECT_EQ(snap.buckets_done, static_cast<uint64_t>(kWorkers));
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "util/timer.h"
@@ -31,6 +32,30 @@ TEST(MemoryTrackerTest, OverReleaseClampsToZero) {
   t.Allocate(10);
   t.Release(100);
   EXPECT_EQ(t.current_bytes(), 0u);
+}
+
+TEST(MemoryTrackerTest, ConcurrentChargesSumExactly) {
+  // One account shared by several threads (the parallel growth engine's
+  // shape): every charge lands, and the peak is the true high-water mark.
+  MemoryTracker t;
+  t.Allocate(1000);
+  constexpr int kThreads = 4;
+  constexpr int kCharges = 5000;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&t] {
+      for (int j = 0; j < kCharges; ++j) {
+        t.Allocate(8);
+        t.Release(8);
+      }
+      t.Allocate(16);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  // A thread holds at most 8 bytes in its loop and 16 after it, so the
+  // final value is also the peak.
+  EXPECT_EQ(t.current_bytes(), 1000u + kThreads * 16);
+  EXPECT_EQ(t.peak_bytes(), 1000u + kThreads * 16);
 }
 
 TEST(RssTest, ProcReadsArePlausible) {
