@@ -1,5 +1,5 @@
-// Dataset exploration workflow: profile an unknown interval dataset, let
-// top-k mining pick the support threshold, and read the strongest temporal
+// Dataset exploration workflow: profile an unknown interval dataset, mine it
+// once at a modest support threshold, and read the strongest multi-interval
 // structure — the "first hour with a new dataset" recipe.
 //
 //   $ ./examples/dataset_exploration [path/to/db.tisd]
@@ -7,13 +7,14 @@
 // Without an argument, a synthetic QUEST dataset stands in for "your data".
 
 #include <cstdio>
+#include <vector>
 
 #include "analysis/postprocess.h"
 #include "analysis/profile.h"
 #include "analysis/render.h"
-#include "analysis/topk.h"
 #include "datagen/quest.h"
 #include "io/loader.h"
+#include "miner/miner.h"
 
 using namespace tpm;
 
@@ -49,28 +50,33 @@ int main(int argc, char** argv) {
   // 2. Profile: what does this data look like?
   std::printf("== Profile ==\n%s\n", ProfileReport(db, 8).c_str());
 
-  // 3. Let top-k mining find the interesting support level: the 15 strongest
-  //    multi-interval arrangements, no threshold guessing.
+  // 3. Mine once at 4% support and rank the multi-interval arrangements
+  //    (at least four endpoints) by support: the 15 strongest.
   MinerOptions options;
+  options.min_support = 0.04;
   options.max_items = 8;
-  TopKStats stats;
-  auto top = MineTopKEndpoint(db, /*k=*/15, options, /*min_items=*/4, &stats);
-  if (!top.ok()) {
-    std::fprintf(stderr, "mining failed: %s\n", top.status().ToString().c_str());
+  auto mined = MakePTPMinerE()->Mine(db, options);
+  if (!mined.ok()) {
+    std::fprintf(stderr, "mining failed: %s\n", mined.status().ToString().c_str());
     return 1;
   }
-  std::printf("== Top %zu multi-interval arrangements ==\n", top->patterns.size());
-  std::printf("(threshold back-off: %u rounds, final cut at support %u)\n\n",
-              stats.rounds, stats.kth_support);
-  for (const auto& [pattern, support] : top->patterns) {
+  std::vector<MinedPattern<EndpointPattern>> multi;
+  for (const auto& mp : mined->patterns) {
+    if (mp.pattern.num_items() >= 4) multi.push_back(mp);
+  }
+  const auto top = TopKBySupport(std::move(multi), 15);
+  std::printf("== Top %zu multi-interval arrangements ==\n", top.size());
+  std::printf("(mined at support %.0f%%: %zu patterns)\n\n",
+              100.0 * options.min_support, mined->patterns.size());
+  for (const auto& [pattern, support] : top) {
     std::printf("  %5.1f%%  %s\n", 100.0 * support / static_cast<double>(db.size()),
                 DescribeArrangement(pattern, db.dict()).c_str());
   }
 
   // 4. Zoom into the single strongest arrangement as a timeline.
-  if (!top->patterns.empty()) {
+  if (!top.empty()) {
     std::printf("\nStrongest arrangement, slice by slice:\n%s",
-                RenderTimeline(top->patterns.front().pattern, db.dict()).c_str());
+                RenderTimeline(top.front().pattern, db.dict()).c_str());
   }
   return 0;
 }

@@ -11,8 +11,8 @@
 //     or different options fails fast with a precise field-by-field diff;
 //   * the set of completed units, so resumed runs skip finished subtrees;
 //   * every pattern emitted up to the boundary, in emission order;
-//   * the run's metrics delta at the boundary, so the resumed run can fold
-//     prior work through MergeDomainSnapshots.
+//   * the run's metrics delta at the boundary, which the resumed run folds
+//     in as its base (obs::MergeSnapshots).
 //
 // The level-wise miners do not checkpoint.
 //

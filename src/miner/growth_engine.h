@@ -676,7 +676,16 @@ class GrowthEngine {
     ReleaseNode(w, &nc, depth);
   }
 
+  /// Claims the pattern's slot in the run-wide total before keeping it, so
+  /// concurrent emitters cannot overshoot max_patterns: a worker whose slot
+  /// is past the cap keeps nothing and stops.
   void EmitPattern(WorkerCtx& w, SupportCount support) {
+    const uint64_t slot =
+        patterns_total_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (options_.max_patterns > 0 && slot > options_.max_patterns) {
+      w.guard->Trip(StopReason::kPatternCap);
+      return;
+    }
     w.out->bank.push_back(
         MinedPattern<PatternT>{w.policy->MakePattern(), support});
     ++w.out->tally.patterns;
@@ -684,9 +693,7 @@ class GrowthEngine {
     // items + slice offsets (incl. the trailing end offset).
     tracker_.Allocate((w.policy->PatternLen() + w.policy->NumBlocks() + 1) *
                       sizeof(uint32_t));
-    const uint64_t total =
-        patterns_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    w.guard->NotePattern(total);
+    w.guard->NotePattern(slot);
     if (top_k_ > 0) OfferSupport(w, support);
   }
 
@@ -1097,10 +1104,10 @@ class GrowthEngine {
 
   /// base (preamble delta, or the resumed segment's boundary metrics) +
   /// the sum of every delivered unit's tally + the run domain's tail + the
-  /// workers' scheduling attribution. Resumed units carry a zero tally
-  /// (their charges are in the base); the tally sum and the fold of the
-  /// three parts are commutative, so the result depends only on the
-  /// multiset of charges.
+  /// workers' scheduling attribution, folded in that fixed order. Resumed
+  /// units carry a zero tally (their charges are in the base); the tally
+  /// sum is commutative, so the result depends only on the multiset of
+  /// charges.
   obs::MetricsSnapshot FinalMetrics() const {
     const SearchTally units = UnitTallies();
     obs::MetricsRegistry search;
@@ -1115,10 +1122,9 @@ class GrowthEngine {
       nodes.ChargeTo(search.GetHistogram("miner.worker.nodes", nodes.Bounds()));
       done.ChargeTo(search.GetHistogram("miner.worker.units", done.Bounds()));
     }
-    return obs::MergeDomainSnapshots(
-        {{"base", BaseMetrics()},
-         {"search", search.Snapshot()},
-         {"tail", domain_->registry().Snapshot().Since(preamble_end_)}});
+    return obs::MergeSnapshots(
+        {BaseMetrics(), search.Snapshot(),
+         domain_->registry().Snapshot().Since(preamble_end_)});
   }
 
   /// Every delivered unit's tally summed (resumed units add zero).
@@ -1138,8 +1144,7 @@ class GrowthEngine {
     for (const UnitOutcome& o : outcomes_) {
       if (o.complete) done.Add(o.tally);
     }
-    return obs::MergeDomainSnapshots(
-        {{"base", BaseMetrics()}, {"units", done.Snapshot(top_k_ > 0)}});
+    return obs::MergeSnapshots({BaseMetrics(), done.Snapshot(top_k_ > 0)});
   }
 
   obs::MetricsSnapshot BaseMetrics() const {
@@ -1292,8 +1297,8 @@ class GrowthEngine {
 
   /// Worker budgets derived so the crew respects the run's limits: the
   /// remaining wall budget (the deadline is absolute), the whole memory
-  /// budget against the shared run account, and the pattern cap enforced
-  /// exactly via the shared emission total.
+  /// budget against the shared run account, and the pattern cap against
+  /// the shared emission total (EmitPattern claims a slot first).
   GuardLimits MakeWorkerLimits() {
     GuardLimits limits = options_.ToGuardLimits();
     if (limits.time_budget_seconds > 0.0) {

@@ -7,8 +7,9 @@
 // total count of everything ever recorded, so a postmortem states both "the
 // last N milestones" and "how many were dropped".
 //
-// Thread-compatible, like the miners that write it: one recorder per domain,
-// one owner at a time (the parallel miner gives each worker its own domain).
+// Thread-compatible, like the run that writes it: one recorder per domain,
+// one owner at a time (a parallel run records its milestones from the
+// calling thread only).
 // Under TPM_OBS_DISABLED, Record() is a no-op and Events() is empty.
 
 #pragma once

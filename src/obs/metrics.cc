@@ -1,8 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-
-#include "util/sched_test.h"
+#include <map>
 
 namespace tpm {
 namespace obs {
@@ -110,69 +109,68 @@ std::vector<uint64_t> LinearBounds(uint64_t start, uint64_t step, size_t count) 
   return bounds;
 }
 
+MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
+  // std::map keeps the metric-name ordering the snapshot contract requires.
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, int64_t> gauges;
+  std::map<std::string, HistogramSample> histograms;
+  for (const MetricsSnapshot& part : parts) {
+    for (const CounterSample& c : part.counters) counters[c.name] += c.value;
+    for (const GaugeSample& g : part.gauges) {
+      auto [it, inserted] = gauges.emplace(g.name, g.value);
+      if (!inserted) it->second = std::max(it->second, g.value);
+    }
+    for (const HistogramSample& h : part.histograms) {
+      auto [it, inserted] = histograms.emplace(h.name, h);
+      if (inserted) continue;
+      HistogramSample& acc = it->second;
+      if (acc.bounds != h.bounds || acc.counts.size() != h.counts.size()) {
+        continue;  // shape conflict: the first occurrence wins
+      }
+      for (size_t i = 0; i < h.counts.size(); ++i) acc.counts[i] += h.counts[i];
+      acc.count += h.count;
+      acc.sum += h.sum;
+    }
+  }
+  MetricsSnapshot merged;
+  merged.counters.reserve(counters.size());
+  for (const auto& [name, value] : counters) merged.counters.push_back({name, value});
+  merged.gauges.reserve(gauges.size());
+  for (const auto& [name, value] : gauges) merged.gauges.push_back({name, value});
+  merged.histograms.reserve(histograms.size());
+  for (const auto& [name, h] : histograms) merged.histograms.push_back(h);
+  return merged;
+}
+
 // ---------------------------------------------------------------------------
 // Live registry
 // ---------------------------------------------------------------------------
 
 #ifndef TPM_OBS_DISABLED
 
-namespace internal {
-
-size_t ThisThreadShard() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kNumShards;
-  return shard;
-}
-
-}  // namespace internal
-
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const internal::ShardCell& cell : cells_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (internal::ShardCell& cell : cells_) {
-    cell.value.store(0, std::memory_order_relaxed);
-  }
-}
-
-Histogram::Histogram(std::vector<uint64_t> bounds) : bounds_(std::move(bounds)) {
-  for (Shard& shard : shards_) {
-    shard.counts = std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
-  }
-}
+Histogram::Histogram(std::vector<uint64_t> bounds)
+    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {}
 
 void Histogram::Observe(uint64_t v) {
   // First bucket whose (inclusive) upper bound admits v; overflow otherwise.
   const size_t b = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  Shard& shard = shards_[internal::ThisThreadShard()];
-  shard.counts[b].fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(v, std::memory_order_relaxed);
+  counts_[b].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 void Histogram::MergeCounts(const std::vector<uint64_t>& bounds,
                             const std::vector<uint64_t>& counts, uint64_t sum) {
-  if (bounds != bounds_ || counts.size() != bounds_.size() + 1) return;
-  Shard& shard = shards_[internal::ThisThreadShard()];
+  if (bounds != bounds_ || counts.size() != counts_.size()) return;
   for (size_t i = 0; i < counts.size(); ++i) {
-    shard.counts[i].fetch_add(counts[i], std::memory_order_relaxed);
+    counts_[i].fetch_add(counts[i], std::memory_order_relaxed);
   }
-  shard.sum.fetch_add(sum, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
 }
 
 void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    for (std::atomic<uint64_t>& c : shard.counts) {
-      c.store(0, std::memory_order_relaxed);
-    }
-    shard.sum.store(0, std::memory_order_relaxed);
-  }
+  for (std::atomic<uint64_t>& c : counts_) c.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -229,14 +227,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       HistogramSample h;
       h.name = name;
       h.bounds = histogram.bounds_;
-      h.counts.assign(h.bounds.size() + 1, 0);
-      for (const Histogram::Shard& shard : histogram.shards_) {
-        for (size_t i = 0; i < shard.counts.size(); ++i) {
-          h.counts[i] += shard.counts[i].load(std::memory_order_relaxed);
-        }
-        h.sum += shard.sum.load(std::memory_order_relaxed);
+      h.counts.reserve(histogram.counts_.size());
+      for (const std::atomic<uint64_t>& c : histogram.counts_) {
+        h.counts.push_back(c.load(std::memory_order_relaxed));
+        h.count += h.counts.back();
       }
-      for (uint64_t c : h.counts) h.count += c;
+      h.sum = histogram.sum_.load(std::memory_order_relaxed);
       snap.histograms.push_back(std::move(h));
     }
   }
@@ -248,9 +244,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 }
 
 void MetricsRegistry::MergeSnapshot(const MetricsSnapshot& delta) {
-  // Tier E seam: concurrent folds into one registry must commute
-  // (util/sched_test.h).
-  TPM_TEST_YIELD("obs.registry.merge");
   for (const CounterSample& c : delta.counters) {
     if (c.value != 0) GetCounter(c.name)->Increment(c.value);
   }

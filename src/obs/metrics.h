@@ -1,10 +1,10 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //
-// Hot-path writes are lock-free: every metric owns a small fixed array of
-// cache-line-padded atomic shards and each thread is pinned to one shard
-// (assigned round-robin on first use), so increments from the mining inner
-// loops are uncontended relaxed fetch_adds. Scraping merges the shards under
-// the registry mutex into an immutable MetricsSnapshot, which the exporters
+// Writes are lock-free relaxed atomics, safe from any thread. No charge site
+// is on a per-node mining path (the miners' per-node counts go to a plain
+// SearchTally, miner/miner_metrics.h, converted at run end), so each metric
+// is a single atomic cell. Scraping reads the cells under the registry
+// mutex into an immutable MetricsSnapshot, which the exporters
 // (ToString / ToJson / ToPrometheus, see exporters.cc) render.
 //
 // Compile with -DTPM_OBS_DISABLED to stub out every write with an inline
@@ -93,26 +93,21 @@ std::vector<uint64_t> ExponentialBounds(uint64_t start, double factor,
 /// Bucket helper: {start, start+step, ...}, `count` bounds.
 std::vector<uint64_t> LinearBounds(uint64_t start, uint64_t step, size_t count);
 
+/// Folds snapshots into one, in the given order, with metrics sorted by
+/// name:
+///   counters:    sum
+///   gauges:      max (the gauges a run reports are peaks)
+///   histograms:  per-bucket sum when bounds match; a histogram whose bounds
+///                 differ from the name's first occurrence is dropped.
+/// The growth engine folds a run's parts (preamble, summed unit tallies,
+/// tail) through it in a fixed order.
+MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts);
+
 // ---------------------------------------------------------------------------
 // Live metric handles
 // ---------------------------------------------------------------------------
 
 #ifndef TPM_OBS_DISABLED
-
-namespace internal {
-
-/// Number of write shards per metric. Threads are pinned round-robin, so up
-/// to this many threads increment without cache-line contention.
-constexpr size_t kNumShards = 8;
-
-struct alignas(64) ShardCell {
-  std::atomic<uint64_t> value{0};
-};
-
-/// Index of the calling thread's shard (stable for the thread's lifetime).
-size_t ThisThreadShard();
-
-}  // namespace internal
 
 /// Monotonically increasing count. Writes are lock-free. Obtain instances
 /// from a MetricsRegistry; metrics are immovable (they contain atomics).
@@ -121,18 +116,16 @@ class Counter {
   Counter() = default;
 
   void Increment(uint64_t n = 1) {
-    cells_[internal::ThisThreadShard()].value.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Merged value across shards.
-  uint64_t Value() const;
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
-  void Reset();
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
-  internal::ShardCell cells_[internal::kNumShards];
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Last-write-wins signed value (sizes, configuration echoes).
@@ -141,7 +134,6 @@ class Gauge {
   Gauge() = default;
 
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -169,13 +161,9 @@ class Histogram {
   friend class MetricsRegistry;
   void Reset();
 
-  struct Shard {
-    std::vector<std::atomic<uint64_t>> counts;  // bounds.size() + 1
-    std::atomic<uint64_t> sum{0};
-  };
-
   std::vector<uint64_t> bounds_;
-  Shard shards_[internal::kNumShards];
+  std::vector<std::atomic<uint64_t>> counts_;  // bounds_.size() + 1
+  std::atomic<uint64_t> sum_{0};
 };
 
 /// Owner of all metrics. Handles returned by Get* are valid for the
@@ -197,11 +185,11 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name,
                           std::vector<uint64_t> bounds);
 
-  /// Merges all shards into a sorted snapshot.
+  /// Reads every metric into a snapshot sorted by name.
   MetricsSnapshot Snapshot() const;
 
-  /// Folds a snapshot (typically a per-domain delta, see stats_domain.h)
-  /// into this registry: counters add their value, nonzero gauges Set
+  /// Folds a snapshot (a run's merged metrics, see growth_engine.h) into
+  /// this registry: counters add their value, nonzero gauges Set
   /// (last-write-wins, like any gauge write), histograms add their bucket
   /// counts when the bounds match (mismatched bounds are dropped — the name
   /// already exists here with a different shape, so the data is
@@ -226,7 +214,7 @@ class MetricsRegistry {
       TPM_ACQUIRED_BEFORE(::tpm::obs::internal::TraceRingMu());
   // Deques keep handle addresses stable across registration; the mutex
   // guards the containers (registration / snapshot), never the metric cells
-  // themselves — those are written lock-free through the shards.
+  // themselves — those are written lock-free.
   std::deque<std::pair<std::string, Counter>> counters_ TPM_GUARDED_BY(mu_);
   std::deque<std::pair<std::string, Gauge>> gauges_ TPM_GUARDED_BY(mu_);
   std::deque<std::pair<std::string, Histogram>> histograms_
@@ -249,7 +237,6 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t) {}
-  void Add(int64_t) {}
   int64_t Value() const { return 0; }
 };
 

@@ -1,8 +1,5 @@
 #include "obs/stats_domain.h"
 
-#include <algorithm>
-#include <map>
-
 #include "util/string_util.h"
 
 namespace tpm {
@@ -39,48 +36,6 @@ std::string JsonEscape(const std::string& s) {
 }
 
 }  // namespace
-
-MetricsSnapshot MergeDomainSnapshots(std::vector<DomainSnapshot> domains) {
-  // Sorting by id first makes the only order-sensitive rule — which bounds
-  // win a histogram shape conflict — deterministic; every other fold below
-  // is commutative, so the input order cannot leak into the result.
-  std::sort(domains.begin(), domains.end(),
-            [](const DomainSnapshot& a, const DomainSnapshot& b) {
-              return a.domain_id < b.domain_id;
-            });
-  // std::map keeps the metric-name ordering the snapshot contract requires.
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
-  std::map<std::string, HistogramSample> histograms;
-  for (const DomainSnapshot& d : domains) {
-    for (const CounterSample& c : d.snapshot.counters) {
-      counters[c.name] += c.value;
-    }
-    for (const GaugeSample& g : d.snapshot.gauges) {
-      auto [it, inserted] = gauges.emplace(g.name, g.value);
-      if (!inserted) it->second = std::max(it->second, g.value);
-    }
-    for (const HistogramSample& h : d.snapshot.histograms) {
-      auto [it, inserted] = histograms.emplace(h.name, h);
-      if (inserted) continue;
-      HistogramSample& acc = it->second;
-      if (acc.bounds != h.bounds || acc.counts.size() != h.counts.size()) {
-        continue;  // shape conflict: first (sorted) occurrence wins
-      }
-      for (size_t i = 0; i < h.counts.size(); ++i) acc.counts[i] += h.counts[i];
-      acc.count += h.count;
-      acc.sum += h.sum;
-    }
-  }
-  MetricsSnapshot merged;
-  merged.counters.reserve(counters.size());
-  for (const auto& [name, value] : counters) merged.counters.push_back({name, value});
-  merged.gauges.reserve(gauges.size());
-  for (const auto& [name, value] : gauges) merged.gauges.push_back({name, value});
-  merged.histograms.reserve(histograms.size());
-  for (const auto& [name, h] : histograms) merged.histograms.push_back(h);
-  return merged;
-}
 
 std::string PostmortemJson(const StatsDomain& domain, const std::string& outcome,
                            const std::string& detail,

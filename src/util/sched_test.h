@@ -4,21 +4,21 @@
 //
 // TPM_TEST_YIELD(point) marks a concurrency seam — a place where the
 // interleaving of worker threads can actually change which order shared
-// state is observed in (domain-snapshot publish, arena rewind/generation
-// bump, checkpoint-unit boundaries). In normal builds the macro is
-// `(void)0` and costs nothing. Under -DTPM_SCHED_TEST=ON (a CMake option,
-// TSan CI job) each yield point consults a test-installed
-// ScheduleController that perturbs the calling thread — a seeded mix of
-// sched yields and short sleeps — so a test can drive the *same* workload
-// through hundreds of distinct interleavings by sweeping seeds, and assert
-// that order-invariant contracts (MergeDomainSnapshots, pattern-bank folds)
-// produce byte-identical results under every one of them
+// state is observed in (claiming a work item, publishing a split unit,
+// delivering a finished unit, the merger's unit boundary, arena rewind). In
+// normal builds the macro is `(void)0` and costs nothing. Under
+// -DTPM_SCHED_TEST=ON (a CMake option, TSan CI job) each yield point
+// consults a test-installed ScheduleController that perturbs the calling
+// thread — a seeded mix of sched yields and short sleeps — so a test can
+// drive the *same* mining run through hundreds of distinct interleavings by
+// sweeping seeds, and assert that the parallel miner's output and merged
+// metrics are byte-identical to the serial run's under every one of them
 // (tests/util/sched_explore_test.cc).
 //
 // Placement rules (documented in docs/STATIC_ANALYSIS.md): plant a yield
-// point only where a future parallel miner will cross threads — publishing
-// a snapshot, rewinding an arena another view could reference, completing a
-// checkpoint unit. Do not plant inside a critical section (it would just
+// point only where the parallel miner's threads meet — claiming or
+// publishing work, delivering a result, rewinding an arena another view
+// could reference. Do not plant inside a critical section (it would just
 // stretch lock hold times), and never on a per-item hot path.
 
 #pragma once

@@ -99,9 +99,10 @@ namespace tpm {
 
 /// \brief std::mutex with thread-safety capability annotations.
 ///
-/// Off the hot paths by design: every mining inner loop writes through
-/// lock-free sharded atomics (src/obs/metrics.h); mutexes guard the cold
-/// registration / snapshot / configuration paths only.
+/// Off the hot paths by design: the mining inner loops charge plain
+/// per-work-item tallies (src/miner/miner_metrics.h) and registry metrics
+/// write lock-free atomics (src/obs/metrics.h); mutexes guard the cold
+/// registration / snapshot / scheduling paths only.
 class TPM_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

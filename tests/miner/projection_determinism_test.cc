@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@ namespace tpm {
 namespace {
 
 using testing::ComparableMetricsJson;
+using testing::EmissionOrderRender;
 using testing::Render;
 
 constexpr uint32_t kNumDatabases = 25;
@@ -58,31 +58,6 @@ INSTANTIATE_TEST_SUITE_P(QuestSeeds, ProjectionDeterminismTest,
                          ::testing::Range(uint64_t{1},
                                           uint64_t{kNumDatabases + 1}));
 
-// Every mask run charges its own StatsDomain; folding the eight domains in
-// shuffled completion orders must produce byte-identical merged snapshots —
-// the contract the future parallel miner's merger relies on, exercised here
-// with real mining deltas rather than synthetic values.
-TEST_P(ProjectionDeterminismTest, MergedMetricsSnapshotsAreOrderInvariant) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  std::vector<obs::DomainSnapshot> snaps;
-  for (uint32_t mask = 0; mask < 8; ++mask) {
-    MinerOptions options = BaseOptions(mask);
-    obs::StatsDomain domain("mask-" + std::to_string(mask));
-    options.stats_domain = &domain;
-    auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-    ASSERT_TRUE(result.ok()) << result.status();
-    snaps.push_back(domain.TakeSnapshot());
-  }
-  const std::string reference = obs::MergeDomainSnapshots(snaps).ToJson();
-  std::mt19937 rng(GetParam());
-  for (int round = 0; round < 5; ++round) {
-    auto shuffled = snaps;
-    std::shuffle(shuffled.begin(), shuffled.end(), rng);
-    EXPECT_EQ(obs::MergeDomainSnapshots(shuffled).ToJson(), reference)
-        << "round " << round;
-  }
-}
-
 // Under a window constraint the pruned pseudo-projection search must still
 // match the physical-projection baselines (TPrefixSpan / CTMiner), which
 // copy every postfix and run without pruning.
@@ -104,18 +79,6 @@ TEST_P(ProjectionDeterminismTest, WindowConstraintAgreesAcrossBackends) {
   cc->SortCanonically();
   EXPECT_EQ(Render(*ep, db.dict()), Render(*ec, db.dict()));
   EXPECT_EQ(Render(*cp, db.dict()), Render(*cc, db.dict()));
-}
-
-// Renders the exact emission order (testing::Render sorts): the parallel
-// merger must reproduce the single-thread pattern STREAM, not just the set.
-template <typename PatternT>
-std::string EmissionOrderRender(const MiningResult<PatternT>& result,
-                                const Dictionary& dict) {
-  std::string out;
-  for (const auto& mp : result.patterns) {
-    out += mp.pattern.ToString(dict) + "@" + std::to_string(mp.support) + "\n";
-  }
-  return out;
 }
 
 // MiningStats' state and candidate counts are summed from the same per-item

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <string>
 
+#include "datagen/quest.h"
 #include "miner/miner.h"
 #include "testing/test_util.h"
 #include "util/arena.h"
@@ -81,6 +82,57 @@ TEST(TruncationTest, PatternCapCTMiner) {
 TEST(TruncationTest, PatternCapBruteForceOracles) {
   CheckPatternCapTruncation([] { return MakeBruteForceEndpointMiner(); });
   CheckPatternCapTruncation([] { return MakeBruteForceCoincidenceMiner(); });
+}
+
+// The pattern cap keeps exactly max_patterns patterns at every --threads:
+// a worker claims its pattern's slot in the run-wide total before keeping
+// the pattern, so workers that emit at the same moment cannot all keep
+// theirs past the cap. Which patterns survive depends on scheduling; each
+// must still be one the full run reports.
+TEST(TruncationTest, PatternCapIsExactAtEveryThreadCount) {
+  QuestConfig config;
+  config.num_sequences = 500;
+  config.num_symbols = 40;
+  config.seed = 101;
+  auto db = GenerateQuest(config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  MinerOptions options;
+  options.min_support = 0.02;
+  auto full = MakePTPMinerC()->Mine(*db, options);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_FALSE(full->stats.truncated);
+  ASSERT_GT(full->patterns.size(), 2000u) << "test database too small";
+  const auto canonical = Render(*full, db->dict());
+
+  constexpr int kReps = 8;
+  int runs = 0;
+  int overshoots = 0;
+  for (uint64_t cap : {50u, 500u, 2000u}) {
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      for (bool steal : {false, true}) {
+        for (int rep = 0; rep < kReps; ++rep) {
+          options.max_patterns = cap;
+          options.threads = threads;
+          options.steal = steal;
+          auto run = MakePTPMinerC()->Mine(*db, options);
+          ASSERT_TRUE(run.ok()) << run.status();
+          ++runs;
+          if (run->patterns.size() != cap) {
+            ++overshoots;
+            ADD_FAILURE() << "cap " << cap << " threads " << threads
+                          << " steal " << steal << " kept "
+                          << run->patterns.size();
+          }
+          EXPECT_EQ(run->stats.stop_reason, StopReason::kPatternCap);
+          EXPECT_EQ(run->stats.patterns_found, run->patterns.size());
+          EXPECT_TRUE(IsSubsetOf(Render(*run, db->dict()), canonical))
+              << "cap " << cap << " threads " << threads << " steal "
+              << steal;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(overshoots, 0) << "of " << runs << " capped runs";
 }
 
 TEST(TruncationTest, PreCancelledTokenStopsImmediately) {

@@ -27,6 +27,7 @@ TEST(MetricsTest, DisabledStubsCompileAndStayEmpty) {
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   EXPECT_TRUE(snap.Empty());
   EXPECT_EQ(snap.CounterValue("stub.counter"), 0u);
+  EXPECT_TRUE(MergeSnapshots({snap, snap}).Empty());
 }
 
 #else  // !TPM_OBS_DISABLED
@@ -53,11 +54,11 @@ TEST(MetricsTest, SameNameReturnsSameHandle) {
   EXPECT_EQ(a, b);
 }
 
-TEST(MetricsTest, GaugeSetAndAdd) {
+TEST(MetricsTest, GaugeSetIsLastWriteWins) {
   Gauge* g = MetricsRegistry::Global().GetGauge(Unique("test.gauge"));
   g->Set(10);
   EXPECT_EQ(g->Value(), 10);
-  g->Add(-3);
+  g->Set(7);
   EXPECT_EQ(g->Value(), 7);
   g->Set(0);
   EXPECT_EQ(g->Value(), 0);
@@ -142,6 +143,83 @@ TEST(MetricsTest, SnapshotSinceSubtractsCountersAndKeepsGauges) {
   const GaugeSample* gs = delta.FindGauge(gname);
   ASSERT_NE(gs, nullptr);
   EXPECT_EQ(gs->value, 200);
+}
+
+// MergeSnapshot folds a run's merged metrics into a registry: counters add,
+// nonzero gauges overwrite, histograms add per bucket when the bounds match,
+// and names the target lacks are registered.
+TEST(MetricsTest, MergeSnapshotFoldsIntoTarget) {
+  MetricsRegistry target;
+  target.GetCounter("search.nodes")->Increment(5);
+  target.GetGauge("miner.arena.peak_bytes")->Set(100);
+  target.GetHistogram("search.nodes", {1, 2})->Observe(1);
+  MetricsRegistry run;
+  run.GetCounter("search.nodes")->Increment(10);
+  run.GetGauge("process.peak_rss_bytes")->Set(4096);
+  run.GetGauge("miner.arena.peak_bytes")->Set(0);  // zero: left as is
+  run.GetHistogram("search.nodes", {1, 2})->Observe(2);
+  run.GetHistogram("search.projected_seqs", {4})->Observe(9);
+  target.MergeSnapshot(run.Snapshot());
+
+  const MetricsSnapshot snap = target.Snapshot();
+  EXPECT_EQ(snap.CounterValue("search.nodes"), 15u);
+  ASSERT_NE(snap.FindGauge("process.peak_rss_bytes"), nullptr);
+  EXPECT_EQ(snap.FindGauge("process.peak_rss_bytes")->value, 4096);
+  EXPECT_EQ(snap.FindGauge("miner.arena.peak_bytes")->value, 100);
+  const HistogramSample* nodes = snap.FindHistogram("search.nodes");
+  ASSERT_NE(nodes, nullptr);
+  EXPECT_EQ(nodes->counts, (std::vector<uint64_t>{1, 1, 0}));
+  const HistogramSample* seqs = snap.FindHistogram("search.projected_seqs");
+  ASSERT_NE(seqs, nullptr);
+  EXPECT_EQ(seqs->counts, (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(seqs->sum, 9u);
+}
+
+// Builds K snapshots with overlapping but distinct metric content.
+std::vector<MetricsSnapshot> MakeSnapshots(size_t k) {
+  std::vector<MetricsSnapshot> snaps;
+  for (size_t i = 0; i < k; ++i) {
+    MetricsRegistry r;
+    r.GetCounter("search.nodes")->Increment(100 + i);
+    r.GetCounter("prune.pair.hits")->Increment(i * 7);
+    // Peaks differ per part; the merge must take the max.
+    r.GetGauge("miner.arena.peak_bytes")->Set(1000 + static_cast<int64_t>(i));
+    Histogram* h = r.GetHistogram("search.nodes", {1, 2, 4});
+    for (size_t j = 0; j <= i; ++j) h->Observe(j);
+    snaps.push_back(r.Snapshot());
+  }
+  return snaps;
+}
+
+TEST(MergeSnapshotsTest, FoldRules) {
+  const MetricsSnapshot merged = MergeSnapshots(MakeSnapshots(3));
+  EXPECT_EQ(merged.CounterValue("search.nodes"), 100u + 101 + 102);
+  EXPECT_EQ(merged.CounterValue("prune.pair.hits"), 0u + 7 + 14);
+  ASSERT_NE(merged.FindGauge("miner.arena.peak_bytes"), nullptr);
+  EXPECT_EQ(merged.FindGauge("miner.arena.peak_bytes")->value, 1002);
+  const HistogramSample* h = merged.FindHistogram("search.nodes");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1u + 2 + 3);  // part i observed i+1 values
+  EXPECT_EQ(h->counts, (std::vector<uint64_t>{5, 1, 0, 0}));
+}
+
+TEST(MergeSnapshotsTest, ConflictingHistogramShapesFirstOccurrenceWins) {
+  // Same name, different bounds: the first part's shape wins and the
+  // incompatible one is dropped, not mixed in.
+  MetricsRegistry a, b;
+  a.GetHistogram("search.nodes", {1, 2})->Observe(1);
+  b.GetHistogram("search.nodes", {1, 2, 4})->Observe(1);
+  b.GetHistogram("search.nodes", {1, 2, 4})->Observe(3);
+  const MetricsSnapshot ab = MergeSnapshots({a.Snapshot(), b.Snapshot()});
+  const HistogramSample* h = ab.FindHistogram("search.nodes");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->bounds, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(h->count, 1u);
+  const MetricsSnapshot ba = MergeSnapshots({b.Snapshot(), a.Snapshot()});
+  h = ba.FindHistogram("search.nodes");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->bounds, (std::vector<uint64_t>{1, 2, 4}));
+  EXPECT_EQ(h->count, 2u);
 }
 
 TEST(MetricsTest, ExporterFormats) {

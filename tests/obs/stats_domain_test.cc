@@ -1,13 +1,9 @@
-// StatsDomain: isolation from the global registry, the deterministic merge
-// contract (byte-identical snapshots for any completion order), flight-ring
-// wrap-around, and the postmortem document.
+// StatsDomain: isolation from the global registry, flight-ring wrap-around,
+// and the postmortem document.
 
 #include "obs/stats_domain.h"
 
-#include <algorithm>
-#include <random>
 #include <string>
-#include <vector>
 
 #include "gtest/gtest.h"
 #include "obs/metric_names.h"
@@ -68,77 +64,6 @@ TEST(FlightRecorderTest, RingKeepsNewestAndCountsDrops) {
   EXPECT_EQ(rec.total_recorded(), 0u);
 }
 
-// Builds K domains with overlapping but distinct metric content.
-std::vector<DomainSnapshot> MakeDomainSnapshots(size_t k) {
-  std::vector<DomainSnapshot> snaps;
-  for (size_t i = 0; i < k; ++i) {
-    StatsDomain d("worker-" + std::to_string(i));
-    d.GetCounter("search.nodes")->Increment(100 + i);
-    d.GetCounter("prune.pair.hits")->Increment(i * 7);
-    // Peaks differ per worker; the merge must take the max.
-    d.GetGauge("miner.arena.peak_bytes")->Set(1000 + static_cast<int64_t>(i));
-    Histogram* h = d.GetHistogram("search.nodes", {1, 2, 4});
-    for (size_t j = 0; j <= i; ++j) h->Observe(j);
-    snaps.push_back(d.TakeSnapshot());
-  }
-  return snaps;
-}
-
-TEST(MergeDomainSnapshotsTest, FoldRules) {
-  auto snaps = MakeDomainSnapshots(3);
-  const MetricsSnapshot merged = MergeDomainSnapshots(snaps);
-  EXPECT_EQ(merged.CounterValue("search.nodes"), 100u + 101 + 102);
-  EXPECT_EQ(merged.CounterValue("prune.pair.hits"), 0u + 7 + 14);
-  ASSERT_NE(merged.FindGauge("miner.arena.peak_bytes"), nullptr);
-  EXPECT_EQ(merged.FindGauge("miner.arena.peak_bytes")->value, 1002);
-  const HistogramSample* h = merged.FindHistogram("search.nodes");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u + 2 + 3);  // domain i observed i+1 values
-}
-
-TEST(MergeDomainSnapshotsTest, ByteIdenticalUnderShuffledCompletionOrder) {
-  auto snaps = MakeDomainSnapshots(8);
-  const std::string reference = MergeDomainSnapshots(snaps).ToJson();
-  EXPECT_FALSE(reference.empty());
-  std::mt19937 rng(20160516);  // ICDE'16, why not
-  for (int round = 0; round < 25; ++round) {
-    auto shuffled = snaps;
-    std::shuffle(shuffled.begin(), shuffled.end(), rng);
-    EXPECT_EQ(MergeDomainSnapshots(shuffled).ToJson(), reference)
-        << "merge order leaked into the result (round " << round << ")";
-  }
-}
-
-TEST(MergeDomainSnapshotsTest, ConflictingHistogramShapesStayDeterministic) {
-  // Same name, different bounds: the first occurrence in sorted-id order
-  // wins, regardless of input order.
-  StatsDomain a("a"), b("b");
-  a.GetHistogram("search.nodes", {1, 2})->Observe(1);
-  b.GetHistogram("search.nodes", {1, 2, 4})->Observe(1);
-  const auto sa = a.TakeSnapshot();
-  const auto sb = b.TakeSnapshot();
-  const MetricsSnapshot m1 = MergeDomainSnapshots({sa, sb});
-  const MetricsSnapshot m2 = MergeDomainSnapshots({sb, sa});
-  EXPECT_EQ(m1.ToJson(), m2.ToJson());
-  const HistogramSample* h = m1.FindHistogram("search.nodes");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->bounds, (std::vector<uint64_t>{1, 2}));  // domain "a" wins
-  EXPECT_EQ(h->count, 1u);  // b's incompatible shape was dropped, not mixed
-}
-
-TEST(StatsDomainTest, PublishToFoldsIntoTarget) {
-  MetricsRegistry target;
-  target.GetCounter("search.nodes")->Increment(5);
-  StatsDomain domain("d");
-  domain.GetCounter("search.nodes")->Increment(10);
-  domain.GetGauge("process.peak_rss_bytes")->Set(4096);
-  domain.PublishTo(&target);
-  const MetricsSnapshot snap = target.Snapshot();
-  EXPECT_EQ(snap.CounterValue("search.nodes"), 15u);
-  ASSERT_NE(snap.FindGauge("process.peak_rss_bytes"), nullptr);
-  EXPECT_EQ(snap.FindGauge("process.peak_rss_bytes")->value, 4096);
-}
-
 TEST(PostmortemJsonTest, DocumentShape) {
   StatsDomain domain("mine");
   domain.RecordEvent("run.begin", 300, 3);
@@ -180,7 +105,6 @@ TEST(StatsDomainTest, DisabledModeCompilesAndIsInert) {
   domain.GetCounter("search.nodes")->Increment(10);
   EXPECT_TRUE(domain.recorder().Events().empty());
   EXPECT_TRUE(domain.Snapshot().Empty());
-  EXPECT_TRUE(MergeDomainSnapshots({domain.TakeSnapshot()}).Empty());
 }
 
 #endif  // TPM_OBS_DISABLED

@@ -110,6 +110,18 @@ std::vector<std::string> Render(const MiningResult<PatternT>& result,
   return out;
 }
 
+/// Renders the exact emission order (Render sorts): the parallel merger must
+/// reproduce the single-thread pattern STREAM, not just the set.
+template <typename PatternT>
+std::string EmissionOrderRender(const MiningResult<PatternT>& result,
+                                const Dictionary& dict) {
+  std::string out;
+  for (const auto& mp : result.patterns) {
+    out += mp.pattern.ToString(dict) + "@" + std::to_string(mp.support) + "\n";
+  }
+  return out;
+}
+
 /// The comparable slice of a run's metrics delta. Three families
 /// legitimately vary between equivalent runs and are stripped before
 /// byte-comparison; everything else — search counts, prune hits, states,

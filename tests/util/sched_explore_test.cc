@@ -1,13 +1,18 @@
-// Tier E seeded schedule exploration (src/util/sched_test.h): drive the
-// same 4-worker workload through hundreds of seed-distinct interleavings of
-// the planted yield points (domain snapshot, arena rewind, registry merge)
-// and assert the order-invariant contracts hold under every one of them —
-// MergeDomainSnapshots and the pattern-bank fold must be byte-identical no
-// matter which worker finishes first. An intentionally order-sensitive fold
-// (appending results in completion order, the naive parallel-merge bug) must
-// be *caught*: the sweep has to produce at least two distinct outputs for
-// it, which also proves the controller genuinely varies completion order
-// rather than replaying one schedule 256 times.
+// Tier E seeded schedule exploration (src/util/sched_test.h): run the real
+// parallel miner — GrowthEngine in both pattern languages, four workers,
+// --steal — under hundreds of seed-distinct perturbations of its planted
+// seams: claiming a work item (miner.sched.next), publishing a split unit's
+// sub-units (miner.sched.split), delivering a finished unit
+// (miner.unit.deliver), the merger's unit boundary (miner.unit_boundary) and
+// every arena rewind (arena.rewind). Every schedule must reproduce the
+// serial run's pattern stream in emission order and its comparable merged
+// metrics. The sweep must also see at least two distinct per-worker
+// attributions (miner.worker.{nodes,units}), which proves the seeds really
+// vary who mines what instead of replaying one schedule.
+//
+// The input is small enough for a sanitizer build, and its most frequent
+// symbol's unit is heavy enough to split under --steal, so the sub-unit
+// publish and join are explored too.
 //
 // Compiled to a single skip unless configured with -DTPM_SCHED_TEST=ON (the
 // TSan CI job, which also greps for this suite so it cannot silently run
@@ -19,140 +24,112 @@
 
 #ifdef TPM_SCHED_TEST
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
+#include <utility>
 
-#include "obs/metrics.h"
-#include "obs/stats_domain.h"
-#include "util/arena.h"
-#include "util/sync.h"
+#include "datagen/quest.h"
+#include "miner/coincidence_growth.h"
+#include "miner/endpoint_growth.h"
+#include "testing/test_util.h"
 
 namespace tpm {
 namespace {
 
-constexpr int kWorkers = 4;
+using testing::ComparableMetricsJson;
+using testing::EmissionOrderRender;
+
 constexpr int kSeeds = 256;  // acceptance floor is >= 200 interleavings
-constexpr int kStepsPerWorker = 40;
+constexpr uint32_t kThreads = 4;
 
-struct RunResult {
-  std::string merged_metrics;  // MergeDomainSnapshots fed in completion order
-  std::string pattern_bank;    // deterministic (sorted) fold, completion order
-  std::string naive_fold;      // order-sensitive fixture: append-as-finished
-  std::vector<int> completion_order;
-};
-
-// Each worker's patterns depend only on its index — never on timing — so any
-// correct fold of the four banks is schedule-invariant by construction.
-std::vector<std::vector<uint32_t>> WorkerPatterns(int t) {
-  std::vector<std::vector<uint32_t>> bank;
-  for (uint32_t i = 0; i < 6; ++i) {
-    bank.push_back({static_cast<uint32_t>(t), i, i * 10 + static_cast<uint32_t>(t)});
-  }
-  return bank;
+IntervalDatabase ExploreDb() {
+  QuestConfig config;
+  config.num_sequences = 60;
+  config.num_symbols = 30;
+  config.avg_intervals_per_sequence = 6.0;
+  config.seed = 101;
+  auto db = GenerateQuest(config);
+  EXPECT_TRUE(db.ok()) << db.status();
+  return std::move(*db);
 }
 
-std::string SerializeBank(const std::vector<std::vector<uint32_t>>& bank) {
+MinerOptions ExploreOptions(uint32_t threads) {
+  MinerOptions options;
+  options.min_support = 0.1;
+  options.threads = threads;
+  options.steal = threads > 1;
+  return options;
+}
+
+// Which worker mined how many nodes and finished how many units.
+std::string WorkerAttribution(const obs::MetricsSnapshot& metrics) {
   std::string out;
-  for (const auto& p : bank) {
-    for (uint32_t v : p) {
-      out += std::to_string(v);
-      out += ',';
-    }
-    out += ';';
+  for (const char* name : {"miner.worker.nodes", "miner.worker.units"}) {
+    const obs::HistogramSample* h = metrics.FindHistogram(name);
+    if (h == nullptr) continue;
+    for (uint64_t c : h->counts) out += std::to_string(c) + ",";
+    out += ";";
   }
   return out;
 }
 
-RunResult RunWorkload(uint64_t seed) {
-  sched::ScheduleController controller(seed);
-  sched::SetController(&controller);
+// What one language's sweep saw, next to its serial reference.
+struct LanguageSweep {
+  std::string serial_output;
+  std::string serial_metrics;
+  uint64_t serial_nodes = 0;
+  std::set<std::string> outputs;
+  std::set<std::string> metrics;
+  std::set<std::string> attributions;
 
-  std::vector<obs::DomainSnapshot> snaps(kWorkers);
-  std::vector<std::vector<std::vector<uint32_t>>> banks(kWorkers);
-  std::vector<int> completion;
-  Mutex completion_mu;
-
-  // Seed-derived per-worker stagger: guarantees the sweep explores several
-  // distinct completion orders even on a loaded single-core CI machine,
-  // while the controller's yields/sleeps explore the fine-grained
-  // interleavings in between.
-  uint64_t mixed = seed * 0x9e3779b97f4a7c15ULL + 1;
-  std::vector<int> stagger_us(kWorkers);
-  for (int t = 0; t < kWorkers; ++t) {
-    stagger_us[t] = static_cast<int>((mixed >> (13 * t)) % 331);
+  template <typename ResultT>
+  void SetSerial(const ResultT& result, const Dictionary& dict) {
+    serial_output = EmissionOrderRender(result, dict);
+    serial_metrics = ComparableMetricsJson(result.stats.metrics);
+    serial_nodes = result.stats.nodes_expanded;
   }
 
-  auto worker = [&](int t) {
-    std::this_thread::sleep_for(std::chrono::microseconds(stagger_us[t]));
-    obs::StatsDomain domain("worker-" + std::to_string(t));
-    Arena arena(nullptr, /*min_block_bytes=*/1024);
-    for (int i = 0; i < kStepsPerWorker; ++i) {
-      // Deterministic per-worker charges: any schedule must merge to the
-      // same totals.
-      domain.GetCounter("search.candidates")->Increment(static_cast<uint64_t>(t) + 1);
-      domain.GetHistogram("search.nodes", obs::LinearBounds(0, 1, 17))
-          ->Observe(static_cast<uint64_t>(i % 17));
-      domain.GetGauge("miner.arena.peak_bytes")
-          ->Set(static_cast<int64_t>((t + 1) * 1000));
-      const Arena::Mark mark = arena.mark();
-      (void)arena.Allocate(64 + static_cast<size_t>(i % 5) * 16);
-      arena.Rewind(mark);  // hits the arena.rewind yield point
-    }
-    snaps[static_cast<size_t>(t)] = domain.TakeSnapshot();
-    banks[static_cast<size_t>(t)] = WorkerPatterns(t);
-    MutexLock lock(&completion_mu);
-    completion.push_back(t);
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(kWorkers);
-  for (int t = 0; t < kWorkers; ++t) threads.emplace_back(worker, t);
-  for (std::thread& th : threads) th.join();
-  sched::SetController(nullptr);
-
-  RunResult r;
-  r.completion_order = completion;
-
-  // Feed the merge in *completion order* — the order a real parallel miner
-  // would see workers finish in. The contract: the result must not care.
-  std::vector<obs::DomainSnapshot> in_completion_order;
-  std::vector<std::vector<uint32_t>> pooled;
-  for (int t : completion) {
-    in_completion_order.push_back(snaps[static_cast<size_t>(t)]);
-    for (const auto& p : banks[static_cast<size_t>(t)]) pooled.push_back(p);
-    r.naive_fold += snaps[static_cast<size_t>(t)].domain_id;  // order-sensitive
-    r.naive_fold += '|';
+  template <typename ResultT>
+  void Add(const ResultT& result, const Dictionary& dict) {
+    outputs.insert(EmissionOrderRender(result, dict));
+    metrics.insert(ComparableMetricsJson(result.stats.metrics));
+    attributions.insert(WorkerAttribution(result.stats.metrics));
   }
-  r.merged_metrics =
-      obs::MergeDomainSnapshots(std::move(in_completion_order)).ToJson();
-  std::sort(pooled.begin(), pooled.end());  // the sorted fold: order-invariant
-  r.pattern_bank = SerializeBank(pooled);
-  return r;
-}
+};
 
 struct SweepResults {
-  std::set<std::string> merged;
-  std::set<std::string> banks;
-  std::set<std::string> naive;
-  std::set<std::vector<int>> orders;
+  LanguageSweep endpoint;
+  LanguageSweep coincidence;
   uint64_t yield_visits = 0;
 };
 
 const SweepResults& Sweep() {
   static const SweepResults* results = [] {
     auto* r = new SweepResults();
+    const IntervalDatabase db = ExploreDb();
+    const MinerOptions serial = ExploreOptions(1);
+    auto e1 = MineEndpointGrowth(db, serial, EndpointGrowthConfig{});
+    auto c1 = MineCoincidenceGrowth(db, serial, CoincidenceGrowthConfig{});
+    EXPECT_TRUE(e1.ok() && c1.ok());
+    if (!e1.ok() || !c1.ok()) return r;
+    r->endpoint.SetSerial(*e1, db.dict());
+    r->coincidence.SetSerial(*c1, db.dict());
+
+    const MinerOptions parallel = ExploreOptions(kThreads);
     const uint64_t before = sched::YieldPointVisits();
     for (int s = 0; s < kSeeds; ++s) {
-      RunResult run = RunWorkload(static_cast<uint64_t>(s));
-      r->merged.insert(run.merged_metrics);
-      r->banks.insert(run.pattern_bank);
-      r->naive.insert(run.naive_fold);
-      r->orders.insert(run.completion_order);
+      sched::ScheduleController controller(static_cast<uint64_t>(s));
+      // Mine* joins every worker before returning, so the controller
+      // outlives every yield point that can see it.
+      sched::SetController(&controller);
+      auto e = MineEndpointGrowth(db, parallel, EndpointGrowthConfig{});
+      auto c = MineCoincidenceGrowth(db, parallel, CoincidenceGrowthConfig{});
+      sched::SetController(nullptr);
+      EXPECT_TRUE(e.ok() && c.ok()) << "seed " << s;
+      if (!e.ok() || !c.ok()) continue;
+      r->endpoint.Add(*e, db.dict());
+      r->coincidence.Add(*c, db.dict());
     }
     r->yield_visits = sched::YieldPointVisits() - before;
     return r;
@@ -160,43 +137,48 @@ const SweepResults& Sweep() {
   return *results;
 }
 
+void ExpectSerialResult(const LanguageSweep& sweep, const char* language) {
+  ASSERT_FALSE(sweep.serial_output.empty()) << language << ": no patterns";
+  EXPECT_EQ(sweep.outputs.size(), 1u)
+      << language << ": " << sweep.outputs.size()
+      << " distinct pattern streams across " << kSeeds << " schedules";
+  if (!sweep.outputs.empty()) {
+    EXPECT_EQ(*sweep.outputs.begin(), sweep.serial_output) << language;
+  }
+  EXPECT_EQ(sweep.metrics.size(), 1u)
+      << language << ": " << sweep.metrics.size()
+      << " distinct merged metrics across " << kSeeds << " schedules";
+  if (!sweep.metrics.empty()) {
+    EXPECT_EQ(*sweep.metrics.begin(), sweep.serial_metrics) << language;
+  }
+}
+
 TEST(SchedExploreTest, InstrumentationIsLive) {
   ASSERT_TRUE(sched::Enabled());
-  // Every worker hits the snapshot yield once and the arena.rewind yield
-  // kStepsPerWorker times, per seed — if the planted points vanished this
-  // drops to zero.
-  EXPECT_GE(Sweep().yield_visits,
-            static_cast<uint64_t>(kSeeds) * kWorkers * kStepsPerWorker);
-}
-
-TEST(SchedExploreTest, SweepExploresDistinctCompletionOrders) {
-  // The whole point of the harness: the seeds must not replay one schedule.
-  EXPECT_GE(Sweep().orders.size(), 2u)
-      << "all " << kSeeds << " seeds produced the same completion order";
-}
-
-TEST(SchedExploreTest, MergedSnapshotsAreByteIdenticalAcrossSchedules) {
+  // Every expanded node rewinds its child arena at least once, per seed —
+  // if the planted points vanished this drops to zero.
   const SweepResults& r = Sweep();
-  EXPECT_EQ(r.merged.size(), 1u)
-      << "MergeDomainSnapshots produced " << r.merged.size()
-      << " distinct outputs across " << kSeeds << " interleavings";
+  EXPECT_GE(r.yield_visits,
+            static_cast<uint64_t>(kSeeds) *
+                (r.endpoint.serial_nodes + r.coincidence.serial_nodes));
 }
 
-TEST(SchedExploreTest, PatternBankFoldIsByteIdenticalAcrossSchedules) {
+TEST(SchedExploreTest, RealEngineMatchesSerialUnderEverySchedule) {
   const SweepResults& r = Sweep();
-  EXPECT_EQ(r.banks.size(), 1u)
-      << "sorted pattern-bank fold produced " << r.banks.size()
-      << " distinct outputs across " << kSeeds << " interleavings";
+  ExpectSerialResult(r.endpoint, "endpoint");
+  ExpectSerialResult(r.coincidence, "coincidence");
 }
 
-TEST(SchedExploreTest, OrderSensitiveFoldIsCaught) {
+#ifndef TPM_OBS_DISABLED
+TEST(SchedExploreTest, SweepVariesWorkerAttribution) {
+  // The seeds must not replay one schedule: who mined what has to differ.
   const SweepResults& r = Sweep();
-  // The deliberately wrong fold (append in completion order) must be
-  // flushed out by the same sweep that exonerates the real contracts.
-  EXPECT_GE(r.naive.size(), 2u)
-      << "the order-sensitive fixture was not caught: every interleaving "
-         "appended domains in the same order";
+  EXPECT_GE(r.endpoint.attributions.size(), 2u)
+      << "all " << kSeeds << " endpoint runs split the work identically";
+  EXPECT_GE(r.coincidence.attributions.size(), 2u)
+      << "all " << kSeeds << " coincidence runs split the work identically";
 }
+#endif  // TPM_OBS_DISABLED
 
 }  // namespace
 }  // namespace tpm
