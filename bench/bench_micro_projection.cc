@@ -11,7 +11,6 @@
 //     dominates total mine time).
 
 #include <deque>
-#include <mutex>
 
 #include "bench_util.h"
 #include "core/endpoint.h"
@@ -24,7 +23,6 @@
 #include "util/macros.h"
 #include "util/memory.h"
 #include "util/string_util.h"
-#include "util/sync.h"
 #include "util/timer.h"
 
 using namespace tpm;
@@ -151,47 +149,7 @@ int main() {
   cells.push_back(
       CellFrom("P-TPMiner/E", "progress-on", on->stats, on->patterns.size()));
 
-  // 4. Sync-wrapper overhead: uncontended lock/unlock through tpm::Mutex vs
-  //    a raw std::mutex. In this build TPM_LOCKDEP is off, so the wrapper's
-  //    Tier E hooks are compiled out and the two rows must be within noise
-  //    of each other — the guardrail that the lockdep option costs nothing
-  //    when disabled (docs/STATIC_ANALYSIS.md, "Runtime lockdep").
-  {
-    const uint64_t kIters = static_cast<uint64_t>(2000000 * scale) + 1;
-    uint64_t acc = 0;
-    Mutex tpm_mu;
-    WallTimer tpm_timer;
-    for (uint64_t i = 0; i < kIters; ++i) {
-      MutexLock lock(&tpm_mu);
-      ++acc;
-    }
-    Cell tpm_cell;
-    tpm_cell.algo = "sync-mutex";
-    tpm_cell.config = "tpm";
-    tpm_cell.seconds = tpm_timer.ElapsedSeconds();
-    tpm_cell.states = acc;
-    cells.push_back(tpm_cell);
-
-    std::mutex raw_mu;
-    WallTimer raw_timer;
-    for (uint64_t i = 0; i < kIters; ++i) {
-      std::lock_guard<std::mutex> lock(raw_mu);
-      ++acc;
-    }
-    Cell raw_cell;
-    raw_cell.algo = "sync-mutex";
-    raw_cell.config = "std";
-    raw_cell.seconds = raw_timer.ElapsedSeconds();
-    raw_cell.states = acc - kIters;
-    cells.push_back(raw_cell);
-    if (raw_cell.seconds > 0.0) {
-      std::printf("ratio: sync-mutex tpm/std time=%.3fx (%llu lock/unlock pairs)\n",
-                  tpm_cell.seconds / raw_cell.seconds,
-                  static_cast<unsigned long long>(kIters));
-    }
-  }
-
-  // 5. Parallel scaling: the endpoint mine at 1/2/4/8 workers (scheduler /
+  // 4. Parallel scaling: the endpoint mine at 1/2/4/8 workers (scheduler /
   //    worker / merger split, docs/ARCHITECTURE.md). Output is byte-identical
   //    across rows by construction — the interesting number is the wall-clock
   //    column. The substrate gets a scale floor so the single-thread run is

@@ -116,10 +116,6 @@ class ProjectionArenas {
     return depth_[d];
   }
 
-  size_t num_depths() const { return depth_.size(); }
-  const Arena& depth_at(size_t i) const { return depth_[i]; }
-  const Arena& staging_arena() const { return staging_; }
-
   /// Total mapped bytes across all arenas (== their tracker charges).
   size_t total_allocated_bytes() const {
     size_t total = staging_.allocated_bytes();
@@ -160,8 +156,6 @@ class ProjectionBuilder {
     head_ = nullptr;
     tail_ = nullptr;
   }
-
-  uint32_t stride() const { return stride_; }
 
   /// Appends a state for `seq` and returns its aux slice (stride words) for
   /// the caller to fill. The pointer is valid until the next Push.
@@ -326,7 +320,8 @@ class ProjectionBuilder {
 
   // Unpacks the chunk stream into contiguous scratch arrays — rebuilding the
   // span directory from the per-record seq words — so Finalize's SpanViews
-  // are flat. Heap scratch, reused across buckets and untracked.
+  // are flat. Heap scratch, untracked; every bucket owns its builder, so
+  // it lives only as long as one bucket.
   void GatherStagedChunks() {
     scratch_spans_.clear();
     scratch_recs_.clear();

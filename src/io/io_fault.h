@@ -7,15 +7,15 @@
 
 #include "obs/metrics.h"
 #include "util/fault.h"
-#include "util/lockdep.h"
+#include "util/sync.h"
 
 namespace tpm {
 
 inline bool IoFaultPoint(const char* site) {
   (void)site;  // unused when TPM_FAULT_DISABLED compiles the point out
   // Every I/O fault site fronts a syscall (open/write/rename); holding a
-  // lock across one is a lock-held unwind waiting to happen (Tier E).
-  TPM_LOCKDEP_ASSERT_NO_LOCKS_HELD(site);
+  // lock across one is a lock-held unwind waiting to happen.
+  CheckNoLocksHeld();
   if (TPM_FAULT_POINT(site)) {
     obs::MetricsRegistry::Global().GetCounter("io.fault.injected")->Increment();
     return true;

@@ -70,9 +70,10 @@
 // cap, deadline, memory trip, or SIGINT on any thread winds down the whole
 // crew with the usual bounded latency.
 //
-// Lock order (see docs/STATIC_ANALYSIS.md): WorkScheduler::mu_ and
-// DeliveryInbox::mu are independent leaf locks — no code path holds both,
-// and neither is held across metrics, I/O, or policy calls.
+// Locking: WorkScheduler::mu_ and DeliveryInbox::mu are leaf locks, like
+// every tpm::Mutex — no code path holds both, and neither is held across
+// metrics, I/O, or policy calls (util/sync.h aborts on nesting in debug
+// builds; docs/STATIC_ANALYSIS.md).
 //
 // Projection storage is delegated to core/projection.h: the engine stages
 // into a per-worker shared arena (reset once per node) and finalizes into
@@ -437,8 +438,7 @@ class GrowthEngine {
     ItemOutput out;
   };
 
-  // Leaf lock (held only around the vector ops, never across metrics, I/O,
-  // or the scheduler's lock).
+  // Leaf lock: held only around the vector ops.
   struct DeliveryInbox {
     Mutex mu;
     std::vector<UnitDelivery> items TPM_GUARDED_BY(mu);

@@ -22,7 +22,7 @@
 #include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/guard.h"
-#include "util/lockdep.h"
+#include "util/sync.h"
 
 namespace tpm {
 
@@ -168,9 +168,9 @@ inline void RecordStopMetrics(StopReason reason) {
 inline bool MinerFaultPoint(const char* site,
                             obs::MetricsRegistry* registry = nullptr) {
   (void)site;  // unused when TPM_FAULT_DISABLED compiles the point out
-  // Allocation fault sites must not be reached with a lock held (Tier E):
-  // an injected failure would unwind through the critical section.
-  TPM_LOCKDEP_ASSERT_NO_LOCKS_HELD(site);
+  // Allocation fault sites must not be reached with a lock held: an
+  // injected failure would unwind through the critical section.
+  CheckNoLocksHeld();
   if (TPM_FAULT_POINT(site)) {
     (registry != nullptr ? *registry : obs::MetricsRegistry::Global())
         .GetCounter("robust.fault.injected")

@@ -24,7 +24,6 @@ void WorkScheduler::Reset(std::vector<WorkUnit> units) {
   unit_cursor_ = 0;
   subs_.clear();
   sub_cursor_ = 0;
-  dispatched_ = 0;
 }
 
 bool WorkScheduler::TryNext(WorkItem* out) {
@@ -41,7 +40,6 @@ bool WorkScheduler::TryNext(WorkItem* out) {
     out->kind = WorkItem::Kind::kUnit;
     out->unit_id = u.id;
     out->sub = nullptr;
-    ++dispatched_;
     return true;
   }
   return false;
@@ -72,11 +70,6 @@ void WorkScheduler::PushSubs(uint64_t unit_id, const std::vector<void*>& subs) {
 uint64_t WorkScheduler::units_pending() const {
   MutexLock lock(&mu_);
   return units_.size() - unit_cursor_;
-}
-
-uint64_t WorkScheduler::units_dispatched() const {
-  MutexLock lock(&mu_);
-  return dispatched_;
 }
 
 }  // namespace tpm

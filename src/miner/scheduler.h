@@ -19,8 +19,8 @@
 //
 // Locking: one Mutex around the two cursors/queues. TryNext/PushSubs are
 // called from every worker; the critical sections are a handful of pointer
-// moves and never touch metrics, I/O, or other locks (leaf lock in the
-// canonical lockdep order, see docs/STATIC_ANALYSIS.md).
+// moves and never touch metrics, I/O, or another lock — a leaf lock, like
+// every tpm::Mutex (util/sync.h aborts on nesting in debug builds).
 
 #pragma once
 
@@ -86,16 +86,12 @@ class WorkScheduler {
   /// Whole units not yet handed out.
   uint64_t units_pending() const;
 
-  /// Units handed out so far (diagnostics only).
-  uint64_t units_dispatched() const;
-
  private:
   mutable Mutex mu_;
   std::vector<WorkUnit> units_ TPM_GUARDED_BY(mu_);
   size_t unit_cursor_ TPM_GUARDED_BY(mu_) = 0;
   std::vector<WorkItem> subs_ TPM_GUARDED_BY(mu_);
   size_t sub_cursor_ TPM_GUARDED_BY(mu_) = 0;
-  uint64_t dispatched_ TPM_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace tpm

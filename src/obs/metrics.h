@@ -24,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
-#include "util/fault.h"
 #include "util/sync.h"
 
 namespace tpm {
@@ -199,19 +197,8 @@ class MetricsRegistry {
   /// Zeroes every cell (metrics stay registered). Intended for tests.
   void Reset();
 
-  /// Annotation-only handle: lets other modules name this registry's mutex
-  /// in TPM_ACQUIRED_BEFORE/AFTER lock-order declarations (Tier E,
-  /// docs/STATIC_ANALYSIS.md). Never lock it directly.
-  Mutex& RegistrationMutex() const TPM_RETURN_CAPABILITY(mu_) { return mu_; }
-
  private:
-  // Middle of the canonical cross-module acquisition order (Tier E):
-  //   fault state -> metrics registration -> trace ring.
-  // A thread inside GetCounter/Snapshot may charge a fault-site check but
-  // must never re-enter the registry from under the trace ring. Runtime
-  // lockdep (util/lockdep.h) enforces the same contract dynamically.
-  mutable Mutex mu_ TPM_ACQUIRED_AFTER(::tpm::fault::internal::StateMu())
-      TPM_ACQUIRED_BEFORE(::tpm::obs::internal::TraceRingMu());
+  mutable Mutex mu_;
   // Deques keep handle addresses stable across registration; the mutex
   // guards the containers (registration / snapshot), never the metric cells
   // themselves — those are written lock-free.

@@ -6,8 +6,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "obs/metrics.h"
-#include "util/fault.h"
 #include "util/string_util.h"
 #include "util/sync.h"
 
@@ -25,13 +23,7 @@ std::atomic<bool> g_trace_enabled{false};
 constexpr size_t kRingCapacity = 1 << 15;
 
 struct Ring {
-  // Last in the canonical cross-module order (Tier E): a thread holding the
-  // ring mutex must never go on to take the fault-state or metrics
-  // registration mutex. Runtime lockdep (util/lockdep.h) enforces the same
-  // contract in TPM_LOCKDEP builds.
-  Mutex mu TPM_ACQUIRED_AFTER(
-      ::tpm::fault::internal::StateMu(),
-      ::tpm::obs::MetricsRegistry::Global().RegistrationMutex());
+  Mutex mu;
   std::vector<TraceEvent> events TPM_GUARDED_BY(mu);  // capped at kRingCapacity
   size_t next TPM_GUARDED_BY(mu) = 0;  // overwrite cursor once full
   uint64_t dropped TPM_GUARDED_BY(mu) = 0;
@@ -70,8 +62,6 @@ uint64_t TraceNowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-Mutex& TraceRingMu() { return GlobalRing().mu; }
 
 void RecordSpan(const char* name, uint64_t start_ns, uint64_t dur_ns) {
   TraceEvent ev;

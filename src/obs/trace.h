@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace tpm {
 namespace obs {
@@ -56,11 +55,6 @@ Status WriteChromeTraceFile(const std::string& path);
 namespace internal {
 uint64_t TraceNowNs();
 void RecordSpan(const char* name, uint64_t start_ns, uint64_t dur_ns);
-/// Annotation-only handle on the trace-ring mutex for
-/// TPM_ACQUIRED_BEFORE/AFTER lock-order declarations (Tier E); the ring is
-/// last in the canonical order fault state -> metrics registration -> trace
-/// ring. Never lock it directly.
-Mutex& TraceRingMu();
 }  // namespace internal
 
 /// RAII span: snapshots the clock on construction when tracing is enabled,

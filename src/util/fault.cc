@@ -90,10 +90,6 @@ void LoadEnvLocked(FaultState& s) TPM_REQUIRES(s.mu) {
 
 }  // namespace
 
-namespace internal {
-Mutex& StateMu() { return State().mu; }
-}  // namespace internal
-
 void Arm(const std::string& site, uint64_t nth) {
   FaultState& s = State();
   MutexLock lock(&s.mu);

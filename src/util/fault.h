@@ -31,21 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "util/sync.h"
-
 namespace tpm {
 namespace fault {
-
-namespace internal {
-/// Annotation-only handle on the fault-state mutex, so higher layers can
-/// name it in TPM_ACQUIRED_BEFORE/AFTER lock-order declarations (Tier E,
-/// docs/STATIC_ANALYSIS.md). The canonical cross-module order is
-///   fault state -> metrics registration -> trace ring
-/// (see obs/metrics.h and obs/trace.cc for the matching annotations).
-/// Never lock it directly. Declared in every build so the annotations
-/// parse; defined only when fault injection is compiled in.
-Mutex& StateMu();
-}  // namespace internal
 
 /// Every fault site compiled into the binary, sorted. Available (and
 /// accurate) even under TPM_FAULT_DISABLED so tooling can still list the

@@ -17,16 +17,23 @@
 //
 // The analysis is per-translation-unit and flow-sensitive; it cannot see
 // through function pointers or type-erased callables, so keep lock-holding
-// regions small and structured. TPM_NO_THREAD_SAFETY_ANALYSIS is the
-// documented escape hatch for the rare function whose locking discipline is
-// correct but inexpressible — every use must carry a justifying comment.
+// regions small and structured.
+//
+// Every tpm::Mutex is a leaf: a thread never holds two at once, and never
+// reaches a fault point (io/io_fault.h, miner/miner_metrics.h) while it
+// holds one. With no lock ever nested there is no lock order to get wrong,
+// so no deadlock between them is possible. Builds without NDEBUG check
+// this at runtime with a per-thread held count: Lock() aborts, before
+// blocking, when the calling thread already holds a tpm::Mutex, and
+// CheckNoLocksHeld() aborts at a fault point reached under one. Under
+// NDEBUG, Mutex is a bare std::mutex and both checks compile away.
 
 #pragma once
 
 
 #include <mutex>
 
-#include "util/lockdep.h"
+#include "util/macros.h"
 
 // ---------------------------------------------------------------------------
 // Attribute plumbing: real attributes under Clang, no-ops elsewhere.
@@ -50,52 +57,35 @@
 /// and writes outside the lock become compile errors under Clang.
 #define TPM_GUARDED_BY(x) TPM_THREAD_ANNOTATION_(guarded_by(x))
 
-/// Like TPM_GUARDED_BY, but for the data a pointer member points to.
-#define TPM_PT_GUARDED_BY(x) TPM_THREAD_ANNOTATION_(pt_guarded_by(x))
-
-/// Declares lock-ordering constraints between two mutexes (deadlock gate).
-#define TPM_ACQUIRED_BEFORE(...) \
-  TPM_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define TPM_ACQUIRED_AFTER(...) \
-  TPM_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-
 /// The function must be called with the capability held (and does not
 /// release it). Used on the *Locked helper methods.
 #define TPM_REQUIRES(...) \
   TPM_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define TPM_REQUIRES_SHARED(...) \
-  TPM_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 /// The function acquires / releases the capability.
 #define TPM_ACQUIRE(...) \
   TPM_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define TPM_ACQUIRE_SHARED(...) \
-  TPM_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define TPM_RELEASE(...) \
   TPM_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define TPM_RELEASE_SHARED(...) \
-  TPM_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-
-/// The function acquires the capability iff it returns `b`.
-#define TPM_TRY_ACQUIRE(b, ...) \
-  TPM_THREAD_ANNOTATION_(try_acquire_capability(b, __VA_ARGS__))
-
-/// The function must be called with the capability *not* held.
-#define TPM_EXCLUDES(...) TPM_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-
-/// Runtime assertion to the analysis that the capability is held here.
-#define TPM_ASSERT_CAPABILITY(x) \
-  TPM_THREAD_ANNOTATION_(assert_capability(x))
-
-/// The function returns a reference to the given capability.
-#define TPM_RETURN_CAPABILITY(x) TPM_THREAD_ANNOTATION_(lock_returned(x))
-
-/// Opts a function out of the analysis. Escape hatch of last resort; every
-/// use must explain why the discipline is correct but inexpressible.
-#define TPM_NO_THREAD_SAFETY_ANALYSIS \
-  TPM_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 namespace tpm {
+
+#ifndef NDEBUG
+namespace internal {
+/// tpm::Mutexes the calling thread holds: 0 or 1, as every lock is a leaf.
+inline thread_local int held_mutexes = 0;
+}  // namespace internal
+#endif
+
+/// Aborts, in builds without NDEBUG, when the calling thread holds a
+/// tpm::Mutex. Fault points call it: they front syscalls and allocations,
+/// and an injected failure must never unwind through a critical section.
+inline void CheckNoLocksHeld() {
+#ifndef NDEBUG
+  TPM_CHECK(internal::held_mutexes == 0 &&
+            "fault point reached with a tpm::Mutex held");
+#endif
+}
 
 /// \brief std::mutex with thread-safety capability annotations.
 ///
@@ -109,33 +99,24 @@ class TPM_CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-#ifdef TPM_LOCKDEP
-  // Tier E runtime lockdep (util/lockdep.h): the acquire hook runs the
-  // lock-order cycle check *before* blocking on the underlying mutex, so an
-  // ABBA inversion aborts with both chains instead of deadlocking. The
-  // file/line defaults capture the caller's acquire site for the report.
-  ~Mutex() { lockdep::OnDestroy(this); }
-
-  void Lock(const char* file = __builtin_FILE(),
-            int line = __builtin_LINE()) TPM_ACQUIRE() {
-    lockdep::OnAcquire(this, file, line);
-    mu_.lock();
-  }
-  void Unlock() TPM_RELEASE() {
-    mu_.unlock();
-    lockdep::OnRelease(this);
-  }
-  bool TryLock(const char* file = __builtin_FILE(),
-               int line = __builtin_LINE()) TPM_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    lockdep::OnTryAcquire(this, file, line);
-    return true;
-  }
-#else
-  void Lock() TPM_ACQUIRE() { mu_.lock(); }
-  void Unlock() TPM_RELEASE() { mu_.unlock(); }
-  bool TryLock() TPM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void Lock() TPM_ACQUIRE() {
+#ifndef NDEBUG
+    // Checked before blocking, so a nested acquire aborts here instead of
+    // deadlocking on a lock this thread already holds.
+    TPM_CHECK(internal::held_mutexes == 0 && "every tpm::Mutex is a leaf");
 #endif
+    mu_.lock();
+#ifndef NDEBUG
+    ++internal::held_mutexes;
+#endif
+  }
+
+  void Unlock() TPM_RELEASE() {
+#ifndef NDEBUG
+    --internal::held_mutexes;
+#endif
+    mu_.unlock();
+  }
 
  private:
   std::mutex mu_;
@@ -147,17 +128,7 @@ class TPM_CAPABILITY("mutex") Mutex {
 /// acquire and the destructor with the release on every control-flow path.
 class TPM_SCOPED_CAPABILITY MutexLock {
  public:
-#ifdef TPM_LOCKDEP
-  // Forwards the construction site so lockdep reports name the MutexLock
-  // line, not this header.
-  explicit MutexLock(Mutex* mu, const char* file = __builtin_FILE(),
-                     int line = __builtin_LINE()) TPM_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_->Lock(file, line);
-  }
-#else
   explicit MutexLock(Mutex* mu) TPM_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
-#endif
   ~MutexLock() TPM_RELEASE() { mu_->Unlock(); }
 
   MutexLock(const MutexLock&) = delete;

@@ -18,6 +18,7 @@
 namespace tpm {
 namespace {
 
+using testing::EmissionOrderRender;
 using testing::RandomTinyDatabase;
 using testing::Render;
 
@@ -133,6 +134,63 @@ TEST(TruncationTest, PatternCapIsExactAtEveryThreadCount) {
     }
   }
   EXPECT_EQ(overshoots, 0) << "of " << runs << " capped runs";
+}
+
+// --budget truncates, or doesn't, by the same rule at every --threads. A
+// budget that has expired by the first guard check stops every configuration
+// with kDeadline and a subset of the full result; a budget no run comes near
+// leaves the output byte-identical, in emission order, to the unbudgeted run.
+template <typename MakeMiner>
+void CheckTimeBudgetAtEveryThreadCount(MakeMiner make_miner) {
+  QuestConfig config;
+  config.num_sequences = 200;
+  config.num_symbols = 30;
+  config.seed = 7;
+  auto db = GenerateQuest(config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  MinerOptions options;
+  options.min_support = 0.05;
+  auto full = make_miner()->Mine(*db, options);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_FALSE(full->stats.truncated);
+  ASSERT_GT(full->patterns.size(), 50u) << "test database too small";
+  const auto canonical = Render(*full, db->dict());
+  const std::string want = EmissionOrderRender(*full, db->dict());
+
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+    for (bool steal : {false, true}) {
+      options.threads = threads;
+      options.steal = steal;
+
+      options.time_budget_seconds = 1e-9;
+      auto expired = make_miner()->Mine(*db, options);
+      ASSERT_TRUE(expired.ok()) << expired.status();
+      EXPECT_TRUE(expired->stats.truncated)
+          << "threads " << threads << " steal " << steal;
+      EXPECT_EQ(expired->stats.stop_reason, StopReason::kDeadline)
+          << "threads " << threads << " steal " << steal;
+      EXPECT_LT(expired->patterns.size(), full->patterns.size());
+      EXPECT_TRUE(IsSubsetOf(Render(*expired, db->dict()), canonical))
+          << "threads " << threads << " steal " << steal;
+
+      options.time_budget_seconds = 1e6;
+      auto generous = make_miner()->Mine(*db, options);
+      ASSERT_TRUE(generous.ok()) << generous.status();
+      EXPECT_FALSE(generous->stats.truncated)
+          << "threads " << threads << " steal " << steal;
+      EXPECT_EQ(generous->stats.stop_reason, StopReason::kNone);
+      EXPECT_EQ(EmissionOrderRender(*generous, db->dict()), want)
+          << "threads " << threads << " steal " << steal;
+    }
+  }
+}
+
+TEST(TruncationTest, TimeBudgetAtEveryThreadCountPTPMinerE) {
+  CheckTimeBudgetAtEveryThreadCount([] { return MakePTPMinerE(); });
+}
+
+TEST(TruncationTest, TimeBudgetAtEveryThreadCountPTPMinerC) {
+  CheckTimeBudgetAtEveryThreadCount([] { return MakePTPMinerC(); });
 }
 
 TEST(TruncationTest, PreCancelledTokenStopsImmediately) {

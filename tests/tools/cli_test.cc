@@ -243,6 +243,11 @@ TEST(CliExitCodeTest, UsageErrorsExitWith1) {
   EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--on-error=bogus"}, &out), 1);
   EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--memory-budget-mb=-1"}, &out),
             1);
+  // Negative or NaN values used to read as "off" and mine without a limit.
+  for (const char* flag : {"--budget=-1", "--budget=nan", "--progress=nan",
+                           "--checkpoint-every=nan"}) {
+    EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), flag}, &out), 1) << flag;
+  }
 }
 
 TEST(CliExitCodeTest, TimeBudgetTruncationExitsWith3AndWritesPartials) {

@@ -246,6 +246,11 @@ struct MineFlags {
       return Status::InvalidArgument("--on-error must be fail or skip (got " +
                                      on_error + ")");
     }
+    // Each `!(x >= 0.0)` below also rejects NaN, which compares false with
+    // everything and would otherwise read as "off".
+    if (!(budget >= 0.0)) {
+      return Status::InvalidArgument("--budget must be >= 0 seconds");
+    }
     if (memory_budget_mb < 0) {
       return Status::InvalidArgument("--memory-budget-mb must be >= 0");
     }
@@ -265,7 +270,7 @@ struct MineFlags {
     }
     // -1.0 is the internal "off" sentinel; any explicitly passed negative
     // interval is a mistake.
-    if (progress < 0.0 && progress != -1.0) {
+    if (!(progress >= 0.0) && progress != -1.0) {
       return Status::InvalidArgument("--progress interval must be >= 0 seconds");
     }
     if (postmortem_out.empty()) {
@@ -276,7 +281,7 @@ struct MineFlags {
       return Status::InvalidArgument(
           "--checkpoint-out needs auto, off, or a path");
     }
-    if (checkpoint_every < 0.0) {
+    if (!(checkpoint_every >= 0.0)) {
       return Status::InvalidArgument(
           "--checkpoint-every must be >= 0 seconds");
     }

@@ -17,10 +17,8 @@ Enforces invariants generic tools can't (see docs/STATIC_ANALYSIS.md):
   locking   Tier D concurrency hygiene (docs/STATIC_ANALYSIS.md): src/ uses
             tpm::Mutex/MutexLock (src/util/sync.h), never raw std::mutex or
             std::lock_guard, so every lock carries thread-safety capability
-            annotations (src/util/lockdep.cc is the one other exemption: it
-            sits below the sync abstraction and instrumenting its own lock
-            would recurse); mutable statics must be std::atomic, thread_local,
-            or allowlisted in tools/lint/locking_allowlist.txt with a reason;
+            annotations and the leaf-lock check; mutable statics must be
+            std::atomic, thread_local, or allowlisted in tools/lint/locking_allowlist.txt with a reason;
             in a class that owns a Mutex, every other data member must be
             TPM_GUARDED_BY, std::atomic, const, or allowlisted.
   determinism  Tier E (docs/STATIC_ANALYSIS.md): no range-iteration over
@@ -268,9 +266,6 @@ def check_header_compiles(root, findings, compiler="g++"):
 
 LOCKING_ALLOWLIST_PATH = os.path.join("tools", "lint", "locking_allowlist.txt")
 SYNC_HEADER = os.path.join("src", "util", "sync.h")
-# Runtime lockdep guards its own state with a raw std::mutex on purpose:
-# instrumenting it would recurse straight back into the lockdep hooks.
-LOCK_PRIMITIVE_FILES = (SYNC_HEADER, os.path.join("src", "util", "lockdep.cc"))
 
 # Raw standard-library lock primitives carry no capability annotations, so
 # Clang's thread-safety analysis cannot see them. util/sync.h wraps them.
@@ -408,7 +403,7 @@ def check_locking_members(rel, class_name, start_line, body, allow,
     for lineno, stmt in statements:
         if not stmt or stmt.startswith(MEMBER_SKIP_PREFIXES):
             continue
-        guarded = "TPM_GUARDED_BY" in stmt or "TPM_PT_GUARDED_BY" in stmt
+        guarded = "TPM_GUARDED_BY" in stmt
         stmt = ANNOTATION_RE.sub("", stmt).strip()
         if not stmt or "(" in stmt:  # functions, ctors, deleted ops
             continue
@@ -468,7 +463,7 @@ def check_locking(root, findings):
         rel = relpath(root, path)
         text = open(path, encoding="utf-8").read()
         lines = text.splitlines()
-        if rel not in LOCK_PRIMITIVE_FILES:
+        if rel != SYNC_HEADER:
             for lineno, line in enumerate(lines, 1):
                 m = RAW_MUTEX_RE.search(strip_line_comment(line))
                 if m:
