@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -105,7 +106,13 @@ SupportCount IntervalDatabase::AbsoluteSupport(double minsup) const {
     double abs = std::ceil(minsup * static_cast<double>(sequences_.size()));
     return static_cast<SupportCount>(std::max(1.0, abs));
   }
-  return static_cast<SupportCount>(minsup);
+  // An absolute count rounds up like a fraction does, and anything past the
+  // largest count (inf, NaN, 1e300) saturates instead of overflowing the
+  // cast: no pattern can reach it.
+  constexpr SupportCount kMax = std::numeric_limits<SupportCount>::max();
+  const double abs = std::ceil(minsup);
+  if (!(abs < static_cast<double>(kMax))) return kMax;
+  return static_cast<SupportCount>(abs);
 }
 
 }  // namespace tpm

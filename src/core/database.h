@@ -80,7 +80,8 @@ class IntervalDatabase {
   DatabaseStats ComputeStats() const;
 
   /// Converts a fractional minimum support in (0,1] to an absolute count
-  /// (ceil), or passes through an absolute count >= 1.
+  /// (ceil), or rounds an absolute count > 1 up, saturating at the largest
+  /// SupportCount.
   SupportCount AbsoluteSupport(double minsup) const;
 
  private:

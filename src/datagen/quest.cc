@@ -54,8 +54,10 @@ Result<IntervalDatabase> GenerateQuest(const QuestConfig& config) {
   if (config.num_sequences == 0 || config.num_symbols == 0) {
     return Status::InvalidArgument("num_sequences and num_symbols must be > 0");
   }
-  if (config.avg_intervals_per_sequence <= 0.0) {
-    return Status::InvalidArgument("avg_intervals_per_sequence must be > 0");
+  if (!(config.avg_intervals_per_sequence > 0.0) ||
+      !std::isfinite(config.avg_intervals_per_sequence)) {
+    return Status::InvalidArgument(
+        "avg_intervals_per_sequence must be finite and > 0");
   }
 
   IntervalDatabase db;

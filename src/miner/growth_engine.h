@@ -3,11 +3,12 @@
 // P-TPMiner/E (endpoint language) and P-TPMiner/C (coincidence language)
 // differ only in their pattern representation and extension semantics; the
 // search scaffolding — projected-database buckets, support counting,
-// candidate admission (pair/postfix pruning with memoized per-node
-// decisions), allowed-symbol epoch tracking, physical-copy baselines,
-// deterministic child ordering, guard/metrics/validator hooks, and the
-// recursion driver — is identical. GrowthEngine<Policy> owns all of that;
-// the policy contributes the language-specific pieces:
+// candidate admission (pair/postfix pruning with per-node decisions memoized
+// in a stamped extension-slot table), epoch-stamped postfix symbol counting
+// (both in ScanScratch), physical-copy baselines, deterministic child
+// ordering, guard/metrics/validator hooks, and the recursion driver — is
+// identical. GrowthEngine<Policy> owns all of that; the policy contributes
+// the language-specific pieces:
 //
 //   using PatternT / ResultT / ConfigT
 //   kBuildSpanName / kGrowSpanName / kFaultMessage
@@ -38,7 +39,7 @@
 //              the same WorkerLoop. Each worker owns a WorkerSlot: a copy of
 //              the built policy (cheap — the language representation is
 //              shared via shared_ptr), ProjectionArenas, ExecutionGuard, and
-//              postfix-count scratch. Every work item charges its own plain
+//              a ScanScratch. Every work item charges its own plain
 //              SearchTally (miner/miner_metrics.h) with non-atomic adds, so
 //              nothing mutable is shared between workers on the hot path; a
 //              split unit adds its sub-units' tallies at the join. Memory is
@@ -123,6 +124,55 @@ struct GrowthScanCtx {
   uint32_t min_item = 0;     ///< first item index any state here can match
 };
 
+/// One execution context's candidate-scan scratch, reused by every node the
+/// context expands. One table per context is enough: a node finishes its
+/// scan before any child expands, and a split-unit owner finishes its scan
+/// before it drains sub-units.
+///
+/// Both tables are stamped rather than cleared: an entry is live only when
+/// it carries the current stamp. When a counter wraps to 0 its table is
+/// cleared and the counter restarts at 1, so no mark from 2^32 bumps ago
+/// can read as current.
+struct ScanScratch {
+  /// Postfix symbol dedup: seen_epoch[ev] == epoch once `ev` was counted in
+  /// the current span. The epoch is bumped once per scanned span.
+  std::vector<uint32_t> seen_epoch;
+  uint32_t epoch = 0;
+
+  /// Extension slots, indexed by (code << 1) | i_ext. Codes are below
+  /// 2 × symbols in both languages, so 4 × symbols entries cover every key.
+  /// A slot holds stamp << 32 | (bucket index + 1); a low half of 0 means
+  /// the candidate was rejected at this node. The stamp is bumped once per
+  /// node, before its scan.
+  std::vector<uint64_t> ext_slots;
+  uint32_t stamp = 0;
+
+  explicit ScanScratch(size_t num_symbols = 0)
+      : seen_epoch(num_symbols, 0), ext_slots(4 * num_symbols, 0) {}
+
+  uint32_t NextEpoch() {
+    if (++epoch == 0) {
+      std::fill(seen_epoch.begin(), seen_epoch.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+
+  uint32_t NextStamp() {
+    if (++stamp == 0) {
+      std::fill(ext_slots.begin(), ext_slots.end(), 0);
+      stamp = 1;
+    }
+    return stamp;
+  }
+
+  uint64_t& ext_slot(uint32_t code, bool i_ext) {
+    const uint64_t key = (static_cast<uint64_t>(code) << 1) | (i_ext ? 1 : 0);
+    TPM_DCHECK(key < ext_slots.size());
+    return ext_slots[key];
+  }
+};
+
 template <typename Policy>
 class GrowthEngine {
  public:
@@ -194,7 +244,7 @@ class GrowthEngine {
     result.stats.build_bytes = rep_bytes + cooc_.MemoryBytes();
     tracker_.Allocate(result.stats.build_bytes);
     num_symbols_ = db_.dict().size();
-    seen_epoch_.assign(num_symbols_, 0);
+    root_scratch_ = ScanScratch(num_symbols_);
     result.stats.build_seconds = build_timer.ElapsedSeconds();
     domain_->RecordEvent("build.done", rep_bytes, cooc_.MemoryBytes());
 
@@ -231,8 +281,7 @@ class GrowthEngine {
     root_ctx.policy = &policy_;
     root_ctx.arenas = &arenas_;
     root_ctx.guard = &guard_;
-    root_ctx.seen_epoch = &seen_epoch_;
-    root_ctx.epoch = &epoch_;
+    root_ctx.scratch = &root_scratch_;
     ItemOutput root_out;
     root_ctx.out = &root_out;
 
@@ -332,7 +381,6 @@ class GrowthEngine {
   // share read-only inputs — the property the worker layer relies on.
   struct ExpandFrame {
     std::deque<Bucket> buckets;  // deque: stable addresses under growth
-    std::unordered_map<uint64_t, int32_t> bucket_index;  // key -> idx or -1
     std::vector<SupportCount> postfix_count;
     size_t copies_bytes = 0;
     uint32_t cur_seq = 0;
@@ -364,8 +412,7 @@ class GrowthEngine {
     Policy* policy = nullptr;
     ProjectionArenas* arenas = nullptr;
     ExecutionGuard* guard = nullptr;
-    std::vector<uint32_t>* seen_epoch = nullptr;
-    uint32_t* epoch = nullptr;
+    ScanScratch* scratch = nullptr;
 
     /// The current work item's bank and tally; null between items. A
     /// sub-unit mined while its owner joins restores the owner's.
@@ -387,20 +434,18 @@ class GrowthEngine {
     WorkerSlot(GrowthEngine* e, uint32_t id)
         : policy(e->policy_),
           arenas(&e->tracker_),
-          guard(e->MakeWorkerLimits(), &e->tracker_) {
-      seen_epoch.assign(e->num_symbols_, 0);
+          guard(e->MakeWorkerLimits(), &e->tracker_),
+          scratch(e->num_symbols_) {
       ctx.id = id;
       ctx.policy = &policy;
       ctx.arenas = &arenas;
       ctx.guard = &guard;
-      ctx.seen_epoch = &seen_epoch;
-      ctx.epoch = &epoch;
+      ctx.scratch = &scratch;
     }
     Policy policy;
     ProjectionArenas arenas;
     ExecutionGuard guard;
-    std::vector<uint32_t> seen_epoch;
-    uint32_t epoch = 0;
+    ScanScratch scratch;
     WorkerCtx ctx;
   };
 
@@ -518,14 +563,18 @@ class GrowthEngine {
     ExpandFrame& frame = nc->frame;
     if (postfix_pruning_) frame.postfix_count.assign(num_symbols_, 0);
 
+    // Each (code, i_ext) key is decided once per node: its slot carries this
+    // node's stamp from the first touch on.
+    ScanScratch& scratch = *w.scratch;
+    const uint64_t stamp = static_cast<uint64_t>(scratch.NextStamp()) << 32;
     auto bucket_for = [&](uint32_t code, bool i_ext) -> Bucket* {
-      const uint64_t key =
-          (static_cast<uint64_t>(code) << 1) | (i_ext ? 1 : 0);
-      auto it = frame.bucket_index.find(key);
-      if (it != frame.bucket_index.end()) {
-        return it->second < 0 ? nullptr : &frame.buckets[it->second];
+      uint64_t& slot = scratch.ext_slot(code, i_ext);
+      if ((slot & ~uint64_t{0xFFFFFFFF}) == stamp) {
+        const uint32_t idx = static_cast<uint32_t>(slot);
+        return idx == 0 ? nullptr : &frame.buckets[idx - 1];
       }
       ++tally.candidates;
+      slot = stamp;  // rejected unless admitted below
       // Admission checks for extensions introducing a new symbol.
       if (Policy::IntroducesSymbol(code)) {
         const EventId ev = Policy::SymbolOf(code);
@@ -534,21 +583,18 @@ class GrowthEngine {
           // pruning runs; otherwise it is the pair table's frequent-symbol
           // filter — attribute the rejection accordingly.
           ++(postfix_pruning_ ? tally.postfix_hits : tally.pair_hits);
-          frame.bucket_index.emplace(key, -1);
           return nullptr;
         }
         if (pair_pruning_ && !w.policy->InPattern(ev)) {
           for (EventId a : w.policy->PatternSymbols()) {
             if (!cooc_.IsFrequentPair(a, ev)) {
               ++tally.pair_hits;
-              frame.bucket_index.emplace(key, -1);
               return nullptr;
             }
           }
         }
       }
-      frame.bucket_index.emplace(
-          key, static_cast<int32_t>(frame.buckets.size()));
+      slot = stamp | (frame.buckets.size() + 1);
       frame.buckets.emplace_back();
       Bucket& b = frame.buckets.back();
       b.code = code;
@@ -596,11 +642,11 @@ class GrowthEngine {
 
       // Postfix symbol counting for the children's allowed set.
       if (postfix_pruning_) {
-        ++(*w.epoch);
+        const uint32_t epoch = scratch.NextEpoch();
         for (uint32_t p = min_item; p < nitems; ++p) {
           const EventId ev = Policy::SymbolOf(item_at(p));
-          if ((*w.seen_epoch)[ev] != *w.epoch) {
-            (*w.seen_epoch)[ev] = *w.epoch;
+          if (scratch.seen_epoch[ev] != epoch) {
+            scratch.seen_epoch[ev] = epoch;
             ++frame.postfix_count[ev];
           }
         }
@@ -1273,10 +1319,8 @@ class GrowthEngine {
   CooccurrenceTable cooc_;
   size_t num_symbols_ = 0;
 
-  // Scratch for per-sequence symbol dedup (postfix counting) — the root
-  // context's copy; workers own theirs.
-  std::vector<uint32_t> seen_epoch_;
-  uint32_t epoch_ = 0;
+  // The root context's scan scratch; workers own theirs.
+  ScanScratch root_scratch_;
 
   // Observability domain the run charges: caller-provided (`tpm mine`) or a
   // private throwaway. Declared before guard_ so the on_stop hook may touch

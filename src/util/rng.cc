@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <cassert>
+#include <cstdint>
 
 namespace tpm {
 
@@ -92,6 +93,9 @@ uint32_t Rng::Poisson(double mean) {
   // Normal approximation with continuity correction keeps sampling O(1).
   double v = Normal(mean, std::sqrt(mean)) + 0.5;
   if (v < 0.0) return 0;
+  // A draw past the largest count (a huge or infinite mean) saturates
+  // instead of overflowing the cast.
+  if (!(v < static_cast<double>(UINT32_MAX))) return UINT32_MAX;
   return static_cast<uint32_t>(v);
 }
 

@@ -51,7 +51,7 @@ class Rng {
   double Exponential(double mean);
 
   /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64 to stay O(1)).
+  /// normal approximation above 64 to stay O(1)), saturating at UINT32_MAX.
   uint32_t Poisson(double mean);
 
   /// Standard normal via Box-Muller.

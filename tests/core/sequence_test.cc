@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/database.h"
 #include "testing/test_util.h"
 
@@ -125,6 +127,14 @@ TEST(IntervalDatabaseTest, StatsAndSupportConversion) {
   EXPECT_EQ(db.AbsoluteSupport(1.0), 3u);   // fraction 1.0 = all
   EXPECT_EQ(db.AbsoluteSupport(2.0), 2u);   // absolute count
   EXPECT_EQ(db.AbsoluteSupport(0.0001), 1u);
+  // An absolute count rounds up like a fraction, and a count past the
+  // largest SupportCount saturates instead of overflowing the cast.
+  EXPECT_EQ(db.AbsoluteSupport(1.5), 2u);
+  EXPECT_EQ(db.AbsoluteSupport(4294967297.0), UINT32_MAX);
+  EXPECT_EQ(db.AbsoluteSupport(1e300), UINT32_MAX);
+  EXPECT_EQ(db.AbsoluteSupport(4294967295.0), UINT32_MAX);
+  EXPECT_EQ(db.AbsoluteSupport(4294967294.5), UINT32_MAX);
+  EXPECT_EQ(db.AbsoluteSupport(4294967294.0), UINT32_MAX - 1);
 }
 
 TEST(IntervalDatabaseTest, ValidateCitesSequenceIndex) {

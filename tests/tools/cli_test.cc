@@ -184,6 +184,15 @@ TEST(CliTest, GenerateAllKinds) {
   EXPECT_NE(RunCli({"tpm", "generate", "--kind=nope", "--output=/tmp/x.tisd"}, &out),
             0);
   EXPECT_NE(RunCli({"tpm", "generate", "--kind=quest"}, &out), 0);  // no output
+  // A non-finite or huge mean used to overflow the generator's count cast.
+  for (const char* flag :
+       {"--avg-intervals=nan", "--avg-intervals=inf", "--avg-intervals=1e12"}) {
+    EXPECT_EQ(RunCli({"tpm", "generate", "--kind=quest", "--sequences=2",
+                      "--output=/tmp/x.tisd", flag},
+                     &out),
+              1)
+        << flag;
+  }
 }
 
 TEST(CliTest, RulesCommand) {
@@ -243,9 +252,11 @@ TEST(CliExitCodeTest, UsageErrorsExitWith1) {
   EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--on-error=bogus"}, &out), 1);
   EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--memory-budget-mb=-1"}, &out),
             1);
-  // Negative or NaN values used to read as "off" and mine without a limit.
+  // Negative or NaN values used to read as "off" and mine without a limit;
+  // a non-finite --minsup overflowed its cast to a count.
   for (const char* flag : {"--budget=-1", "--budget=nan", "--progress=nan",
-                           "--checkpoint-every=nan"}) {
+                           "--checkpoint-every=nan", "--minsup=inf",
+                           "--minsup=nan"}) {
     EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), flag}, &out), 1) << flag;
   }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -96,6 +98,9 @@ TEST(RngTest, PoissonMeanConverges) {
     EXPECT_NEAR(sum / kSamples, mean, std::max(0.1, mean * 0.05));
   }
   EXPECT_EQ(rng.Poisson(0.0), 0u);
+  // Past the largest count the draw saturates instead of overflowing.
+  EXPECT_EQ(rng.Poisson(1e12), UINT32_MAX);
+  EXPECT_EQ(rng.Poisson(std::numeric_limits<double>::infinity()), UINT32_MAX);
 }
 
 TEST(RngTest, NormalMoments) {

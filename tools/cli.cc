@@ -1,5 +1,6 @@
 #include "cli.h"
 
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -245,6 +246,9 @@ struct MineFlags {
     if (on_error != "fail" && on_error != "skip") {
       return Status::InvalidArgument("--on-error must be fail or skip (got " +
                                      on_error + ")");
+    }
+    if (!std::isfinite(minsup)) {
+      return Status::InvalidArgument("--minsup must be a finite number");
     }
     // Each `!(x >= 0.0)` below also rejects NaN, which compares false with
     // everything and would otherwise read as "off".
@@ -651,8 +655,10 @@ int CmdGenerate(int argc, const char* const* argv, std::ostream& out) {
   if (symbols <= 0 || symbols > kMaxCount) {
     return Fail(Status::InvalidArgument("--symbols must be in [1, 1e8]"));
   }
-  if (avg_intervals <= 0.0) {
-    return Fail(Status::InvalidArgument("--avg-intervals must be positive"));
+  // Also rejects NaN and inf, which would overflow the generator's
+  // per-sequence count; the cap is the count flags' cap.
+  if (!(avg_intervals > 0.0 && avg_intervals <= static_cast<double>(kMaxCount))) {
+    return Fail(Status::InvalidArgument("--avg-intervals must be in (0, 1e8]"));
   }
   if (Status st = obs.Validate(); !st.ok()) return Fail(st);
   obs.Begin();
