@@ -36,14 +36,16 @@ std::string HumanBytes(uint64_t bytes) {
   return StringPrintf("%llu B", static_cast<unsigned long long>(bytes));
 }
 
-// One pruning-effectiveness row: rule name, hits, share of candidates.
+// One pruning-effectiveness row: rule name, hits, and hits per `base` in
+// the rule's own unit (`percent` renders the ratio as a share of `base`).
 void AppendRuleRow(std::string* out, const char* label, uint64_t hits,
-                   uint64_t candidates) {
+                   uint64_t base, bool percent, const char* unit) {
   *out += StringPrintf("  %-10s %12llu", label,
                        static_cast<unsigned long long>(hits));
-  if (candidates > 0) {
-    *out += StringPrintf("  %5.1f%%", 100.0 * static_cast<double>(hits) /
-                                          static_cast<double>(candidates));
+  if (base > 0) {
+    const double ratio = static_cast<double>(hits) / static_cast<double>(base);
+    *out += percent ? StringPrintf("  %5.1f%% %s", 100.0 * ratio, unit)
+                    : StringPrintf("  %6.2f %s", ratio, unit);
   }
   *out += "\n";
 }
@@ -65,19 +67,27 @@ void RenderSnapshot(const JsonValue& snap, std::string* out) {
   const uint64_t nodes =
       nodes_hist != nullptr ? MetricValue(nodes_hist, "count") : 0;
 
-  *out += "pruning effectiveness (hits = candidates a rule rejected):\n";
-  *out += StringPrintf("  %-10s %12s  %s\n", "rule", "hits", "% of candidates");
-  AppendRuleRow(out, "pair", pair, candidates);
-  AppendRuleRow(out, "postfix", postfix, candidates);
-  AppendRuleRow(out, "validity", validity, candidates);
-  AppendRuleRow(out, "apriori", apriori, candidates);
+  const uint64_t states = MetricValue(counters, "search.states");
+
+  // Each rule in the unit it removes work in, so no share exceeds 100%:
+  // pair-table rejections are candidates, postfix hits are symbols dropped
+  // from a node's allowed set, validity closes are states, and Apriori
+  // rejections are level-wise candidates never support-counted.
+  *out += "pruning effectiveness (each rule's hits in its own unit):\n";
+  *out += StringPrintf("  %-10s %12s  %s\n", "rule", "hits", "rate");
+  AppendRuleRow(out, "pair", pair, candidates, true, "of candidates");
+  AppendRuleRow(out, "postfix", postfix, nodes, false,
+                "symbols removed per node");
+  AppendRuleRow(out, "validity", validity, states, true, "of states");
+  AppendRuleRow(out, "apriori", apriori, apriori + candidates, true,
+                "of generated candidates");
   *out += StringPrintf(
       "  candidates checked %llu, nodes expanded %llu, patterns %llu, "
       "states %llu\n",
       static_cast<unsigned long long>(candidates),
       static_cast<unsigned long long>(nodes),
       static_cast<unsigned long long>(MetricValue(counters, "search.patterns")),
-      static_cast<unsigned long long>(MetricValue(counters, "search.states")));
+      static_cast<unsigned long long>(states));
 
   // --- Per-depth node histogram -------------------------------------------
   if (nodes_hist != nullptr && nodes > 0) {

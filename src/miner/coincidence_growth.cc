@@ -58,7 +58,8 @@ class CoincidencePolicy {
   }
 
   // Every coincidence item is a symbol occurrence, so admission pruning
-  // applies to all candidates.
+  // applies to all candidates and ScanState skips every item whose symbol
+  // is outside ctx.allowed.
   static bool IntroducesSymbol(uint32_t /*code*/) { return true; }
   static EventId SymbolOf(uint32_t code) { return code; }
 
@@ -112,6 +113,7 @@ class CoincidencePolicy {
       const uint32_t end = cs.seg_end(st_seg);
       for (uint32_t p = st.item + 1; p < end; ++p) {
         const EventId y = item_at(p);
+        if (ctx.allowed != nullptr && !ctx.allowed[y]) continue;
         if (y <= last_symbol) continue;
         const int32_t k = IndexOf(prev_syms_, y);
         if (k >= 0 && st_seg > bnd[num_last + k]) continue;  // run broken
@@ -134,6 +136,7 @@ class CoincidencePolicy {
       const uint32_t from = st.item == kNoStateItem ? 0 : cs.seg_end(st_seg);
       for (uint32_t p = from; p < cs.num_items(); ++p) {
         const EventId y = item_at(p);
+        if (ctx.allowed != nullptr && !ctx.allowed[y]) continue;
         const uint32_t p_seg = cs.item_segment(p);
         if (options_.max_window > 0 && st.anchor != kNoStateItem &&
             cs.seg_end_time(p_seg) - cs.seg_start_time(st.anchor) >

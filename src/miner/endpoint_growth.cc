@@ -53,7 +53,8 @@ class EndpointPolicy {
   }
 
   // Finish endpoints never introduce a symbol: their start already did, so
-  // admission pruning does not apply to them.
+  // admission pruning does not apply to them, and ScanState skips only start
+  // endpoints of symbols outside ctx.allowed.
   static bool IntroducesSymbol(uint32_t code) { return !IsFinish(code); }
   static EventId SymbolOf(uint32_t code) { return EndpointEvent(code); }
 
@@ -129,6 +130,7 @@ class EndpointPolicy {
         const EndpointCode c = item_at(p);
         const EventId ev = EndpointEvent(c);
         if (!IsFinish(c)) {
+          if (ctx.allowed != nullptr && !ctx.allowed[ev]) continue;
           if (c <= last_code || InOpen(ev)) continue;
           if (uint32_t* aux =
                   try_push(c, /*i_ext=*/true, p, OpenAnchor(es, st, p))) {
@@ -158,6 +160,7 @@ class EndpointPolicy {
         const EventId ev = EndpointEvent(c);
         if (ViolatesWindow(es, st, es.item_slice(p))) break;  // monotone
         if (!IsFinish(c)) {
+          if (ctx.allowed != nullptr && !ctx.allowed[ev]) continue;
           if (InOpen(ev)) continue;
           if (uint32_t* aux =
                   try_push(c, /*i_ext=*/false, p, OpenAnchor(es, st, p))) {

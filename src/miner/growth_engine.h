@@ -3,10 +3,11 @@
 // P-TPMiner/E (endpoint language) and P-TPMiner/C (coincidence language)
 // differ only in their pattern representation and extension semantics; the
 // search scaffolding — projected-database buckets, support counting,
-// candidate admission (pair/postfix pruning with per-node decisions memoized
-// in a stamped extension-slot table), epoch-stamped postfix symbol counting
-// (both in ScanScratch), physical-copy baselines, deterministic child
-// ordering, guard/metrics/validator hooks, and the recursion driver — is
+// candidate admission (the pair table, with per-node decisions memoized in
+// a stamped extension-slot table), epoch-stamped postfix symbol counting
+// (both in ScanScratch) into the allowed-symbol sets the policies' scans
+// skip by, physical-copy baselines, deterministic child ordering,
+// guard/metrics/validator hooks, and the recursion driver — is
 // identical. GrowthEngine<Policy> owns all of that; the policy contributes
 // the language-specific pieces:
 //
@@ -15,7 +16,8 @@
 //   Build(db) -> representation bytes;  NumSeqs / NumItems / ItemCode
 //   IntroducesSymbol(code) / SymbolOf(code)     admission gating
 //   Stride() / ChildStride(code, i_ext)         aux-slice widths
-//   ScanState(ctx, seq, rec, aux, item_at, try_push)   candidate loops
+//   ScanState(ctx, seq, rec, aux, item_at, try_push)   candidate loops,
+//                                               skipping !ctx.allowed symbols
 //   SelectSpan(span_view, keep)                 per-sequence dedup/dominance
 //   CanEmit / MakePattern / PatternLen / NumBlocks
 //   Apply / Undo (extension on the pattern stack)
@@ -122,6 +124,10 @@ namespace tpm {
 struct GrowthScanCtx {
   bool allow_s_ext = false;  ///< may the pattern grow a new slice/segment?
   uint32_t min_item = 0;     ///< first item index any state here can match
+  /// Per symbol: may an item introducing it extend this node? Null when
+  /// neither pair nor postfix pruning is on. Policies skip items that
+  /// introduce a disallowed symbol before they reach admission.
+  const uint8_t* allowed = nullptr;
 };
 
 /// One execution context's candidate-scan scratch, reused by every node the
@@ -261,10 +267,20 @@ class GrowthEngine {
     internal::DCheckProjection(root);
     arenas_.staging().Reset();
 
+    ItemOutput root_out;
     std::vector<uint8_t> allowed(num_symbols_, 1);
     if (postfix_pruning_ || pair_pruning_) {
+      // The root's admission check, made once per symbol before the scan:
+      // a removed symbol counts as one candidate and one hit, attributed to
+      // postfix pruning when it runs (its root counts reach the same
+      // verdict) and to the pair table's frequent-symbol filter otherwise.
       for (EventId e = 0; e < num_symbols_; ++e) {
         allowed[e] = cooc_.IsFrequentSymbol(e) ? 1 : 0;
+        if (allowed[e] == 0) {
+          ++root_out.tally.candidates;
+          ++(postfix_pruning_ ? root_out.tally.postfix_hits
+                              : root_out.tally.pair_hits);
+        }
       }
     }
     out_ = &result;
@@ -282,7 +298,6 @@ class GrowthEngine {
     root_ctx.arenas = &arenas_;
     root_ctx.guard = &guard_;
     root_ctx.scratch = &root_scratch_;
-    ItemOutput root_out;
     root_ctx.out = &root_out;
 
     NodeChildren root_nc;
@@ -559,6 +574,7 @@ class GrowthEngine {
     ctx.allow_s_ext = options_.max_length == 0 ||
                       w.policy->NumBlocks() < options_.max_length ||
                       w.policy->PatternLen() == 0;
+    if (postfix_pruning_ || pair_pruning_) ctx.allowed = allowed.data();
 
     ExpandFrame& frame = nc->frame;
     if (postfix_pruning_) frame.postfix_count.assign(num_symbols_, 0);
@@ -575,16 +591,11 @@ class GrowthEngine {
       }
       ++tally.candidates;
       slot = stamp;  // rejected unless admitted below
-      // Admission checks for extensions introducing a new symbol.
+      // Pair-table admission for extensions introducing a new symbol. The
+      // scan already skipped every symbol outside the allowed set.
       if (Policy::IntroducesSymbol(code)) {
         const EventId ev = Policy::SymbolOf(code);
-        if ((postfix_pruning_ || pair_pruning_) && !allowed[ev]) {
-          // The allowed set is narrowed by postfix counting when postfix
-          // pruning runs; otherwise it is the pair table's frequent-symbol
-          // filter — attribute the rejection accordingly.
-          ++(postfix_pruning_ ? tally.postfix_hits : tally.pair_hits);
-          return nullptr;
-        }
+        TPM_DCHECK(ctx.allowed == nullptr || ctx.allowed[ev] != 0);
         if (pair_pruning_ && !w.policy->InPattern(ev)) {
           for (EventId a : w.policy->PatternSymbols()) {
             if (!cooc_.IsFrequentPair(a, ev)) {
@@ -640,12 +651,13 @@ class GrowthEngine {
         return w.policy->ItemCode(frame.cur_seq, p);
       };
 
-      // Postfix symbol counting for the children's allowed set.
+      // Postfix symbol counting for the children's allowed set. Symbols
+      // already disallowed stay so whatever their count: skip them.
       if (postfix_pruning_) {
         const uint32_t epoch = scratch.NextEpoch();
         for (uint32_t p = min_item; p < nitems; ++p) {
           const EventId ev = Policy::SymbolOf(item_at(p));
-          if (scratch.seen_epoch[ev] != epoch) {
+          if (allowed[ev] != 0 && scratch.seen_epoch[ev] != epoch) {
             scratch.seen_epoch[ev] = epoch;
             ++frame.postfix_count[ev];
           }
@@ -666,7 +678,10 @@ class GrowthEngine {
     if (postfix_pruning_) {
       const SupportCount floor = Floor();
       for (EventId e = 0; e < num_symbols_; ++e) {
-        if (frame.postfix_count[e] < floor) nc->child_allowed[e] = 0;
+        if (allowed[e] != 0 && frame.postfix_count[e] < floor) {
+          nc->child_allowed[e] = 0;
+          ++tally.postfix_hits;
+        }
       }
     }
 
@@ -674,6 +689,15 @@ class GrowthEngine {
     // only the baselines' physical postfix copies are charged here (never
     // for P-TPMiner, which keeps the shared account off the per-node path).
     if (frame.copies_bytes > 0) tracker_.Allocate(frame.copies_bytes);
+
+    // Below the root, a child staged in fewer sequences than minsup can
+    // never be expanded (selection only drops states), so it is discarded
+    // unfinalized. Root buckets are all kept: they are the work units.
+    if (depth > 0) {
+      std::erase_if(frame.buckets, [this](const Bucket& b) {
+        return b.builder.num_spans() < minsup_;
+      });
+    }
 
     // Deterministic child order.
     std::sort(frame.buckets.begin(), frame.buckets.end(),

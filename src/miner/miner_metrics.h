@@ -82,14 +82,14 @@ struct TallyHistogram {
 
 /// One work item's (or one run's) search charges.
 struct SearchTally {
-  // Prune-rule hit counters: one admission/close the rule decided.
-  uint64_t pair_hits = 0;      ///< candidates rejected by pair pruning
-  uint64_t postfix_hits = 0;   ///< candidates rejected by postfix pruning
+  // Prune-rule hit counters: one unit of work the rule removed.
+  uint64_t pair_hits = 0;      ///< candidates the pair table rejected
+  uint64_t postfix_hits = 0;   ///< (node, symbol) pairs removed by postfix
   uint64_t validity_hits = 0;  ///< closes driven directly by obligations
   uint64_t apriori_hits = 0;   ///< levelwise candidates failing Apriori
   uint64_t topk_hits = 0;      ///< children cut by the top-K bar, not minsup
 
-  uint64_t candidates = 0;  ///< extension candidates considered
+  uint64_t candidates = 0;  ///< (node, key) pairs that reached admission
   uint64_t states = 0;      ///< occurrence states / projected entries
   uint64_t patterns = 0;    ///< frequent patterns reported
 

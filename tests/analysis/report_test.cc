@@ -36,14 +36,34 @@ TEST(ReportTest, RendersSnapshotSections) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("pruning effectiveness"), std::string::npos);
   EXPECT_NE(report->find("pair"), std::string::npos);
-  EXPECT_NE(report->find("10.0%"), std::string::npos);   // pair/candidates
-  EXPECT_NE(report->find("20.0%"), std::string::npos);   // postfix/candidates
+  // Each rule in its own unit: pair hits per candidate, postfix symbol
+  // removals per expanded node, validity closes per state.
+  EXPECT_NE(report->find("10.0% of candidates"), std::string::npos);
+  EXPECT_NE(report->find("2.86 symbols removed per node"), std::string::npos);
+  EXPECT_NE(report->find("10.0% of states"), std::string::npos);
+  EXPECT_NE(report->find("0.0% of generated candidates"), std::string::npos);
   EXPECT_NE(report->find("nodes expanded 7"), std::string::npos);
   EXPECT_NE(report->find("search nodes by depth"), std::string::npos);
   EXPECT_NE(report->find("depth 1"), std::string::npos);
   EXPECT_NE(report->find("2.0 MiB"), std::string::npos);  // arena peak
   EXPECT_NE(report->find("8.0 MiB"), std::string::npos);  // rss peak
   EXPECT_NE(report->find("truncated by deadline (1)"), std::string::npos);
+}
+
+TEST(ReportTest, PostfixHitsAreNotAShareOfCandidates) {
+  // Postfix pruning removes symbols from each node's allowed set, so it can
+  // remove more symbols than there are candidates left to check.
+  auto report = RenderMetricsReport(R"({
+    "counters": {"search.candidates": 100, "prune.postfix.hits": 300},
+    "gauges": {},
+    "histograms": {
+      "search.nodes": {"bounds": [0, 1], "counts": [1, 2, 0],
+                       "count": 3, "sum": 2}
+    }
+  })");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("100.00 symbols removed per node"), std::string::npos);
+  EXPECT_EQ(report->find("300.0%"), std::string::npos);
 }
 
 TEST(ReportTest, CompletedRunReportsNoTrips) {

@@ -352,7 +352,8 @@ Status EmitPatterns(std::vector<MinedPattern<PatternT>> patterns,
     *sink << "\n";
   }
   if (!flags.output.empty()) {
-    TPM_RETURN_NOT_OK(WriteFileAtomic(flags.output, file.str()));
+    // Move the buffer out: a copy would hold the whole output twice.
+    TPM_RETURN_NOT_OK(WriteFileAtomic(flags.output, std::move(file).str()));
   }
   out << "# " << patterns.size() << " patterns, " << stats.ToString() << "\n";
   return Status::OK();
