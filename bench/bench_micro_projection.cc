@@ -119,11 +119,11 @@ int main() {
   MinerOptions options;
   options.min_support = 0.01;
   options.time_budget_seconds = kBudget;
-  auto ep = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});
+  auto ep = MineEndpointGrowth(*db, options, GrowthConfig{});
   TPM_CHECK_OK(ep.status());
   cells.push_back(
       CellFrom("P-TPMiner/E", "pseudo", ep->stats, ep->patterns.size()));
-  auto cp = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
+  auto cp = MineCoincidenceGrowth(*db, options, GrowthConfig{});
   TPM_CHECK_OK(cp.status());
   cells.push_back(
       CellFrom("P-TPMiner/C", "pseudo", cp->stats, cp->patterns.size()));
@@ -134,7 +134,7 @@ int main() {
   //    worker 0 — so the guardrail is <5% growth-phase
   //    overhead (docs/OBSERVABILITY.md, "Progress overhead").
   options.progress = nullptr;
-  auto off = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});
+  auto off = MineEndpointGrowth(*db, options, GrowthConfig{});
   TPM_CHECK_OK(off.status());
   cells.push_back(
       CellFrom("P-TPMiner/E", "progress-off", off->stats, off->patterns.size()));
@@ -143,7 +143,7 @@ int main() {
   obs::ProgressTracker tracker(
       1.0, [&sink_calls](const obs::ProgressSnapshot&) { ++sink_calls; });
   options.progress = &tracker;
-  auto on = MineEndpointGrowth(*db, options, EndpointGrowthConfig{});
+  auto on = MineEndpointGrowth(*db, options, GrowthConfig{});
   TPM_CHECK_OK(on.status());
   options.progress = nullptr;
   cells.push_back(
@@ -168,7 +168,7 @@ int main() {
   par_options.steal = true;
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     par_options.threads = threads;
-    auto run = MineEndpointGrowth(*par_db, par_options, EndpointGrowthConfig{});
+    auto run = MineEndpointGrowth(*par_db, par_options, GrowthConfig{});
     TPM_CHECK_OK(run.status());
     cells.push_back(CellFrom("P-TPMiner/E", "threads-" + std::to_string(threads),
                              run->stats, run->patterns.size()));

@@ -32,7 +32,6 @@ class CoincidencePolicy {
  public:
   using PatternT = CoincidencePattern;
   using ResultT = CoincidenceMiningResult;
-  using ConfigT = CoincidenceGrowthConfig;
 
   static constexpr const char* kBuildSpanName = "coincidence.build";
   static constexpr const char* kGrowSpanName = "coincidence.grow";
@@ -40,7 +39,7 @@ class CoincidencePolicy {
       "injected allocation failure building the coincidence "
       "representation (fault site miner.alloc)";
 
-  CoincidencePolicy(const MinerOptions& options, const ConfigT& /*config*/)
+  CoincidencePolicy(const MinerOptions& options, const GrowthConfig& /*config*/)
       : options_(options) {}
 
   size_t Build(const IntervalDatabase& db) {
@@ -292,7 +291,7 @@ class CoincidencePolicy {
 
 Result<CoincidenceMiningResult> MineCoincidenceGrowth(
     const IntervalDatabase& db, const MinerOptions& options,
-    const CoincidenceGrowthConfig& config) {
+    const GrowthConfig& config) {
   TPM_RETURN_NOT_OK(db.Validate());
   internal::DCheckCoincidenceMinerEntry(db);
   // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a

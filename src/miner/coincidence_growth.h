@@ -20,16 +20,9 @@
 
 namespace tpm {
 
-struct CoincidenceGrowthConfig {
-  /// Materialize postfix copies at every node (CTMiner behaviour).
-  bool physical_projection = false;
-  /// Ignore MinerOptions pruning toggles and disable all prunings.
-  bool force_disable_prunings = false;
-};
-
 Result<CoincidenceMiningResult> MineCoincidenceGrowth(
     const IntervalDatabase& db, const MinerOptions& options,
-    const CoincidenceGrowthConfig& config);
+    const GrowthConfig& config);
 
 }  // namespace tpm
 

@@ -24,7 +24,6 @@ class EndpointPolicy {
  public:
   using PatternT = EndpointPattern;
   using ResultT = EndpointMiningResult;
-  using ConfigT = EndpointGrowthConfig;
 
   static constexpr const char* kBuildSpanName = "endpoint.build";
   static constexpr const char* kGrowSpanName = "endpoint.grow";
@@ -32,11 +31,9 @@ class EndpointPolicy {
       "injected allocation failure building the endpoint representation "
       "(fault site miner.alloc)";
 
-  EndpointPolicy(const MinerOptions& options, const ConfigT& config)
+  EndpointPolicy(const MinerOptions& options, const GrowthConfig& config)
       : options_(options),
-        validity_pruning_(config.force_disable_prunings
-                              ? false
-                              : options.validity_pruning) {}
+        validity_pruning_(!config.baseline && options.validity_pruning) {}
 
   size_t Build(const IntervalDatabase& db) {
     // Shared immutable representation: worker policies are copies of the
@@ -312,7 +309,7 @@ class EndpointPolicy {
 
 Result<EndpointMiningResult> MineEndpointGrowth(const IntervalDatabase& db,
                                                 const MinerOptions& options,
-                                                const EndpointGrowthConfig& config) {
+                                                const GrowthConfig& config) {
   TPM_RETURN_NOT_OK(db.Validate());
   internal::DCheckEndpointMinerEntry(db);
   // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a

@@ -21,18 +21,10 @@
 
 namespace tpm {
 
-/// Engine-level configuration distinguishing the two public miners.
-struct EndpointGrowthConfig {
-  /// Materialize postfix copies at every node (TPrefixSpan behaviour).
-  bool physical_projection = false;
-  /// Ignore MinerOptions pruning toggles and disable all prunings.
-  bool force_disable_prunings = false;
-};
-
 /// Runs the prefix-growth search. The database must be valid.
 Result<EndpointMiningResult> MineEndpointGrowth(const IntervalDatabase& db,
                                                 const MinerOptions& options,
-                                                const EndpointGrowthConfig& config);
+                                                const GrowthConfig& config);
 
 }  // namespace tpm
 

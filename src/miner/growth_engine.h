@@ -11,7 +11,7 @@
 // identical. GrowthEngine<Policy> owns all of that; the policy contributes
 // the language-specific pieces:
 //
-//   using PatternT / ResultT / ConfigT
+//   using PatternT / ResultT;  Policy(options, GrowthConfig)
 //   kBuildSpanName / kGrowSpanName / kFaultMessage
 //   Build(db) -> representation bytes;  NumSeqs / NumItems / ItemCode
 //   IntroducesSymbol(code) / SymbolOf(code)     admission gating
@@ -38,17 +38,21 @@
 //
 //   workers    --threads=N runs N workers: the calling thread is worker 0
 //              and N-1 helper threads are the rest (none at N=1), all in
-//              the same WorkerLoop. Each worker owns a WorkerSlot: a copy of
-//              the built policy (cheap — the language representation is
-//              shared via shared_ptr), ProjectionArenas, ExecutionGuard, and
-//              a ScanScratch. Every work item charges its own plain
-//              SearchTally (miner/miner_metrics.h) with non-atomic adds, so
-//              nothing mutable is shared between workers on the hot path; a
-//              split unit adds its sub-units' tallies at the join. Memory is
-//              the exception by design: every arena and guard charges and
-//              reads the engine's one MemoryTracker (atomic, touched per
-//              arena block and per pattern, never per node), so the budget
-//              bounds the whole-run total at every thread count.
+//              the same WorkerLoop. Each worker owns a WorkerSlot, created
+//              right after the representation build: a copy of the built
+//              policy (cheap — the language representation is shared via
+//              shared_ptr), ProjectionArenas, ExecutionGuard, and a
+//              ScanScratch. The root node is worker 0's first node, so the
+//              unit views live in worker 0's depth-1 arena, which worker 0
+//              never writes again until the unit phase ends. Every work item
+//              charges its own plain SearchTally (miner/miner_metrics.h)
+//              with non-atomic adds, so nothing mutable is shared between
+//              workers on the hot path; a split unit adds its sub-units'
+//              tallies at the join. Memory is the exception by design: every
+//              arena and guard charges and reads the engine's one
+//              MemoryTracker (atomic, touched per arena block and per
+//              pattern, never per node), so the budget bounds the whole-run
+//              total at every thread count.
 //
 //   merger     Workers deliver finished units (pattern bank + tally)
 //              through a single mutex-guarded inbox. Worker 0 merges them
@@ -71,7 +75,8 @@
 // Stop propagation is lock-free: every guard's on_stop funnels into a CAS
 // on first_stop_reason_ plus a stop flag every worker polls, so a pattern
 // cap, deadline, memory trip, or SIGINT on any thread winds down the whole
-// crew with the usual bounded latency.
+// crew with the usual bounded latency. The stop is recorded once, after the
+// crew joins.
 //
 // Locking: WorkScheduler::mu_ and DeliveryInbox::mu are leaf locks, like
 // every tpm::Mutex — no code path holds both, and neither is held across
@@ -183,14 +188,13 @@ template <typename Policy>
 class GrowthEngine {
  public:
   using ResultT = typename Policy::ResultT;
-  using ConfigT = typename Policy::ConfigT;
   using PatternT = typename Policy::PatternT;
 
   GrowthEngine(const IntervalDatabase& db, const MinerOptions& options,
-               const ConfigT& config)
+               const GrowthConfig& config)
       : db_(db),
         options_(options),
-        config_(config),
+        baseline_(config.baseline),
         minsup_(db.AbsoluteSupport(options.min_support)),
         // Checkpointed units must bank their whole subtree, so the bar is
         // off whenever a checkpoint is written or resumed.
@@ -204,15 +208,9 @@ class GrowthEngine {
                           : new obs::StatsDomain(Policy::kGrowSpanName)),
         domain_(options.stats_domain != nullptr ? options.stats_domain
                                                 : owned_domain_.get()),
-        progress_(options.progress),
-        arenas_(&tracker_) {
-    if (config_.force_disable_prunings) {
-      pair_pruning_ = false;
-      postfix_pruning_ = false;
-    } else {
-      pair_pruning_ = options_.pair_pruning;
-      postfix_pruning_ = options_.postfix_pruning;
-    }
+        progress_(options.progress) {
+    pair_pruning_ = !baseline_ && options_.pair_pruning;
+    postfix_pruning_ = !baseline_ && options_.postfix_pruning;
     ckpt_writer_ = options.checkpoint_writer;
     resume_ = options.resume;
   }
@@ -250,22 +248,24 @@ class GrowthEngine {
     result.stats.build_bytes = rep_bytes + cooc_.MemoryBytes();
     tracker_.Allocate(result.stats.build_bytes);
     num_symbols_ = db_.dict().size();
-    root_scratch_ = ScanScratch(num_symbols_);
     result.stats.build_seconds = build_timer.ElapsedSeconds();
     domain_->RecordEvent("build.done", rep_bytes, cooc_.MemoryBytes());
+    for (uint32_t i = 0; i < NumWorkers(); ++i) slots_.emplace_back(this, i);
+    // The calling thread is worker 0, and the root is its first node.
+    WorkerSlot& w0 = slots_[0];
 
     WallTimer mine_timer;
     TPM_TRACE_SPAN(Policy::kGrowSpanName);
     // Root projection: one virgin state per non-empty sequence.
     ProjectionBuilder root_builder;
-    root_builder.Init(/*stride=*/0, &arenas_, /*depth=*/0);
+    root_builder.Init(/*stride=*/0, &w0.arenas, /*depth=*/0);
     for (uint32_t s = 0; s < policy_.NumSeqs(); ++s) {
       if (policy_.NumItems(s) == 0) continue;
       root_builder.Push(s, kNoStateItem, kNoStateItem);
     }
     const NodeProjection& root = root_builder.FinalizeKeepAll();
     internal::DCheckProjection(root);
-    arenas_.staging().Reset();
+    w0.arenas.staging().Reset();
 
     ItemOutput root_out;
     std::vector<uint8_t> allowed(num_symbols_, 1);
@@ -283,25 +283,18 @@ class GrowthEngine {
         }
       }
     }
-    out_ = &result;
     SeedFromResume();
     if (progress_ != nullptr) {
       progress_->ConfigureWorkers(NumWorkers(), &tracker_);
     }
 
-    // The calling thread's context: the root node is expanded against the
-    // engine-owned policy/arenas/guard — exactly the single-thread preamble
-    // every thread count shares. It publishes progress as worker 0.
-    WorkerCtx root_ctx;
-    root_ctx.id = 0;
-    root_ctx.policy = &policy_;
-    root_ctx.arenas = &arenas_;
-    root_ctx.guard = &guard_;
-    root_ctx.scratch = &root_scratch_;
-    root_ctx.out = &root_out;
-
+    // The level-1 unit views finalize into w0's depth-1 arena. Units start
+    // at depth 1, so w0 never writes or rewinds that arena again before
+    // ReleaseNode(root) below, and helpers may read the views meanwhile.
     NodeChildren root_nc;
-    const bool root_entered = ExpandNode(root_ctx, root, allowed, 0, &root_nc);
+    w0.out = &root_out;
+    const bool root_entered = ExpandNode(w0, root, allowed, 0, &root_nc);
+    w0.out = nullptr;
     if (root_entered) {
       BuildUnits(&root_nc);
       root_child_allowed_ = &root_nc.child_allowed;
@@ -326,17 +319,22 @@ class GrowthEngine {
 
     if (root_entered) {
       RunUnits();
-      ReleaseNode(root_ctx, &root_nc, 0);
+      ReleaseNode(w0, &root_nc, 0);
     }
 
+    uint64_t nodes = 0;
+    size_t arena_bytes = 0;
+    uint64_t arena_blocks = 0;
+    for (const WorkerSlot& s : slots_) {
+      nodes += s.nodes;
+      arena_bytes += s.arenas.total_allocated_bytes();
+      arena_blocks += s.arenas.total_blocks();
+    }
     const StopReason stop_reason = static_cast<StopReason>(
         first_stop_reason_.load(std::memory_order_relaxed));
-    // A stop that tripped on a worker guard has not been recorded in the
-    // run's flight recorder yet (the engine guard's on_stop records its own
-    // trips at trip time, pre-unit stops included).
-    if (stop_reason != StopReason::kNone && !guard_.stopped()) {
+    if (stop_reason != StopReason::kNone) {
       domain_->RecordEvent("guard.stop", static_cast<uint64_t>(stop_reason),
-                           root_ctx.nodes + worker_nodes_);
+                           nodes);
     }
     if (!ckpt_status_.ok()) return ckpt_status_;
     // A truncated run (guard stop, cancellation/SIGINT) leaves a final
@@ -356,17 +354,15 @@ class GrowthEngine {
     RecordStopMetrics(stop_reason, &domain_->registry());
     SearchTally search = UnitTallies();
     search.Add(root_out.tally);
-    result.stats.nodes_expanded = root_ctx.nodes + worker_nodes_;
+    result.stats.nodes_expanded = nodes;
     result.stats.candidates_checked = search.candidates;
     result.stats.states_created = search.states;
     result.stats.peak_tracked_bytes = tracker_.peak_bytes();
-    result.stats.arena_peak_bytes =
-        arenas_.total_allocated_bytes() + worker_arena_bytes_;
+    result.stats.arena_peak_bytes = arena_bytes;
     result.stats.peak_rss_bytes = ReadPeakRssBytes();
     domain_->GetGauge("miner.arena.peak_bytes")
-        ->Set(static_cast<int64_t>(result.stats.arena_peak_bytes));
-    domain_->GetCounter("miner.arena.blocks")
-        ->Increment(arenas_.total_blocks() + worker_arena_blocks_);
+        ->Set(static_cast<int64_t>(arena_bytes));
+    domain_->GetCounter("miner.arena.blocks")->Increment(arena_blocks);
     // Final VmHWM sample: a truncated run's peak was already captured by the
     // progress tracker at snapshot time; this records the end-of-run value.
     if (result.stats.peak_rss_bytes > 0) {
@@ -417,51 +413,35 @@ class GrowthEngine {
     SearchTally tally;
   };
 
-  // One execution context: the bindings a worker (or the calling thread's
-  // root expansion) mines with. The pointees are either engine members
-  // (root context) or a WorkerSlot's privately owned copies — never shared
-  // between two concurrently mining contexts. `id` is the worker (and
-  // progress slot) index; the calling thread is 0.
-  struct WorkerCtx {
+  // One execution context: everything one worker privately owns, never
+  // shared between two concurrently mining workers. `id` is the worker (and
+  // progress slot) index; the calling thread is 0. The policy copy is cheap:
+  // the built language representation is shared behind a shared_ptr and the
+  // DFS stacks are empty. Arenas and guard charge and read the run's one
+  // memory account.
+  struct WorkerSlot {
+    WorkerSlot(GrowthEngine* e, uint32_t worker_id)
+        : id(worker_id),
+          policy(e->policy_),
+          arenas(&e->tracker_),
+          guard(e->MakeWorkerLimits(), &e->tracker_),
+          scratch(e->num_symbols_) {}
     uint32_t id = 0;
-    Policy* policy = nullptr;
-    ProjectionArenas* arenas = nullptr;
-    ExecutionGuard* guard = nullptr;
-    ScanScratch* scratch = nullptr;
+    Policy policy;
+    ProjectionArenas arenas;
+    ExecutionGuard guard;
+    ScanScratch scratch;
 
     /// The current work item's bank and tally; null between items. A
     /// sub-unit mined while its owner joins restores the owner's.
     ItemOutput* out = nullptr;
 
-    /// Min-heap of the K best supports this context emitted (bar on only).
+    /// Min-heap of the K best supports this worker emitted (bar on only).
     std::vector<SupportCount> best;
 
     // Cumulative counters, folded into MiningStats after the join.
     uint64_t nodes = 0;
     uint64_t units = 0;  ///< complete units finished (miner.worker.units)
-  };
-
-  // Everything one worker privately owns. The policy copy is cheap: the
-  // built language representation is shared behind a shared_ptr and the
-  // DFS stacks are empty at unit-phase start. Arenas and guard charge and
-  // read the run's one memory account.
-  struct WorkerSlot {
-    WorkerSlot(GrowthEngine* e, uint32_t id)
-        : policy(e->policy_),
-          arenas(&e->tracker_),
-          guard(e->MakeWorkerLimits(), &e->tracker_),
-          scratch(e->num_symbols_) {
-      ctx.id = id;
-      ctx.policy = &policy;
-      ctx.arenas = &arenas;
-      ctx.guard = &guard;
-      ctx.scratch = &scratch;
-    }
-    Policy policy;
-    ProjectionArenas arenas;
-    ExecutionGuard guard;
-    ScanScratch scratch;
-    WorkerCtx ctx;
   };
 
   // One depth-0 subtree, in deterministic bucket order (unit id == index).
@@ -470,7 +450,7 @@ class GrowthEngine {
     uint32_t code = 0;
     bool i_ext = false;
     bool splittable = false;
-    const NodeProjection* view = nullptr;  ///< lives in the root's children
+    const NodeProjection* view = nullptr;  ///< in slots_[0]'s depth-1 arena
   };
 
   // The merged fate of one unit. `bank`/`tally` are written by the merger
@@ -529,13 +509,13 @@ class GrowthEngine {
   /// One consolidated stop poll: the context's own guard first (sticky),
   /// then the crew-wide flag (tripping this guard so the stop reason and
   /// on_stop accounting stay uniform), then the guard's own limits.
-  bool WorkerShouldStop(WorkerCtx& w) {
-    if (w.guard->stopped()) return true;
+  bool WorkerShouldStop(WorkerSlot& w) {
+    if (w.guard.stopped()) return true;
     if (stop_flag_.load(std::memory_order_relaxed)) {
-      w.guard->Trip(StopReason::kCancelled);
+      w.guard.Trip(StopReason::kCancelled);
       return true;
     }
-    return w.guard->ShouldStop();
+    return w.guard.ShouldStop();
   }
 
   /// Expands one node: charges it, emits when the policy deems the pattern
@@ -543,7 +523,7 @@ class GrowthEngine {
   /// Returns false when the node produced no children to walk (guard stop,
   /// emit-time stop, or the max_items cutoff) — `nc` is untouched then and
   /// needs no ReleaseNode.
-  bool ExpandNode(WorkerCtx& w, const NodeProjection& proj,
+  bool ExpandNode(WorkerSlot& w, const NodeProjection& proj,
                   const std::vector<uint8_t>& allowed, uint32_t depth,
                   NodeChildren* nc) {
     // Arena-lifetime contract: the projection's depth arena must not have
@@ -555,25 +535,25 @@ class GrowthEngine {
     ++w.nodes;
     if (progress_ != nullptr) progress_->TickWorker(w.id);
     SearchTally& tally = w.out->tally;
-    tally.nodes.Observe(w.policy->PatternLen());
+    tally.nodes.Observe(w.policy.PatternLen());
     tally.projected_seqs.Observe(proj.num_spans);
     tally.projected_states.Observe(proj.num_states);
-    w.policy->BeginNode();
+    w.policy.BeginNode();
 
     // Report the pattern at this node when the policy deems it complete.
-    if (w.policy->CanEmit()) {
+    if (w.policy.CanEmit()) {
       EmitPattern(w, static_cast<SupportCount>(proj.num_spans));
-      if (w.guard->stopped()) return false;
+      if (w.guard.stopped()) return false;
     }
     if (options_.max_items > 0 &&
-        w.policy->PatternLen() >= options_.max_items) {
+        w.policy.PatternLen() >= options_.max_items) {
       return false;
     }
 
     GrowthScanCtx ctx;
     ctx.allow_s_ext = options_.max_length == 0 ||
-                      w.policy->NumBlocks() < options_.max_length ||
-                      w.policy->PatternLen() == 0;
+                      w.policy.NumBlocks() < options_.max_length ||
+                      w.policy.PatternLen() == 0;
     if (postfix_pruning_ || pair_pruning_) ctx.allowed = allowed.data();
 
     ExpandFrame& frame = nc->frame;
@@ -581,7 +561,7 @@ class GrowthEngine {
 
     // Each (code, i_ext) key is decided once per node: its slot carries this
     // node's stamp from the first touch on.
-    ScanScratch& scratch = *w.scratch;
+    ScanScratch& scratch = w.scratch;
     const uint64_t stamp = static_cast<uint64_t>(scratch.NextStamp()) << 32;
     auto bucket_for = [&](uint32_t code, bool i_ext) -> Bucket* {
       uint64_t& slot = scratch.ext_slot(code, i_ext);
@@ -596,8 +576,8 @@ class GrowthEngine {
       if (Policy::IntroducesSymbol(code)) {
         const EventId ev = Policy::SymbolOf(code);
         TPM_DCHECK(ctx.allowed == nullptr || ctx.allowed[ev] != 0);
-        if (pair_pruning_ && !w.policy->InPattern(ev)) {
-          for (EventId a : w.policy->PatternSymbols()) {
+        if (pair_pruning_ && !w.policy.InPattern(ev)) {
+          for (EventId a : w.policy.PatternSymbols()) {
             if (!cooc_.IsFrequentPair(a, ev)) {
               ++tally.pair_hits;
               return nullptr;
@@ -610,7 +590,7 @@ class GrowthEngine {
       Bucket& b = frame.buckets.back();
       b.code = code;
       b.i_ext = i_ext;
-      b.builder.Init(w.policy->ChildStride(code, i_ext), w.arenas, depth + 1);
+      b.builder.Init(w.policy.ChildStride(code, i_ext), &w.arenas, depth + 1);
       return &b;
     };
 
@@ -626,7 +606,7 @@ class GrowthEngine {
     for (uint32_t si = 0; si < proj.num_spans; ++si) {
       const SeqSpan& sp = proj.spans[si];
       frame.cur_seq = sp.seq;
-      const uint32_t nitems = w.policy->NumItems(sp.seq);
+      const uint32_t nitems = w.policy.NumItems(sp.seq);
 
       uint32_t min_item = ~0u;
       for (uint32_t i = 0; i < sp.count; ++i) {
@@ -639,16 +619,16 @@ class GrowthEngine {
       // Baseline mode (TPrefixSpan / CTMiner): physically materialize this
       // node's postfix as (global item index, code) pairs and scan the copy.
       std::vector<std::pair<uint32_t, uint32_t>> copy;
-      if (config_.physical_projection) {
+      if (baseline_) {
         copy.reserve(nitems - min_item);
         for (uint32_t p = min_item; p < nitems; ++p) {
-          copy.emplace_back(p, w.policy->ItemCode(sp.seq, p));
+          copy.emplace_back(p, w.policy.ItemCode(sp.seq, p));
         }
         frame.copies_bytes += copy.capacity() * sizeof(copy[0]);
       }
       auto item_at = [&](uint32_t p) -> uint32_t {
-        if (config_.physical_projection) return copy[p - min_item].second;
-        return w.policy->ItemCode(frame.cur_seq, p);
+        if (baseline_) return copy[p - min_item].second;
+        return w.policy.ItemCode(frame.cur_seq, p);
       };
 
       // Postfix symbol counting for the children's allowed set. Symbols
@@ -666,12 +646,12 @@ class GrowthEngine {
 
       for (uint32_t i = 0; i < sp.count; ++i) {
         const size_t state_index = sp.offset + i;
-        w.policy->ScanState(ctx, sp.seq, proj.states[state_index],
+        w.policy.ScanState(ctx, sp.seq, proj.states[state_index],
                             proj.aux_of(state_index), item_at, try_push);
       }
     }
 
-    w.policy->FlushNodeMetrics(&tally);
+    w.policy.FlushNodeMetrics(&tally);
 
     // ---- Children ------------------------------------------------------
     nc->child_allowed = allowed;
@@ -706,42 +686,42 @@ class GrowthEngine {
                 return a.code < b.code;
               });
 
-    Arena& child_arena = w.arenas->depth(depth + 1);
+    Arena& child_arena = w.arenas.depth(depth + 1);
     nc->child_mark = child_arena.mark();
     for (Bucket& b : frame.buckets) {
       const NodeProjection& view = b.builder.Finalize(
           [&w](const ProjectionBuilder::SpanView& v,
                std::vector<uint32_t>* keep) {
-            w.policy->SelectSpan(v, keep);
+            w.policy.SelectSpan(v, keep);
           });
       internal::DCheckProjection(view);
     }
     // All parents up this context's stack finalized before recursing, so
     // nothing else is staged: the staging arena can rewind to empty.
-    w.arenas->staging().Reset();
+    w.arenas.staging().Reset();
     tally.arena_depth_bytes.Observe(child_arena.used_bytes());
     nc->entered = true;
     return true;
   }
 
-  void ReleaseNode(WorkerCtx& w, NodeChildren* nc, uint32_t depth) {
+  void ReleaseNode(WorkerSlot& w, NodeChildren* nc, uint32_t depth) {
     if (nc->frame.copies_bytes > 0) tracker_.Release(nc->frame.copies_bytes);
-    w.arenas->depth(depth + 1).Rewind(nc->child_mark);
+    w.arenas.depth(depth + 1).Rewind(nc->child_mark);
   }
 
   /// The recursion driver below the unit roots: expand, walk the frequent
   /// children depth-first, release.
-  void ExpandSubtree(WorkerCtx& w, const NodeProjection& proj,
+  void ExpandSubtree(WorkerSlot& w, const NodeProjection& proj,
                      const std::vector<uint8_t>& allowed, uint32_t depth) {
     NodeChildren nc;
     if (!ExpandNode(w, proj, allowed, depth, &nc)) return;
     for (Bucket& b : nc.frame.buckets) {
-      if (w.guard->stopped()) break;
+      if (w.guard.stopped()) break;
       const NodeProjection& view = b.builder.view();
       if (BelowFloor(&w.out->tally, view.num_spans)) continue;
-      w.policy->Apply(b.code, b.i_ext);
+      w.policy.Apply(b.code, b.i_ext);
       ExpandSubtree(w, view, nc.child_allowed, depth + 1);
-      w.policy->Undo(b.code, b.i_ext);
+      w.policy.Undo(b.code, b.i_ext);
     }
     ReleaseNode(w, &nc, depth);
   }
@@ -749,21 +729,21 @@ class GrowthEngine {
   /// Claims the pattern's slot in the run-wide total before keeping it, so
   /// concurrent emitters cannot overshoot max_patterns: a worker whose slot
   /// is past the cap keeps nothing and stops.
-  void EmitPattern(WorkerCtx& w, SupportCount support) {
+  void EmitPattern(WorkerSlot& w, SupportCount support) {
     const uint64_t slot =
         patterns_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (options_.max_patterns > 0 && slot > options_.max_patterns) {
-      w.guard->Trip(StopReason::kPatternCap);
+      w.guard.Trip(StopReason::kPatternCap);
       return;
     }
     w.out->bank.push_back(
-        MinedPattern<PatternT>{w.policy->MakePattern(), support});
+        MinedPattern<PatternT>{w.policy.MakePattern(), support});
     ++w.out->tally.patterns;
     if (progress_ != nullptr) progress_->NoteWorkerPattern(w.id);
     // items + slice offsets (incl. the trailing end offset).
-    tracker_.Allocate((w.policy->PatternLen() + w.policy->NumBlocks() + 1) *
+    tracker_.Allocate((w.policy.PatternLen() + w.policy.NumBlocks() + 1) *
                       sizeof(uint32_t));
-    w.guard->NotePattern(slot);
+    w.guard.NotePattern(slot);
     if (top_k_ > 0) OfferSupport(w, support);
   }
 
@@ -793,7 +773,7 @@ class GrowthEngine {
   /// Keeps the context's K best emitted supports. They belong to K distinct
   /// patterns, so once K are held their minimum is a lower bound on the
   /// run's K-th best support and may become the bar.
-  void OfferSupport(WorkerCtx& w, SupportCount support) {
+  void OfferSupport(WorkerSlot& w, SupportCount support) {
     std::vector<SupportCount>& heap = w.best;
     if (heap.size() < top_k_) {
       heap.push_back(support);
@@ -911,23 +891,15 @@ class GrowthEngine {
     scheduler_.Reset(std::move(pending));
     open_items_.store(scheduler_.units_pending(), std::memory_order_relaxed);
 
-    std::deque<WorkerSlot> slots;
-    for (uint32_t i = 0; i < NumWorkers(); ++i) slots.emplace_back(this, i);
     std::vector<std::thread> helpers;
-    helpers.reserve(slots.size() - 1);
-    for (size_t i = 1; i < slots.size(); ++i) {
-      WorkerCtx* w = &slots[i].ctx;
+    helpers.reserve(slots_.size() - 1);
+    for (size_t i = 1; i < slots_.size(); ++i) {
+      WorkerSlot* w = &slots_[i];
       helpers.emplace_back([this, w] { WorkerLoop(*w); });
     }
-    WorkerLoop(slots[0].ctx);
+    WorkerLoop(slots_[0]);
     for (std::thread& t : helpers) t.join();
     MergeDeliveries();
-    for (WorkerSlot& s : slots) {
-      worker_nodes_ += s.ctx.nodes;
-      worker_arena_bytes_ += s.arenas.total_allocated_bytes();
-      worker_arena_blocks_ += s.arenas.total_blocks();
-      worker_load_.push_back({s.ctx.nodes, s.ctx.units});
-    }
   }
 
   uint32_t NumWorkers() const {
@@ -938,8 +910,8 @@ class GrowthEngine {
   /// checkpoint failure) winds the crew down. Worker 0 also merges after
   /// each of its items, so deliveries and periodic checkpoints fold between
   /// them.
-  void WorkerLoop(WorkerCtx& w) {
-    while (!w.guard->stopped() &&
+  void WorkerLoop(WorkerSlot& w) {
+    while (!w.guard.stopped() &&
            !stop_flag_.load(std::memory_order_relaxed)) {
       WorkItem item;
       if (scheduler_.TryNext(&item)) {
@@ -957,7 +929,7 @@ class GrowthEngine {
 
   /// Waits a little for other workers; worker 0 merges and keeps the
   /// progress line moving meanwhile.
-  void IdleBackoff(WorkerCtx& w, std::chrono::microseconds pause) {
+  void IdleBackoff(WorkerSlot& w, std::chrono::microseconds pause) {
     if (w.id == 0) {
       MergeDeliveries();
       if (progress_ != nullptr) progress_->PollEmit();
@@ -965,10 +937,10 @@ class GrowthEngine {
     std::this_thread::sleep_for(pause);
   }
 
-  void ProcessItem(WorkerCtx& w, const WorkItem& item) {
+  void ProcessItem(WorkerSlot& w, const WorkItem& item) {
     if (item.kind == WorkItem::Kind::kUnit) {
       const UnitInfo& u = units_[item.unit_id];
-      if (options_.steal && u.splittable) {
+      if (u.splittable) {
         ProcessSplitUnit(w, item.unit_id);
       } else {
         ProcessUnit(w, item.unit_id);
@@ -979,18 +951,18 @@ class GrowthEngine {
     open_items_.fetch_sub(1, std::memory_order_release);
   }
 
-  void ProcessUnit(WorkerCtx& w, uint64_t unit_id) {
+  void ProcessUnit(WorkerSlot& w, uint64_t unit_id) {
     const UnitInfo& u = units_[unit_id];
     ItemOutput out;
     ItemOutput* const outer = std::exchange(w.out, &out);
     // The bar may have risen past this unit since the pre-pass.
     if (!BelowFloor(&out.tally, u.view->num_spans)) {
-      w.policy->Apply(u.code, u.i_ext);
+      w.policy.Apply(u.code, u.i_ext);
       ExpandSubtree(w, *u.view, *root_child_allowed_, /*depth=*/1);
-      w.policy->Undo(u.code, u.i_ext);
+      w.policy.Undo(u.code, u.i_ext);
     }
     w.out = outer;
-    FinishUnit(w, unit_id, !w.guard->stopped(), std::move(out));
+    FinishUnit(w, unit_id, !w.guard.stopped(), std::move(out));
   }
 
   /// --steal path for a splittable unit: expand the unit root, publish its
@@ -998,11 +970,11 @@ class GrowthEngine {
   /// whole units would rewind this context's shallow arenas under the
   /// thieves) until every child joined, then assemble the unit exactly as
   /// if it had been mined in one piece.
-  void ProcessSplitUnit(WorkerCtx& w, uint64_t unit_id) {
+  void ProcessSplitUnit(WorkerSlot& w, uint64_t unit_id) {
     const UnitInfo& u = units_[unit_id];
     ItemOutput out;
     ItemOutput* const outer = std::exchange(w.out, &out);
-    w.policy->Apply(u.code, u.i_ext);
+    w.policy.Apply(u.code, u.i_ext);
     NodeChildren nc;
     const bool entered =
         !BelowFloor(&out.tally, u.view->num_spans) &&
@@ -1030,7 +1002,7 @@ class GrowthEngine {
         scheduler_.PushSubs(unit_id, published);
       }
     }
-    w.policy->Undo(u.code, u.i_ext);
+    w.policy.Undo(u.code, u.i_ext);
     // Drain until the children are all accounted for. This keeps going even
     // when a stop tripped: a stopped crew unwinds sub-units fast, and the
     // join must complete before the owner's arenas may rewind.
@@ -1044,7 +1016,7 @@ class GrowthEngine {
     }
     if (entered) ReleaseNode(w, &nc, /*depth=*/1);
     w.out = outer;
-    bool complete = !w.guard->stopped();
+    bool complete = !w.guard.stopped();
     for (SubUnit& s : subs) {  // child order: the serial emission order
       complete = complete && s.complete;
       for (MinedPattern<PatternT>& p : s.out.bank) {
@@ -1055,26 +1027,26 @@ class GrowthEngine {
     FinishUnit(w, unit_id, complete, std::move(out));
   }
 
-  void ProcessSub(WorkerCtx& w, SubUnit& s) {
+  void ProcessSub(WorkerSlot& w, SubUnit& s) {
     ItemOutput* const outer = std::exchange(w.out, &s.out);
     if (!BelowFloor(&s.out.tally, s.view->num_spans)) {
       for (const std::pair<uint32_t, bool>& step : s.path) {
-        w.policy->Apply(step.first, step.second);
+        w.policy.Apply(step.first, step.second);
       }
       ExpandSubtree(w, *s.view, *s.allowed,
                     static_cast<uint32_t>(s.path.size()));
       for (size_t i = s.path.size(); i > 0; --i) {
-        w.policy->Undo(s.path[i - 1].first, s.path[i - 1].second);
+        w.policy.Undo(s.path[i - 1].first, s.path[i - 1].second);
       }
     }
     w.out = outer;
-    s.complete = !w.guard->stopped();
+    s.complete = !w.guard.stopped();
     // Release-decrement publishes out/complete to the owner's acquire-load
     // in ProcessSplitUnit.
     s.split->remaining.fetch_sub(1, std::memory_order_release);
   }
 
-  void FinishUnit(WorkerCtx& w, uint64_t unit_id, bool complete,
+  void FinishUnit(WorkerSlot& w, uint64_t unit_id, bool complete,
                   ItemOutput out) {
     DeliverUnit(unit_id, complete, std::move(out));
     if (complete) ++w.units;
@@ -1182,16 +1154,14 @@ class GrowthEngine {
     const SearchTally units = UnitTallies();
     obs::MetricsRegistry search;
     units.ChargeTo(&search, top_k_ > 0);
-    if (!worker_load_.empty()) {
-      TallyHistogram<kWorkerBounds> nodes;
-      TallyHistogram<kWorkerBounds> done;
-      for (size_t id = 0; id < worker_load_.size(); ++id) {
-        nodes.Observe(id, worker_load_[id].nodes);
-        done.Observe(id, worker_load_[id].units);
-      }
-      nodes.ChargeTo(search.GetHistogram("miner.worker.nodes", nodes.Bounds()));
-      done.ChargeTo(search.GetHistogram("miner.worker.units", done.Bounds()));
+    TallyHistogram<kWorkerBounds> nodes;
+    TallyHistogram<kWorkerBounds> done;
+    for (const WorkerSlot& s : slots_) {
+      nodes.Observe(s.id, s.nodes);
+      done.Observe(s.id, s.units);
     }
+    nodes.ChargeTo(search.GetHistogram("miner.worker.nodes", nodes.Bounds()));
+    done.ChargeTo(search.GetHistogram("miner.worker.units", done.Bounds()));
     return obs::MergeSnapshots(
         {BaseMetrics(), search.Snapshot(),
          domain_->registry().Snapshot().Since(preamble_end_)});
@@ -1240,19 +1210,19 @@ class GrowthEngine {
     CheckpointRunKey key;
     key.db_fingerprint = FingerprintDatabase(db_);
     key.language = kIsEndpoint ? "endpoint" : "coincidence";
-    key.algo = config_.physical_projection ? "growth-physical" : "growth";
+    key.algo = baseline_ ? "growth-physical" : "growth";
     key.min_support = options_.min_support;
     key.max_items = options_.max_items;
     key.max_length = options_.max_length;
     key.max_window = options_.max_window;
-    // Effective pruning decisions (post force_disable_prunings), not the raw
+    // Effective pruning decisions (the baselines run none), not the raw
     // option bits: only toggles that change the search shape block a resume.
     // Coincidence mining ignores validity pruning entirely, so the flag is
     // canonicalized to false there.
     key.pair_pruning = pair_pruning_;
     key.postfix_pruning = postfix_pruning_;
-    key.validity_pruning = kIsEndpoint && !config_.force_disable_prunings &&
-                           options_.validity_pruning;
+    key.validity_pruning =
+        kIsEndpoint && !baseline_ && options_.validity_pruning;
     return key;
   }
 
@@ -1275,7 +1245,7 @@ class GrowthEngine {
                           sizeof(uint32_t));
         ++seeded;
         patterns_total_.store(seeded, std::memory_order_relaxed);
-        guard_.NotePattern(seeded);
+        slots_[0].guard.NotePattern(seeded);
       }
       orphan_units_.push_back(std::move(unit));
     }
@@ -1331,7 +1301,7 @@ class GrowthEngine {
 
   const IntervalDatabase& db_;
   const MinerOptions& options_;
-  const ConfigT& config_;
+  const bool baseline_;  ///< physical-projection baseline, no pruning
   const SupportCount minsup_;
   const uint64_t top_k_;  ///< 0 = bar off
   // The search floor, max(minsup, bar): read per child, raised rarely.
@@ -1343,25 +1313,11 @@ class GrowthEngine {
   CooccurrenceTable cooc_;
   size_t num_symbols_ = 0;
 
-  // The root context's scan scratch; workers own theirs.
-  ScanScratch root_scratch_;
-
   // Observability domain the run charges: caller-provided (`tpm mine`) or a
-  // private throwaway. Declared before guard_ so the on_stop hook may touch
-  // it at any point in the guard's lifetime.
+  // private throwaway.
   std::unique_ptr<obs::StatsDomain> owned_domain_;
   obs::StatsDomain* domain_ = nullptr;
   obs::ProgressTracker* progress_ = nullptr;
-
-  GuardLimits MakeGuardLimits() {
-    GuardLimits limits = options_.ToGuardLimits();
-    limits.on_stop = [this](StopReason reason) {
-      domain_->RecordEvent("guard.stop", static_cast<uint64_t>(reason),
-                           out_ != nullptr ? out_->stats.nodes_expanded : 0);
-      NoteStop(reason);
-    };
-    return limits;
-  }
 
   /// Worker budgets derived so the crew respects the run's limits: the
   /// remaining wall budget (the deadline is absolute), the whole memory
@@ -1378,12 +1334,12 @@ class GrowthEngine {
     return limits;
   }
 
-  // The run's one memory account: the build, the root arenas, every
-  // worker's arenas and every emitted pattern charge it.
+  // The run's one memory account: the build, every worker's arenas and
+  // every emitted pattern charge it. Declared before slots_, whose arenas
+  // release into it on destruction.
   MemoryTracker tracker_;
-  ProjectionArenas arenas_;
-  ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
-  ResultT* out_ = nullptr;
+  // One per --threads, from the build on; slots_[0] is the calling thread.
+  std::deque<WorkerSlot> slots_;
 
   // --- Scheduler / worker / merger state ---
   WorkScheduler scheduler_;
@@ -1395,16 +1351,6 @@ class GrowthEngine {
   std::atomic<bool> stop_flag_{false};
   std::atomic<int> first_stop_reason_{0};
   std::atomic<uint64_t> patterns_total_{0};
-  uint64_t worker_nodes_ = 0;
-  size_t worker_arena_bytes_ = 0;
-  uint64_t worker_arena_blocks_ = 0;
-  // Per worker id: nodes expanded and complete units finished, charged to
-  // miner.worker.{nodes,units} at run end. Empty when no unit ran.
-  struct WorkerLoad {
-    uint64_t nodes = 0;
-    uint64_t units = 0;
-  };
-  std::vector<WorkerLoad> worker_load_;
 
   // --- Checkpoint/resume state (see the helper block above) ---
   CheckpointWriter* ckpt_writer_ = nullptr;  // not owned; null = off

@@ -14,7 +14,7 @@ class PTPMinerE final : public EndpointMiner {
  public:
   Result<EndpointMiningResult> Mine(const IntervalDatabase& db,
                                     const MinerOptions& options) override {
-    return MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    return MineEndpointGrowth(db, options, GrowthConfig{});
   }
   std::string name() const override { return "P-TPMiner/E"; }
 };
@@ -23,10 +23,7 @@ class TPrefixSpanMiner final : public EndpointMiner {
  public:
   Result<EndpointMiningResult> Mine(const IntervalDatabase& db,
                                     const MinerOptions& options) override {
-    EndpointGrowthConfig config;
-    config.physical_projection = true;
-    config.force_disable_prunings = true;
-    return MineEndpointGrowth(db, options, config);
+    return MineEndpointGrowth(db, options, GrowthConfig{.baseline = true});
   }
   std::string name() const override { return "TPrefixSpan"; }
 };
@@ -45,7 +42,7 @@ class PTPMinerC final : public CoincidenceMiner {
  public:
   Result<CoincidenceMiningResult> Mine(const IntervalDatabase& db,
                                        const MinerOptions& options) override {
-    return MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+    return MineCoincidenceGrowth(db, options, GrowthConfig{});
   }
   std::string name() const override { return "P-TPMiner/C"; }
 };
@@ -54,10 +51,7 @@ class CTMinerImpl final : public CoincidenceMiner {
  public:
   Result<CoincidenceMiningResult> Mine(const IntervalDatabase& db,
                                        const MinerOptions& options) override {
-    CoincidenceGrowthConfig config;
-    config.physical_projection = true;
-    config.force_disable_prunings = true;
-    return MineCoincidenceGrowth(db, options, config);
+    return MineCoincidenceGrowth(db, options, GrowthConfig{.baseline = true});
   }
   std::string name() const override { return "CTMiner"; }
 };

@@ -134,6 +134,14 @@ struct MinerOptions {
   bool validity_pruning = true;
 };
 
+/// \brief Selects between a language's two prefix-growth miners
+/// (MineEndpointGrowth / MineCoincidenceGrowth).
+struct GrowthConfig {
+  /// The physical-projection baseline (TPrefixSpan / CTMiner): copy every
+  /// node's postfixes before scanning it, and ignore the pruning toggles.
+  bool baseline = false;
+};
+
 /// \brief Counters every miner fills in; the benchmark harness prints them.
 struct MiningStats {
   double build_seconds = 0.0;      ///< representation construction

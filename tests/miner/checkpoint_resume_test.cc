@@ -135,11 +135,11 @@ INSTANTIATE_TEST_SUITE_P(QuestSeeds, CheckpointResumeTest,
 TEST_P(CheckpointResumeTest, EndpointGrowthEveryMaskAndCap) {
   const IntervalDatabase db = MakeDb(GetParam());
   auto mine = [](const IntervalDatabase& d, const MinerOptions& o) {
-    return MineEndpointGrowth(d, o, EndpointGrowthConfig{});
+    return MineEndpointGrowth(d, o, GrowthConfig{});
   };
   for (uint32_t mask : {7u, 0u, 5u, 2u}) {
     MinerOptions base = BaseOptions(mask);
-    auto clean = MineEndpointGrowth(db, base, EndpointGrowthConfig{});
+    auto clean = MineEndpointGrowth(db, base, GrowthConfig{});
     ASSERT_TRUE(clean.ok()) << clean.status();
     for (uint64_t cap : CapsFor(clean->patterns.size())) {
       ExpectInterruptResumeExact(db, base, cap, mine,
@@ -150,9 +150,7 @@ TEST_P(CheckpointResumeTest, EndpointGrowthEveryMaskAndCap) {
 
 TEST_P(CheckpointResumeTest, EndpointPhysicalProjectionBaseline) {
   const IntervalDatabase db = MakeDb(GetParam());
-  EndpointGrowthConfig config;
-  config.physical_projection = true;
-  config.force_disable_prunings = true;
+  const GrowthConfig config{.baseline = true};
   auto mine = [config](const IntervalDatabase& d, const MinerOptions& o) {
     return MineEndpointGrowth(d, o, config);
   };
@@ -167,11 +165,11 @@ TEST_P(CheckpointResumeTest, EndpointPhysicalProjectionBaseline) {
 TEST_P(CheckpointResumeTest, CoincidenceGrowthEveryMaskAndCap) {
   const IntervalDatabase db = MakeDb(GetParam());
   auto mine = [](const IntervalDatabase& d, const MinerOptions& o) {
-    return MineCoincidenceGrowth(d, o, CoincidenceGrowthConfig{});
+    return MineCoincidenceGrowth(d, o, GrowthConfig{});
   };
   for (uint32_t mask : {3u, 0u}) {
     MinerOptions base = BaseOptions(mask);
-    auto clean = MineCoincidenceGrowth(db, base, CoincidenceGrowthConfig{});
+    auto clean = MineCoincidenceGrowth(db, base, GrowthConfig{});
     ASSERT_TRUE(clean.ok()) << clean.status();
     for (uint64_t cap : CapsFor(clean->patterns.size())) {
       ExpectInterruptResumeExact(db, base, cap, mine,
@@ -182,9 +180,7 @@ TEST_P(CheckpointResumeTest, CoincidenceGrowthEveryMaskAndCap) {
 
 TEST_P(CheckpointResumeTest, CoincidencePhysicalProjectionBaseline) {
   const IntervalDatabase db = MakeDb(GetParam());
-  CoincidenceGrowthConfig config;
-  config.physical_projection = true;
-  config.force_disable_prunings = true;
+  const GrowthConfig config{.baseline = true};
   auto mine = [config](const IntervalDatabase& d, const MinerOptions& o) {
     return MineCoincidenceGrowth(d, o, config);
   };
@@ -204,7 +200,7 @@ TEST_P(CheckpointResumeTest, ResumeOfResumeFoldsTransitively) {
   obs::StatsDomain clean_domain("clean");
   MinerOptions clean_options = base;
   clean_options.stats_domain = &clean_domain;
-  auto clean = MineEndpointGrowth(db, clean_options, EndpointGrowthConfig{});
+  auto clean = MineEndpointGrowth(db, clean_options, GrowthConfig{});
   ASSERT_TRUE(clean.ok()) << clean.status();
   if (clean->patterns.size() < 3) return;
 
@@ -215,7 +211,7 @@ TEST_P(CheckpointResumeTest, ResumeOfResumeFoldsTransitively) {
   first.checkpoint_writer = &w1;
   obs::StatsDomain d1("first");
   first.stats_domain = &d1;
-  ASSERT_TRUE(MineEndpointGrowth(db, first, EndpointGrowthConfig{}).ok());
+  ASSERT_TRUE(MineEndpointGrowth(db, first, GrowthConfig{}).ok());
   auto ckpt1 = ReadCheckpointFile(path);
   ASSERT_TRUE(ckpt1.ok()) << ckpt1.status();
 
@@ -226,7 +222,7 @@ TEST_P(CheckpointResumeTest, ResumeOfResumeFoldsTransitively) {
   second.checkpoint_writer = &w2;
   obs::StatsDomain d2("second");
   second.stats_domain = &d2;
-  auto mid = MineEndpointGrowth(db, second, EndpointGrowthConfig{});
+  auto mid = MineEndpointGrowth(db, second, GrowthConfig{});
   ASSERT_TRUE(mid.ok()) << mid.status();
   ASSERT_TRUE(mid->stats.truncated);
   auto ckpt2 = ReadCheckpointFile(path);
@@ -236,7 +232,7 @@ TEST_P(CheckpointResumeTest, ResumeOfResumeFoldsTransitively) {
   last.resume = &*ckpt2;
   obs::StatsDomain d3("last");
   last.stats_domain = &d3;
-  auto final_run = MineEndpointGrowth(db, last, EndpointGrowthConfig{});
+  auto final_run = MineEndpointGrowth(db, last, GrowthConfig{});
   ASSERT_TRUE(final_run.ok()) << final_run.status();
   EXPECT_EQ(EmissionRender(*final_run, db.dict()),
             EmissionRender(*clean, db.dict()));
@@ -255,7 +251,7 @@ TEST_P(CheckpointResumeTest, ResumeAcrossThreadCounts) {
   obs::StatsDomain clean_domain("clean");
   MinerOptions clean_options = base;
   clean_options.stats_domain = &clean_domain;
-  auto clean = MineEndpointGrowth(db, clean_options, EndpointGrowthConfig{});
+  auto clean = MineEndpointGrowth(db, clean_options, GrowthConfig{});
   ASSERT_TRUE(clean.ok()) << clean.status();
   if (clean->patterns.size() < 3) return;
   const uint64_t cap = clean->patterns.size() / 2;
@@ -280,7 +276,7 @@ TEST_P(CheckpointResumeTest, ResumeAcrossThreadCounts) {
     part.checkpoint_writer = &writer;
     obs::StatsDomain part_domain("part");
     part.stats_domain = &part_domain;
-    auto interrupted = MineEndpointGrowth(db, part, EndpointGrowthConfig{});
+    auto interrupted = MineEndpointGrowth(db, part, GrowthConfig{});
     ASSERT_TRUE(interrupted.ok()) << interrupted.status();
     ASSERT_TRUE(interrupted->stats.truncated);
     auto ckpt = ReadCheckpointFile(path);
@@ -293,7 +289,7 @@ TEST_P(CheckpointResumeTest, ResumeAcrossThreadCounts) {
     obs::StatsDomain resume_domain("resume");
     resume_options.stats_domain = &resume_domain;
     auto resumed = MineEndpointGrowth(db, resume_options,
-                                      EndpointGrowthConfig{});
+                                      GrowthConfig{});
     ASSERT_TRUE(resumed.ok()) << resumed.status();
     EXPECT_FALSE(resumed->stats.truncated);
     EXPECT_EQ(EmissionRender(*resumed, db.dict()),
@@ -312,7 +308,7 @@ TEST(CheckpointResumeValidationTest, MismatchedOptionsNameEveryField) {
   MinerOptions part = options;
   part.max_patterns = 1;
   part.checkpoint_writer = &writer;
-  ASSERT_TRUE(MineEndpointGrowth(db, part, EndpointGrowthConfig{}).ok());
+  ASSERT_TRUE(MineEndpointGrowth(db, part, GrowthConfig{}).ok());
   auto ckpt = ReadCheckpointFile(path);
   ASSERT_TRUE(ckpt.ok()) << ckpt.status();
 
@@ -321,7 +317,7 @@ TEST(CheckpointResumeValidationTest, MismatchedOptionsNameEveryField) {
   other.pair_pruning = false;
   other.resume = &*ckpt;
   const Status st =
-      MineEndpointGrowth(db, other, EndpointGrowthConfig{}).status();
+      MineEndpointGrowth(db, other, GrowthConfig{}).status();
   ASSERT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   EXPECT_NE(st.message().find("min_support"), std::string::npos) << st.ToString();
   EXPECT_NE(st.message().find("pair_pruning"), std::string::npos) << st.ToString();
@@ -360,7 +356,7 @@ TEST(CheckpointResumeValidationTest, MismatchedOptionsNameEveryField) {
   MinerOptions same = options;
   same.resume = &*ckpt;
   const Status db_st =
-      MineEndpointGrowth(other_db, same, EndpointGrowthConfig{}).status();
+      MineEndpointGrowth(other_db, same, GrowthConfig{}).status();
   ASSERT_EQ(db_st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(db_st.message().find("different database"), std::string::npos)
       << db_st.ToString();
@@ -372,7 +368,7 @@ TEST(CheckpointResumeValidationTest, GatedWriterStillLeavesFinalCheckpoint) {
   // the truncated exit must still land and must still resume exactly.
   const IntervalDatabase db = MakeDb(44);
   const MinerOptions base = BaseOptions(7);
-  auto clean = MineEndpointGrowth(db, base, EndpointGrowthConfig{});
+  auto clean = MineEndpointGrowth(db, base, GrowthConfig{});
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_GT(clean->patterns.size(), 1u);
 
@@ -381,7 +377,7 @@ TEST(CheckpointResumeValidationTest, GatedWriterStillLeavesFinalCheckpoint) {
   part.max_patterns = clean->patterns.size() - 1;
   CheckpointWriter writer(path, 3600.0);
   part.checkpoint_writer = &writer;
-  auto truncated = MineEndpointGrowth(db, part, EndpointGrowthConfig{});
+  auto truncated = MineEndpointGrowth(db, part, GrowthConfig{});
   ASSERT_TRUE(truncated.ok()) << truncated.status();
   ASSERT_TRUE(truncated->stats.truncated);
   EXPECT_EQ(writer.writes(), 1u);  // the final checkpoint only
@@ -390,7 +386,7 @@ TEST(CheckpointResumeValidationTest, GatedWriterStillLeavesFinalCheckpoint) {
   ASSERT_TRUE(ckpt.ok()) << ckpt.status();
   MinerOptions resume = base;
   resume.resume = &*ckpt;
-  auto resumed = MineEndpointGrowth(db, resume, EndpointGrowthConfig{});
+  auto resumed = MineEndpointGrowth(db, resume, GrowthConfig{});
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(EmissionRender(*resumed, db.dict()),
             EmissionRender(*clean, db.dict()));
@@ -405,7 +401,7 @@ TEST(CheckpointResumeValidationTest, InjectedWriteFaultFailsTheRun) {
   options.checkpoint_writer = &writer;
   fault::ScopedFault fault("io.checkpoint.write", 1);
   const Status st =
-      MineEndpointGrowth(db, options, EndpointGrowthConfig{}).status();
+      MineEndpointGrowth(db, options, GrowthConfig{}).status();
   ASSERT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_NE(st.message().find("injected"), std::string::npos) << st.ToString();
   std::remove(path.c_str());

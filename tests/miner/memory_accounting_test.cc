@@ -53,7 +53,7 @@ TEST(MemoryAccountingTest, EndpointPeakIsExactlyBuildPlusArena) {
     MinerOptions options;
     options.min_support = 0.15;
     options.threads = threads;
-    auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    auto result = MineEndpointGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_GT(result->patterns.size(), 0u);
     EXPECT_GT(result->stats.arena_peak_bytes, 0u);
@@ -71,7 +71,7 @@ TEST(MemoryAccountingTest, CoincidencePeakIsExactlyBuildPlusArena) {
     options.min_support = 0.15;
     options.threads = threads;
     auto result =
-        MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+        MineCoincidenceGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_GT(result->patterns.size(), 0u);
     EXPECT_EQ(result->stats.peak_tracked_bytes,
@@ -89,7 +89,7 @@ TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
     MinerOptions options;
     options.min_support = static_cast<double>(db.size() + 1);  // unreachable
     options.threads = threads;
-    auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    auto result = MineEndpointGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->patterns.size(), 0u);
     EXPECT_EQ(result->stats.peak_tracked_bytes,

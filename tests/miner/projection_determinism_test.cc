@@ -65,8 +65,8 @@ TEST_P(ProjectionDeterminismTest, WindowConstraintAgreesAcrossBackends) {
   const IntervalDatabase db = MakeDb(GetParam());
   MinerOptions options = BaseOptions(7);
   options.max_window = 40;
-  auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  auto cp = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+  auto ep = MineEndpointGrowth(db, options, GrowthConfig{});
+  auto cp = MineCoincidenceGrowth(db, options, GrowthConfig{});
   ASSERT_TRUE(ep.ok()) << ep.status();
   ASSERT_TRUE(cp.ok()) << cp.status();
   auto ec = MakeTPrefixSpan()->Mine(db, options);
@@ -108,7 +108,7 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
     MinerOptions options = BaseOptions(mask);
     obs::StatsDomain base_domain("t1");
     options.stats_domain = &base_domain;
-    auto single = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    auto single = MineEndpointGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(single.ok()) << single.status();
     ExpectCountsMatchMetrics(*single, 1);
     const std::string want = EmissionOrderRender(*single, db.dict());
@@ -123,7 +123,7 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
         domain_name += std::to_string(threads);
         obs::StatsDomain domain(domain_name);
         par.stats_domain = &domain;
-        auto result = MineEndpointGrowth(db, par, EndpointGrowthConfig{});
+        auto result = MineEndpointGrowth(db, par, GrowthConfig{});
         ASSERT_TRUE(result.ok()) << result.status();
         ExpectCountsMatchMetrics(*result, threads);
         EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
@@ -143,7 +143,7 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
     MinerOptions options = BaseOptions(mask);
     obs::StatsDomain base_domain("t1");
     options.stats_domain = &base_domain;
-    auto single = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+    auto single = MineCoincidenceGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(single.ok()) << single.status();
     ExpectCountsMatchMetrics(*single, 1);
     const std::string want = EmissionOrderRender(*single, db.dict());
@@ -157,7 +157,7 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
       domain_name += std::to_string(threads);
       obs::StatsDomain domain(domain_name);
       par.stats_domain = &domain;
-      auto result = MineCoincidenceGrowth(db, par, CoincidenceGrowthConfig{});
+      auto result = MineCoincidenceGrowth(db, par, GrowthConfig{});
       ASSERT_TRUE(result.ok()) << result.status();
       ExpectCountsMatchMetrics(*result, threads);
       EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
@@ -183,11 +183,11 @@ TEST(StealDeterminismTest, StealDoesNotChangeMergedMetrics) {
   ASSERT_TRUE(db.ok()) << db.status();
   MinerOptions options;
   options.min_support = 0.02;
-  auto plain = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
+  auto plain = MineCoincidenceGrowth(*db, options, GrowthConfig{});
   ASSERT_TRUE(plain.ok()) << plain.status();
   EXPECT_GT(plain->stats.patterns_found, 1024u);
   options.steal = true;
-  auto stolen = MineCoincidenceGrowth(*db, options, CoincidenceGrowthConfig{});
+  auto stolen = MineCoincidenceGrowth(*db, options, GrowthConfig{});
   ASSERT_TRUE(stolen.ok()) << stolen.status();
   EXPECT_EQ(EmissionOrderRender(*stolen, db->dict()),
             EmissionOrderRender(*plain, db->dict()));

@@ -102,11 +102,11 @@ TEST(PinnedSearchCountsTest, BothLanguagesEveryPruningMask) {
                  << " mask=" << want.mask);
     const MinerOptions options = BaseOptions(want.mask);
     if (want.lang == kEndpoint) {
-      auto r = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+      auto r = MineEndpointGrowth(db, options, GrowthConfig{});
       ASSERT_TRUE(r.ok()) << r.status();
       ExpectCounts(want, r->stats);
     } else {
-      auto r = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+      auto r = MineCoincidenceGrowth(db, options, GrowthConfig{});
       ASSERT_TRUE(r.ok()) << r.status();
       ExpectCounts(want, r->stats);
     }
@@ -186,7 +186,7 @@ TEST(PinnedSearchCountsTest, PostfixHitsMatchAnIndependentRecount) {
     SCOPED_TRACE(::testing::Message() << "mask=" << mask);
     const MinerOptions options = BaseOptions(mask);
     const SupportCount minsup = db.AbsoluteSupport(options.min_support);
-    auto r = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+    auto r = MineCoincidenceGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(r.ok()) << r.status();
     // Every coincidence node but the root emits its pattern.
     ASSERT_EQ(r->stats.nodes_expanded, r->patterns.size() + 1);

@@ -1,6 +1,7 @@
 // SearchTally: the plain per-work-item search counters must bucket, sum and
 // convert exactly like the registry metrics they stand in for, so merged
-// metrics keep their bytes.
+// metrics keep their bytes — and every expanded node, the root included, is
+// attributed to exactly one worker.
 
 #include "miner/miner_metrics.h"
 
@@ -9,6 +10,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "datagen/quest.h"
+#include "miner/coincidence_growth.h"
+#include "miner/endpoint_growth.h"
 #include "obs/metrics.h"
 
 namespace tpm {
@@ -160,6 +164,57 @@ TEST(SearchTallyTest, TopKHitsOnlyWithTheBar) {
 #else
   EXPECT_TRUE(tally.Snapshot(/*top_k=*/true).counters.empty());
 #endif
+}
+
+// The per-worker node attribution (miner.worker.nodes, one observation per
+// node) sums to the search.nodes count and to MiningStats::nodes_expanded at
+// every thread count, with and without stealing: the root node counts under
+// worker 0 like any other node.
+template <typename ResultT>
+void ExpectNodesAttributed(const ResultT& r, uint32_t threads, bool steal) {
+  ASSERT_FALSE(r.stats.truncated);
+  ASSERT_GT(r.stats.nodes_expanded, 1u);
+#ifndef TPM_OBS_DISABLED
+  const obs::HistogramSample* worker =
+      r.stats.metrics.FindHistogram("miner.worker.nodes");
+  const obs::HistogramSample* search =
+      r.stats.metrics.FindHistogram("search.nodes");
+  ASSERT_NE(worker, nullptr);
+  ASSERT_NE(search, nullptr);
+  EXPECT_EQ(worker->count, search->count)
+      << "threads " << threads << " steal " << steal;
+  EXPECT_EQ(search->count, r.stats.nodes_expanded)
+      << "threads " << threads << " steal " << steal;
+#else
+  (void)threads;
+  (void)steal;
+#endif
+}
+
+TEST(SearchTallyTest, EveryNodeIsAttributedToAWorker) {
+  QuestConfig config;
+  config.num_sequences = 60;
+  config.avg_intervals_per_sequence = 6.0;
+  config.num_symbols = 12;
+  config.num_potential_patterns = 8;
+  config.pattern_injection_prob = 0.7;
+  config.seed = 5;
+  auto db = GenerateQuest(config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  MinerOptions options;
+  options.min_support = 0.2;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    for (bool steal : {false, true}) {
+      options.threads = threads;
+      options.steal = steal;
+      auto e = MineEndpointGrowth(*db, options, GrowthConfig{});
+      ASSERT_TRUE(e.ok()) << e.status();
+      ExpectNodesAttributed(*e, threads, steal);
+      auto c = MineCoincidenceGrowth(*db, options, GrowthConfig{});
+      ASSERT_TRUE(c.ok()) << c.status();
+      ExpectNodesAttributed(*c, threads, steal);
+    }
+  }
 }
 
 }  // namespace

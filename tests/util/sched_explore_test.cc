@@ -109,8 +109,8 @@ const SweepResults& Sweep() {
     auto* r = new SweepResults();
     const IntervalDatabase db = ExploreDb();
     const MinerOptions serial = ExploreOptions(1);
-    auto e1 = MineEndpointGrowth(db, serial, EndpointGrowthConfig{});
-    auto c1 = MineCoincidenceGrowth(db, serial, CoincidenceGrowthConfig{});
+    auto e1 = MineEndpointGrowth(db, serial, GrowthConfig{});
+    auto c1 = MineCoincidenceGrowth(db, serial, GrowthConfig{});
     EXPECT_TRUE(e1.ok() && c1.ok());
     if (!e1.ok() || !c1.ok()) return r;
     r->endpoint.SetSerial(*e1, db.dict());
@@ -123,8 +123,8 @@ const SweepResults& Sweep() {
       // Mine* joins every worker before returning, so the controller
       // outlives every yield point that can see it.
       sched::SetController(&controller);
-      auto e = MineEndpointGrowth(db, parallel, EndpointGrowthConfig{});
-      auto c = MineCoincidenceGrowth(db, parallel, CoincidenceGrowthConfig{});
+      auto e = MineEndpointGrowth(db, parallel, GrowthConfig{});
+      auto c = MineCoincidenceGrowth(db, parallel, GrowthConfig{});
       sched::SetController(nullptr);
       EXPECT_TRUE(e.ok() && c.ok()) << "seed " << s;
       if (!e.ok() || !c.ok()) continue;
