@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/coincidence.h"
@@ -57,10 +58,13 @@ class CoincidencePolicy {
   }
 
   // Every coincidence item is a symbol occurrence, so admission pruning
-  // applies to all candidates and ScanState skips every item whose symbol
-  // is outside ctx.allowed.
+  // applies to all candidates and only items of allowed symbols are
+  // Scannable.
   static bool IntroducesSymbol(uint32_t /*code*/) { return true; }
   static EventId SymbolOf(uint32_t code) { return code; }
+  static bool Scannable(uint32_t code, const uint8_t* allowed) {
+    return allowed == nullptr || allowed[code] != 0;
+  }
 
   size_t PatternLen() const { return pat_items_.size(); }
   size_t NumBlocks() const { return pat_offsets_.size(); }
@@ -97,22 +101,25 @@ class CoincidencePolicy {
   void BeginNode() const {}
   void FlushNodeMetrics(SearchTally* /*tally*/) const {}
 
-  template <typename ItemAt, typename Sink>
-  void ScanState(const GrowthScanCtx& ctx, uint32_t seq, const StateRec& st,
-                 const uint32_t* bnd, ItemAt&& item_at, Sink&& try_push) {
+  template <typename Sink>
+  void ScanState(bool allow_s_ext, uint32_t seq, const StateRec& st,
+                 const uint32_t* bnd, std::span<const ScanItem> items,
+                 Sink&& try_push) {
     const CoincidenceSequence& cs = (*cdb_)[seq];
     const EventId last_symbol = pat_items_.empty() ? 0 : pat_items_.back();
     const uint32_t num_last = static_cast<uint32_t>(last_syms_.size());
     const uint32_t stride = Stride();
-    const uint32_t st_seg =
-        st.item == kNoStateItem ? kNoStateItem : cs.item_segment(st.item);
+    const ScanItem* const items_end = items.data() + items.size();
+    const ScanItem* it = items.data();
 
     // I-extensions: same segment, strictly larger symbol.
     if (st.item != kNoStateItem) {
+      const uint32_t st_seg = cs.item_segment(st.item);
       const uint32_t end = cs.seg_end(st_seg);
-      for (uint32_t p = st.item + 1; p < end; ++p) {
-        const EventId y = item_at(p);
-        if (ctx.allowed != nullptr && !ctx.allowed[y]) continue;
+      for (it = FirstItemAtOrAfter(items, st.item + 1);
+           it != items_end && it->pos < end; ++it) {
+        const uint32_t p = it->pos;
+        const EventId y = it->code;
         if (y <= last_symbol) continue;
         const int32_t k = IndexOf(prev_syms_, y);
         if (k >= 0 && st_seg > bnd[num_last + k]) continue;  // run broken
@@ -130,12 +137,12 @@ class CoincidencePolicy {
       }
     }
 
-    // S-extensions: any later segment.
-    if (ctx.allow_s_ext) {
-      const uint32_t from = st.item == kNoStateItem ? 0 : cs.seg_end(st_seg);
-      for (uint32_t p = from; p < cs.num_items(); ++p) {
-        const EventId y = item_at(p);
-        if (ctx.allowed != nullptr && !ctx.allowed[y]) continue;
+    // S-extensions: any later segment. `it` is the first item past the
+    // state's segment (the list's first for a virgin state).
+    if (allow_s_ext) {
+      for (; it != items_end; ++it) {
+        const uint32_t p = it->pos;
+        const EventId y = it->code;
         const uint32_t p_seg = cs.item_segment(p);
         if (options_.max_window > 0 && st.anchor != kNoStateItem &&
             cs.seg_end_time(p_seg) - cs.seg_start_time(st.anchor) >

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/endpoint.h"
@@ -50,10 +51,15 @@ class EndpointPolicy {
   }
 
   // Finish endpoints never introduce a symbol: their start already did, so
-  // admission pruning does not apply to them, and ScanState skips only start
-  // endpoints of symbols outside ctx.allowed.
+  // admission pruning does not apply to them. A start is Scannable when its
+  // symbol is allowed; a finish only when validity pruning is off (with it
+  // on, closes come straight from the obligations instead).
   static bool IntroducesSymbol(uint32_t code) { return !IsFinish(code); }
   static EventId SymbolOf(uint32_t code) { return EndpointEvent(code); }
+  bool Scannable(uint32_t code, const uint8_t* allowed) const {
+    if (IsFinish(code)) return !validity_pruning_;
+    return allowed == nullptr || allowed[EndpointEvent(code)] != 0;
+  }
 
   size_t PatternLen() const { return pat_items_.size(); }
   size_t NumBlocks() const { return pat_offsets_.size(); }
@@ -89,9 +95,10 @@ class EndpointPolicy {
     tally->validity_hits += node_validity_closes_;
   }
 
-  template <typename ItemAt, typename Sink>
-  void ScanState(const GrowthScanCtx& ctx, uint32_t seq, const StateRec& st,
-                 const uint32_t* req, ItemAt&& item_at, Sink&& try_push) {
+  template <typename Sink>
+  void ScanState(bool allow_s_ext, uint32_t seq, const StateRec& st,
+                 const uint32_t* req, std::span<const ScanItem> items,
+                 Sink&& try_push) {
     const EndpointSequence& es = (*edb_)[seq];
     const uint32_t st_slice =
         st.item == kNoStateItem ? kNoStateItem : es.item_slice(st.item);
@@ -110,7 +117,7 @@ class EndpointPolicy {
             FillClose(aux, req, stride, k);
             ++node_validity_closes_;
           }
-        } else if (ctx.allow_s_ext && st_slice != kNoStateItem &&
+        } else if (allow_s_ext && st_slice != kNoStateItem &&
                    q_slice > st_slice && !ViolatesWindow(es, st, q_slice)) {
           if (uint32_t* aux = try_push(fcode, /*i_ext=*/false, q, st.anchor)) {
             FillClose(aux, req, stride, k);
@@ -120,21 +127,26 @@ class EndpointPolicy {
       }
     }
 
+    const ScanItem* const items_end = items.data() + items.size();
+    const ScanItem* it = items.data();
+
     // --- I-extensions: same slice, larger code. ---
     if (st.item != kNoStateItem) {
       const uint32_t end = es.slice_end(st_slice);
-      for (uint32_t p = st.item + 1; p < end; ++p) {
-        const EndpointCode c = item_at(p);
+      for (it = FirstItemAtOrAfter(items, st.item + 1);
+           it != items_end && it->pos < end; ++it) {
+        const uint32_t p = it->pos;
+        const EndpointCode c = it->code;
         const EventId ev = EndpointEvent(c);
         if (!IsFinish(c)) {
-          if (ctx.allowed != nullptr && !ctx.allowed[ev]) continue;
           if (c <= last_code || InOpen(ev)) continue;
           if (uint32_t* aux =
                   try_push(c, /*i_ext=*/true, p, OpenAnchor(es, st, p))) {
             FillOpen(aux, req, stride, es.partner(p));
           }
-        } else if (!validity_pruning_) {
-          // Scan-based close: accept only the obligated position.
+        } else {
+          // Finishes are listed only with validity pruning off: a
+          // scan-based close accepts only the obligated position.
           const int32_t k = OpenIndex(ev);
           if (k >= 0 && req[k] == p && c > last_code) {
             if (uint32_t* aux = try_push(c, /*i_ext=*/true, p, st.anchor)) {
@@ -147,23 +159,21 @@ class EndpointPolicy {
       }
     }
 
-    // --- S-extensions: any later slice. ---
-    if (ctx.allow_s_ext) {
-      const uint32_t from =
-          st.item == kNoStateItem ? 0 : es.slice_end(st_slice);
-      for (uint32_t p = std::max(from, ctx.min_item); p < es.num_items();
-           ++p) {
-        const EndpointCode c = item_at(p);
+    // --- S-extensions: any later slice. `it` is the first item past the
+    // state's slice (the list's first for a virgin state). ---
+    if (allow_s_ext) {
+      for (; it != items_end; ++it) {
+        const uint32_t p = it->pos;
+        const EndpointCode c = it->code;
         const EventId ev = EndpointEvent(c);
         if (ViolatesWindow(es, st, es.item_slice(p))) break;  // monotone
         if (!IsFinish(c)) {
-          if (ctx.allowed != nullptr && !ctx.allowed[ev]) continue;
           if (InOpen(ev)) continue;
           if (uint32_t* aux =
                   try_push(c, /*i_ext=*/false, p, OpenAnchor(es, st, p))) {
             FillOpen(aux, req, stride, es.partner(p));
           }
-        } else if (!validity_pruning_) {
+        } else {
           const int32_t k = OpenIndex(ev);
           if (k >= 0 && req[k] == p) {
             if (uint32_t* aux = try_push(c, /*i_ext=*/false, p, st.anchor)) {

@@ -5,19 +5,22 @@
 // search scaffolding — projected-database buckets, support counting,
 // candidate admission (the pair table, with per-node decisions memoized in
 // a stamped extension-slot table), epoch-stamped postfix symbol counting
-// (both in ScanScratch) into the allowed-symbol sets the policies' scans
-// skip by, physical-copy baselines, deterministic child ordering,
-// guard/metrics/validator hooks, and the recursion driver — is
-// identical. GrowthEngine<Policy> owns all of that; the policy contributes
-// the language-specific pieces:
+// into the allowed-symbol sets, the per-span list of the postfix items a
+// state may extend with (all in ScanScratch), physical-copy baselines,
+// deterministic child ordering, guard/metrics/validator hooks, and the
+// recursion driver — is identical. GrowthEngine<Policy> owns all of that;
+// the policy contributes the language-specific pieces:
 //
 //   using PatternT / ResultT;  Policy(options, GrowthConfig)
 //   kBuildSpanName / kGrowSpanName / kFaultMessage
 //   Build(db) -> representation bytes;  NumSeqs / NumItems / ItemCode
 //   IntroducesSymbol(code) / SymbolOf(code)     admission gating
+//   Scannable(code, allowed)                    may a state extend with it?
 //   Stride() / ChildStride(code, i_ext)         aux-slice widths
-//   ScanState(ctx, seq, rec, aux, item_at, try_push)   candidate loops,
-//                                               skipping !ctx.allowed symbols
+//   ScanState(allow_s_ext, seq, rec, aux, items, try_push)   candidate
+//                                               loops over the span's
+//                                               position-sorted Scannable
+//                                               items (absolute positions)
 //   SelectSpan(span_view, keep)                 per-sequence dedup/dominance
 //   CanEmit / MakePattern / PatternLen / NumBlocks
 //   Apply / Undo (extension on the pattern stack)
@@ -87,7 +90,8 @@
 // into a per-worker shared arena (reset once per node) and finalizes into
 // per-depth arenas (rewound when the subtree exits), making the run's
 // MemoryTracker view of projection bytes exact. The physical-projection
-// baselines differ only in copying each node's postfix before scanning it.
+// baselines differ only in copying each node's whole postfix into the
+// span's item list, where P-TPMiner lists only the Scannable items.
 
 #pragma once
 
@@ -99,6 +103,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -125,15 +130,28 @@
 
 namespace tpm {
 
-/// Node-scoped scan parameters handed to Policy::ScanState.
-struct GrowthScanCtx {
-  bool allow_s_ext = false;  ///< may the pattern grow a new slice/segment?
-  uint32_t min_item = 0;     ///< first item index any state here can match
-  /// Per symbol: may an item introducing it extend this node? Null when
-  /// neither pair nor postfix pruning is on. Policies skip items that
-  /// introduce a disallowed symbol before they reach admission.
-  const uint8_t* allowed = nullptr;
+/// One postfix item a state may extend with: its absolute position in the
+/// sequence and its code. A span's items are sorted by position.
+struct ScanItem {
+  uint32_t pos = 0;
+  uint32_t code = 0;
 };
+
+/// The first of `items` at position `pos` or later. Positions strictly
+/// increase, so fewer than pos - items[0].pos items precede it: a dense
+/// list (every item kept) and a target past the list's end answer in O(1),
+/// and only a sparse list searches, within that bound.
+inline const ScanItem* FirstItemAtOrAfter(std::span<const ScanItem> items,
+                                          uint32_t pos) {
+  const ScanItem* const first = items.data();
+  if (items.empty() || first->pos >= pos) return first;
+  const ScanItem* const last =
+      first + std::min<size_t>(items.size(), pos - first->pos);
+  if ((last - 1)->pos < pos) return last;
+  return std::partition_point(first, last - 1, [pos](const ScanItem& x) {
+    return x.pos < pos;
+  });
+}
 
 /// One execution context's candidate-scan scratch, reused by every node the
 /// context expands. One table per context is enough: a node finishes its
@@ -150,6 +168,14 @@ struct ScanScratch {
   std::vector<uint32_t> seen_epoch;
   uint32_t epoch = 0;
 
+  /// Per symbol: the node's projected sequences whose postfix holds it.
+  /// Zeroed per node (postfix pruning only), read before any child expands.
+  std::vector<SupportCount> postfix_count;
+
+  /// The current span's Scannable postfix items; grows to the longest
+  /// postfix listed and is then reused.
+  std::vector<ScanItem> items;
+
   /// Extension slots, indexed by (code << 1) | i_ext. Codes are below
   /// 2 × symbols in both languages, so 4 × symbols entries cover every key.
   /// A slot holds stamp << 32 | (bucket index + 1); a low half of 0 means
@@ -159,7 +185,9 @@ struct ScanScratch {
   uint32_t stamp = 0;
 
   explicit ScanScratch(size_t num_symbols = 0)
-      : seen_epoch(num_symbols, 0), ext_slots(4 * num_symbols, 0) {}
+      : seen_epoch(num_symbols, 0),
+        postfix_count(num_symbols, 0),
+        ext_slots(4 * num_symbols, 0) {}
 
   uint32_t NextEpoch() {
     if (++epoch == 0) {
@@ -175,6 +203,12 @@ struct ScanScratch {
       stamp = 1;
     }
     return stamp;
+  }
+
+  /// The item buffer, grown to hold at least `n` items.
+  ScanItem* ItemBuffer(size_t n) {
+    if (items.size() < n) items.resize(n);
+    return items.data();
   }
 
   uint64_t& ext_slot(uint32_t code, bool i_ext) {
@@ -282,6 +316,12 @@ class GrowthEngine {
                               : root_out.tally.pair_hits);
         }
       }
+    }
+    // Without postfix pruning every node keeps the root's allowed set, so
+    // each sequence's Scannable items are listed once, before the root scan,
+    // and every span scans the suffix of its sequence's list.
+    if (!postfix_pruning_ && !baseline_) {
+      BuildSeqItems(pair_pruning_ ? allowed.data() : nullptr);
     }
     SeedFromResume();
     if (progress_ != nullptr) {
@@ -392,7 +432,6 @@ class GrowthEngine {
   // share read-only inputs — the property the worker layer relies on.
   struct ExpandFrame {
     std::deque<Bucket> buckets;  // deque: stable addresses under growth
-    std::vector<SupportCount> postfix_count;
     size_t copies_bytes = 0;
     uint32_t cur_seq = 0;
   };
@@ -550,18 +589,20 @@ class GrowthEngine {
       return false;
     }
 
-    GrowthScanCtx ctx;
-    ctx.allow_s_ext = options_.max_length == 0 ||
-                      w.policy.NumBlocks() < options_.max_length ||
-                      w.policy.PatternLen() == 0;
-    if (postfix_pruning_ || pair_pruning_) ctx.allowed = allowed.data();
+    const bool allow_s_ext = options_.max_length == 0 ||
+                             w.policy.NumBlocks() < options_.max_length ||
+                             w.policy.PatternLen() == 0;
+    const uint8_t* const filter =
+        postfix_pruning_ || pair_pruning_ ? allowed.data() : nullptr;
 
     ExpandFrame& frame = nc->frame;
-    if (postfix_pruning_) frame.postfix_count.assign(num_symbols_, 0);
+    ScanScratch& scratch = w.scratch;
+    if (postfix_pruning_) {
+      std::fill(scratch.postfix_count.begin(), scratch.postfix_count.end(), 0);
+    }
 
     // Each (code, i_ext) key is decided once per node: its slot carries this
     // node's stamp from the first touch on.
-    ScanScratch& scratch = w.scratch;
     const uint64_t stamp = static_cast<uint64_t>(scratch.NextStamp()) << 32;
     auto bucket_for = [&](uint32_t code, bool i_ext) -> Bucket* {
       uint64_t& slot = scratch.ext_slot(code, i_ext);
@@ -572,10 +613,10 @@ class GrowthEngine {
       ++tally.candidates;
       slot = stamp;  // rejected unless admitted below
       // Pair-table admission for extensions introducing a new symbol. The
-      // scan already skipped every symbol outside the allowed set.
+      // span's item list already left out every symbol outside the filter.
       if (Policy::IntroducesSymbol(code)) {
         const EventId ev = Policy::SymbolOf(code);
-        TPM_DCHECK(ctx.allowed == nullptr || ctx.allowed[ev] != 0);
+        TPM_DCHECK(filter == nullptr || filter[ev] != 0);
         if (pair_pruning_ && !w.policy.InPattern(ev)) {
           for (EventId a : w.policy.PatternSymbols()) {
             if (!cooc_.IsFrequentPair(a, ev)) {
@@ -614,40 +655,49 @@ class GrowthEngine {
         min_item =
             std::min(min_item, r.item == kNoStateItem ? 0 : r.item + 1);
       }
-      ctx.min_item = min_item;
 
-      // Baseline mode (TPrefixSpan / CTMiner): physically materialize this
-      // node's postfix as (global item index, code) pairs and scan the copy.
-      std::vector<std::pair<uint32_t, uint32_t>> copy;
-      if (baseline_) {
-        copy.reserve(nitems - min_item);
-        for (uint32_t p = min_item; p < nitems; ++p) {
-          copy.emplace_back(p, w.policy.ItemCode(sp.seq, p));
-        }
-        frame.copies_bytes += copy.capacity() * sizeof(copy[0]);
-      }
-      auto item_at = [&](uint32_t p) -> uint32_t {
-        if (baseline_) return copy[p - min_item].second;
-        return w.policy.ItemCode(frame.cur_seq, p);
-      };
-
-      // Postfix symbol counting for the children's allowed set. Symbols
-      // already disallowed stay so whatever their count: skip them.
+      // The span's item list: the postfix items from min_item on that a
+      // state may extend with, at their absolute positions.
+      std::span<const ScanItem> items;
       if (postfix_pruning_) {
+        // One pass over the postfix both counts its symbols for the
+        // children's allowed set (symbols already disallowed stay so
+        // whatever their count: skip them) and lists the Scannable items.
         const uint32_t epoch = scratch.NextEpoch();
+        ScanItem* const out = scratch.ItemBuffer(nitems - min_item);
+        size_t n = 0;
         for (uint32_t p = min_item; p < nitems; ++p) {
-          const EventId ev = Policy::SymbolOf(item_at(p));
+          const uint32_t code = w.policy.ItemCode(sp.seq, p);
+          const EventId ev = Policy::SymbolOf(code);
           if (allowed[ev] != 0 && scratch.seen_epoch[ev] != epoch) {
             scratch.seen_epoch[ev] = epoch;
-            ++frame.postfix_count[ev];
+            ++scratch.postfix_count[ev];
           }
+          if (w.policy.Scannable(code, filter)) out[n++] = {p, code};
         }
+        items = {out, n};
+      } else if (baseline_) {
+        // TPrefixSpan / CTMiner: physically copy this node's whole postfix
+        // (every item is Scannable without pruning) and scan the copy.
+        ScanItem* const out = scratch.ItemBuffer(nitems - min_item);
+        for (uint32_t p = min_item; p < nitems; ++p) {
+          out[p - min_item] = {p, w.policy.ItemCode(sp.seq, p)};
+        }
+        items = {out, nitems - min_item};
+        frame.copies_bytes += items.size_bytes();
+      } else {
+        const ScanItem* const seq_begin =
+            seq_items_.data() + seq_item_begin_[sp.seq];
+        const ScanItem* const seq_end =
+            seq_items_.data() + seq_item_begin_[sp.seq + 1];
+        items = {FirstItemAtOrAfter({seq_begin, seq_end}, min_item), seq_end};
       }
+      tally.scan_items += items.size();
 
       for (uint32_t i = 0; i < sp.count; ++i) {
         const size_t state_index = sp.offset + i;
-        w.policy.ScanState(ctx, sp.seq, proj.states[state_index],
-                            proj.aux_of(state_index), item_at, try_push);
+        w.policy.ScanState(allow_s_ext, sp.seq, proj.states[state_index],
+                           proj.aux_of(state_index), items, try_push);
       }
     }
 
@@ -658,7 +708,7 @@ class GrowthEngine {
     if (postfix_pruning_) {
       const SupportCount floor = Floor();
       for (EventId e = 0; e < num_symbols_; ++e) {
-        if (allowed[e] != 0 && frame.postfix_count[e] < floor) {
+        if (allowed[e] != 0 && scratch.postfix_count[e] < floor) {
           nc->child_allowed[e] = 0;
           ++tally.postfix_hits;
         }
@@ -702,6 +752,30 @@ class GrowthEngine {
     tally.arena_depth_bytes.Observe(child_arena.used_bytes());
     nc->entered = true;
     return true;
+  }
+
+  /// Lists every sequence's Scannable items under `filter` (the root's
+  /// allowed set, or null) into seq_items_, charged to the run's account.
+  void BuildSeqItems(const uint8_t* filter) {
+    const uint32_t nseqs = policy_.NumSeqs();
+    seq_item_begin_.assign(nseqs + 1, 0);
+    for (uint32_t s = 0; s < nseqs; ++s) {
+      size_t n = 0;
+      for (uint32_t p = 0; p < policy_.NumItems(s); ++p) {
+        n += policy_.Scannable(policy_.ItemCode(s, p), filter) ? 1 : 0;
+      }
+      seq_item_begin_[s + 1] = seq_item_begin_[s] + n;
+    }
+    seq_items_.resize(seq_item_begin_[nseqs]);
+    ScanItem* out = seq_items_.data();
+    for (uint32_t s = 0; s < nseqs; ++s) {
+      for (uint32_t p = 0; p < policy_.NumItems(s); ++p) {
+        const uint32_t code = policy_.ItemCode(s, p);
+        if (policy_.Scannable(code, filter)) *out++ = {p, code};
+      }
+    }
+    tracker_.Allocate(seq_items_.size() * sizeof(ScanItem) +
+                      seq_item_begin_.size() * sizeof(size_t));
   }
 
   void ReleaseNode(WorkerSlot& w, NodeChildren* nc, uint32_t depth) {
@@ -1187,9 +1261,14 @@ class GrowthEngine {
     return obs::MergeSnapshots({BaseMetrics(), done.Snapshot(top_k_ > 0)});
   }
 
+  /// The prior segment's boundary metrics, unless no segment so far
+  /// finished the root scan (total_units == 0): such a checkpoint holds only
+  /// a preamble without the root node's tally, and this run's own preamble
+  /// (which has it) takes its place.
   obs::MetricsSnapshot BaseMetrics() const {
-    return resume_ != nullptr ? resume_->metrics
-                              : preamble_end_.Since(obs_start_);
+    return resume_ != nullptr && resume_->total_units > 0
+               ? resume_->metrics
+               : preamble_end_.Since(obs_start_);
   }
 
   // ---- Checkpoint/resume (io/checkpoint.h) -----------------------------
@@ -1250,6 +1329,10 @@ class GrowthEngine {
       orphan_units_.push_back(std::move(unit));
     }
     boundary_elapsed_ = resume_->elapsed_seconds;
+    // The unit table is a function of the run key, so a prior segment's
+    // count stands until this run's root scan rebuilds it; a checkpoint
+    // written before then keeps claiming the prior root tally (BaseMetrics).
+    total_units_ = resume_->total_units;
     // Recorded against the flight recorder directly: ckpt bookkeeping must
     // not perturb the obs.flight.events counter the determinism tests merge.
     domain_->recorder().Record("ckpt.resume",
@@ -1312,6 +1395,10 @@ class GrowthEngine {
   Policy policy_;
   CooccurrenceTable cooc_;
   size_t num_symbols_ = 0;
+  // P-TPMiner without postfix pruning only: every sequence's Scannable
+  // items, sequence s at [seq_item_begin_[s], seq_item_begin_[s + 1]).
+  std::vector<ScanItem> seq_items_;
+  std::vector<size_t> seq_item_begin_;
 
   // Observability domain the run charges: caller-provided (`tpm mine`) or a
   // private throwaway.

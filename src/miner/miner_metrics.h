@@ -92,6 +92,7 @@ struct SearchTally {
   uint64_t candidates = 0;  ///< (node, key) pairs that reached admission
   uint64_t states = 0;      ///< occurrence states / projected entries
   uint64_t patterns = 0;    ///< frequent patterns reported
+  uint64_t scan_items = 0;  ///< items handed to ScanState, summed over spans
 
   /// search.nodes: one observation per node, value = pattern item count.
   TallyHistogram<kNodeDepthBounds> nodes;
@@ -110,6 +111,7 @@ struct SearchTally {
     candidates += o.candidates;
     states += o.states;
     patterns += o.patterns;
+    scan_items += o.scan_items;
     nodes.Add(o.nodes);
     projected_seqs.Add(o.projected_seqs);
     projected_states.Add(o.projected_states);
@@ -130,6 +132,7 @@ struct SearchTally {
     r->GetCounter("search.candidates")->Increment(candidates);
     r->GetCounter("search.states")->Increment(states);
     r->GetCounter("search.patterns")->Increment(patterns);
+    r->GetCounter("search.scan_items")->Increment(scan_items);
     nodes.ChargeTo(r->GetHistogram("search.nodes", nodes.Bounds()));
     projected_seqs.ChargeTo(
         r->GetHistogram("search.projected_seqs", projected_seqs.Bounds()));

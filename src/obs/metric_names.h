@@ -63,6 +63,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "search.patterns",
     "search.projected_seqs",
     "search.projected_states",
+    "search.scan_items",
     "search.states",
     "validate.checks",
     "validate.failures",

@@ -24,6 +24,7 @@
 #include "obs/stats_domain.h"
 #include "testing/test_util.h"
 #include "util/fault.h"
+#include "util/guard.h"
 
 namespace tpm {
 namespace {
@@ -118,6 +119,77 @@ void ExpectInterruptResumeExact(const IntervalDatabase& db,
   std::remove(path.c_str());
 }
 
+// Runs `mine` clean, then cancelled before its root scan (a checkpoint with
+// no unit table and no root tally: total_units == 0), then resumed; then
+// once more with the cancelled segment in the middle of a chain, after a
+// segment interrupted one pattern short of completion (so the cancelled
+// segment carries completed units and their tallies forward). Both resumes
+// must reproduce the clean run's patterns and merged metrics.
+template <typename MineFn>
+void ExpectPreRootStopResumesExact(const IntervalDatabase& db,
+                                   const MinerOptions& base, MineFn mine,
+                                   const std::string& tag) {
+  SCOPED_TRACE(tag);
+  auto clean = mine(db, base);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  const std::string path = TempPath("preroot_" + tag + ".tpmc");
+  CancellationToken cancelled;
+  cancelled.Cancel();
+
+  // Segments run in order; each resumes from the previous one's checkpoint
+  // and leaves its own. `cap` > 0 interrupts at that pattern count,
+  // `cancel` before the root scan.
+  struct Segment {
+    uint64_t cap;
+    bool cancel;
+  };
+  auto run_chain = [&](const std::vector<Segment>& chain) {
+    std::vector<Checkpoint> ckpts;
+    ckpts.reserve(chain.size());
+    for (const Segment& seg : chain) {
+      MinerOptions o = base;
+      o.max_patterns = seg.cap;
+      if (seg.cancel) o.cancellation = &cancelled;
+      if (!ckpts.empty()) o.resume = &ckpts.back();
+      CheckpointWriter writer(path, 0.0);
+      o.checkpoint_writer = &writer;
+      auto part = mine(db, o);
+      EXPECT_TRUE(part.ok()) << part.status();
+      EXPECT_TRUE(part.ok() && part->stats.truncated);
+      auto ckpt = ReadCheckpointFile(path);
+      EXPECT_TRUE(ckpt.ok()) << ckpt.status();
+      if (!ckpt.ok()) return;
+      ckpts.push_back(std::move(*ckpt));
+    }
+    MinerOptions o = base;
+    o.resume = &ckpts.back();
+    auto resumed = mine(db, o);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_FALSE(resumed->stats.truncated);
+    EXPECT_EQ(EmissionRender(*resumed, db.dict()),
+              EmissionRender(*clean, db.dict()));
+    EXPECT_EQ(ComparableMetricsJson(resumed->stats.metrics),
+              ComparableMetricsJson(clean->stats.metrics));
+  };
+  {
+    SCOPED_TRACE("cancelled");
+    run_chain({{0, true}});
+    auto ckpt = ReadCheckpointFile(path);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status();
+    EXPECT_EQ(ckpt->total_units, 0u);
+    EXPECT_TRUE(ckpt->completed_units.empty());
+  }
+  if (clean->patterns.size() > 1) {
+    SCOPED_TRACE("capped, then cancelled");
+    run_chain({{clean->patterns.size() - 1, false}, {0, true}});
+    auto ckpt = ReadCheckpointFile(path);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status();
+    EXPECT_GT(ckpt->total_units, 0u);
+    EXPECT_FALSE(ckpt->completed_units.empty());
+  }
+  std::remove(path.c_str());
+}
+
 // Interruption points: immediately (before any unit completes), mid-run, and
 // one short of completion — derived from the clean run's pattern count.
 std::vector<uint64_t> CapsFor(size_t num_patterns) {
@@ -189,6 +261,25 @@ TEST_P(CheckpointResumeTest, CoincidencePhysicalProjectionBaseline) {
   ASSERT_TRUE(clean.ok()) << clean.status();
   for (uint64_t cap : CapsFor(clean->patterns.size())) {
     ExpectInterruptResumeExact(db, base, cap, mine, "co_physical");
+  }
+}
+
+TEST_P(CheckpointResumeTest, StopBeforeRootScanResumesExactly) {
+  const IntervalDatabase db = MakeDb(GetParam());
+  for (uint32_t mask : {7u, 0u}) {
+    const MinerOptions base = BaseOptions(mask);
+    ExpectPreRootStopResumesExact(
+        db, base,
+        [](const IntervalDatabase& d, const MinerOptions& o) {
+          return MineEndpointGrowth(d, o, GrowthConfig{});
+        },
+        "ep_m" + std::to_string(mask));
+    ExpectPreRootStopResumesExact(
+        db, base,
+        [](const IntervalDatabase& d, const MinerOptions& o) {
+          return MineCoincidenceGrowth(d, o, GrowthConfig{});
+        },
+        "co_m" + std::to_string(mask));
   }
 }
 

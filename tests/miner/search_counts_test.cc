@@ -30,6 +30,7 @@ struct PinnedCounts {
   uint64_t patterns;
   uint64_t pair_hits;
   uint64_t postfix_hits;
+  uint64_t scan_items;
 };
 
 // nodes, states and patterns were measured with the engine that memoized
@@ -38,24 +39,27 @@ struct PinnedCounts {
 // scan started skipping disallowed symbols: a skipped symbol no longer
 // reaches admission, and postfix_hits counts the (node, symbol) pairs
 // postfix counting removes (PostfixHitsMatchAnIndependentRecount below).
+// scan_items was measured when each span's scan moved to a list of the
+// items a state may extend with; without pruning it is the physical
+// baselines' copy size (ScanItemsWithoutPruningMatchTheBaselineCopies).
 const std::vector<PinnedCounts>& Golden() {
   static const std::vector<PinnedCounts> golden = {
-      {kEndpoint, 0, 217, 3369, 17774, 51, 0, 0},
-      {kEndpoint, 1, 217, 3369, 14384, 51, 1181, 0},
-      {kEndpoint, 2, 217, 1499, 11726, 51, 0, 1021},
-      {kEndpoint, 3, 217, 1499, 10617, 51, 276, 1021},
-      {kEndpoint, 4, 217, 3369, 17774, 51, 0, 0},
-      {kEndpoint, 5, 217, 3369, 14384, 51, 1181, 0},
-      {kEndpoint, 6, 217, 1499, 11726, 51, 0, 1021},
-      {kEndpoint, 7, 217, 1499, 10617, 51, 276, 1021},
-      {kCoincidence, 0, 401, 8268, 153522, 400, 0, 0},
-      {kCoincidence, 1, 401, 8268, 115016, 400, 3510, 0},
-      {kCoincidence, 2, 401, 2405, 78815, 400, 0, 1391},
-      {kCoincidence, 3, 401, 2405, 69963, 400, 444, 1391},
-      {kCoincidence, 4, 401, 8268, 153522, 400, 0, 0},
-      {kCoincidence, 5, 401, 8268, 115016, 400, 3510, 0},
-      {kCoincidence, 6, 401, 2405, 78815, 400, 0, 1391},
-      {kCoincidence, 7, 401, 2405, 69963, 400, 444, 1391},
+      {kEndpoint, 0, 217, 3369, 17774, 51, 0, 0, 33884},
+      {kEndpoint, 1, 217, 3369, 14384, 51, 1181, 0, 33884},
+      {kEndpoint, 2, 217, 1499, 11726, 51, 0, 1021, 28486},
+      {kEndpoint, 3, 217, 1499, 10617, 51, 276, 1021, 28486},
+      {kEndpoint, 4, 217, 3369, 17774, 51, 0, 0, 13719},
+      {kEndpoint, 5, 217, 3369, 14384, 51, 1181, 0, 13719},
+      {kEndpoint, 6, 217, 1499, 11726, 51, 0, 1021, 8321},
+      {kEndpoint, 7, 217, 1499, 10617, 51, 276, 1021, 8321},
+      {kCoincidence, 0, 401, 8268, 153522, 400, 0, 0, 88270},
+      {kCoincidence, 1, 401, 8268, 115016, 400, 3510, 0, 88270},
+      {kCoincidence, 2, 401, 2405, 78815, 400, 0, 1391, 42525},
+      {kCoincidence, 3, 401, 2405, 69963, 400, 444, 1391, 42525},
+      {kCoincidence, 4, 401, 8268, 153522, 400, 0, 0, 88270},
+      {kCoincidence, 5, 401, 8268, 115016, 400, 3510, 0, 88270},
+      {kCoincidence, 6, 401, 2405, 78815, 400, 0, 1391, 42525},
+      {kCoincidence, 7, 401, 2405, 69963, 400, 444, 1391, 42525},
   };
   return golden;
 }
@@ -91,6 +95,7 @@ void ExpectCounts(const PinnedCounts& want, const MiningStats& got) {
 #ifndef TPM_OBS_DISABLED
   EXPECT_EQ(got.metrics.CounterValue("prune.pair.hits"), want.pair_hits);
   EXPECT_EQ(got.metrics.CounterValue("prune.postfix.hits"), want.postfix_hits);
+  EXPECT_EQ(got.metrics.CounterValue("search.scan_items"), want.scan_items);
 #endif
 }
 
@@ -111,6 +116,28 @@ TEST(PinnedSearchCountsTest, BothLanguagesEveryPruningMask) {
       ExpectCounts(want, r->stats);
     }
   }
+}
+
+// Without pair or postfix pruning (and, for endpoints, without validity
+// pruning) every postfix item is listed, so P-TPMiner scans exactly as many
+// items as the physical baselines copy, whose lists are built per node on a
+// separate path.
+TEST(PinnedSearchCountsTest, ScanItemsWithoutPruningMatchTheBaselineCopies) {
+#ifndef TPM_OBS_DISABLED
+  const IntervalDatabase db = MakeDb();
+  const MinerOptions options = BaseOptions(0);
+  const GrowthConfig baseline{.baseline = true};
+  auto ep = MineEndpointGrowth(db, options, GrowthConfig{});
+  auto tps = MineEndpointGrowth(db, options, baseline);
+  auto co = MineCoincidenceGrowth(db, options, GrowthConfig{});
+  auto ctm = MineCoincidenceGrowth(db, options, baseline);
+  ASSERT_TRUE(ep.ok() && tps.ok() && co.ok() && ctm.ok());
+  EXPECT_EQ(ep->stats.metrics.CounterValue("search.scan_items"),
+            tps->stats.metrics.CounterValue("search.scan_items"));
+  EXPECT_EQ(co->stats.metrics.CounterValue("search.scan_items"),
+            ctm->stats.metrics.CounterValue("search.scan_items"));
+  EXPECT_GT(co->stats.metrics.CounterValue("search.scan_items"), 0u);
+#endif
 }
 
 // The item index at which the earliest-ending occurrence of `pat` in `cs`

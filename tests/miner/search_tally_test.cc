@@ -73,6 +73,7 @@ TEST(SearchTallyTest, AddIsElementWise) {
   a.candidates = 6;
   a.states = 7;
   a.patterns = 8;
+  a.scan_items = 9;
   a.nodes.Observe(2);
   a.projected_seqs.Observe(9);
   a.projected_states.Observe(100);
@@ -92,6 +93,7 @@ TEST(SearchTallyTest, AddIsElementWise) {
   EXPECT_EQ(sum.candidates, 12u);
   EXPECT_EQ(sum.states, 14u);
   EXPECT_EQ(sum.patterns, 16u);
+  EXPECT_EQ(sum.scan_items, 18u);
   EXPECT_EQ(sum.nodes.counts[2], 2u);
   EXPECT_EQ(sum.nodes.counts[17], 1u);
   EXPECT_EQ(sum.nodes.sum, 2u + 2 + 20);
@@ -119,6 +121,8 @@ TEST(SearchTallyTest, ConversionMatchesARegistry) {
   want.GetCounter("search.states")->Increment(70);
   tally.patterns = 9;
   want.GetCounter("search.patterns")->Increment(9);
+  tally.scan_items = 60;
+  want.GetCounter("search.scan_items")->Increment(60);
   want.GetCounter("miner.arena.blocks");
   want.GetGauge("miner.arena.peak_bytes");
   want.GetGauge("process.peak_rss_bytes");

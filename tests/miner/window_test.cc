@@ -85,55 +85,86 @@ TEST(WindowMiningTest, WindowShrinksSupports) {
 struct WindowCase {
   uint64_t seed;
   TimeT window;
+  uint32_t alphabet = 3;
 };
+
+// bit 0 pair, bit 1 postfix, bit 2 validity pruning.
+MinerOptions WindowOptions(const WindowCase& c, uint32_t pruning_mask) {
+  MinerOptions options;
+  options.min_support = 0.2;
+  options.max_window = c.window;
+  options.pair_pruning = (pruning_mask & 1) != 0;
+  options.postfix_pruning = (pruning_mask & 2) != 0;
+  options.validity_pruning = (pruning_mask & 4) != 0;
+  return options;
+}
 
 class WindowEquivalenceTest : public ::testing::TestWithParam<WindowCase> {};
 
 TEST_P(WindowEquivalenceTest, EndpointMinersAgreeUnderWindow) {
   const WindowCase& c = GetParam();
-  IntervalDatabase db = RandomTinyDatabase(c.seed, 14, 3, 3.5, 18);
-  MinerOptions options;
-  options.min_support = 0.2;
-  options.max_window = c.window;
+  IntervalDatabase db = RandomTinyDatabase(c.seed, 14, c.alphabet, 3.5, 18);
+  const MinerOptions defaults = WindowOptions(c, 7);
 
-  auto oracle = MakeBruteForceEndpointMiner()->Mine(db, options);
+  auto oracle = MakeBruteForceEndpointMiner()->Mine(db, defaults);
   ASSERT_TRUE(oracle.ok());
   const auto expected = Render(*oracle, db.dict());
 
-  auto ptpm = MakePTPMinerE()->Mine(db, options);
-  ASSERT_TRUE(ptpm.ok());
-  EXPECT_EQ(Render(*ptpm, db.dict()), expected) << "P-TPMiner/E diverges";
+  for (uint32_t mask = 0; mask < 8; ++mask) {
+    auto ptpm = MakePTPMinerE()->Mine(db, WindowOptions(c, mask));
+    ASSERT_TRUE(ptpm.ok());
+    EXPECT_EQ(Render(*ptpm, db.dict()), expected)
+        << "P-TPMiner/E diverges, mask=" << mask;
+#ifndef TPM_OBS_DISABLED
+    // With 8 symbols postfix pruning removes some, so the window `break`
+    // is reached on a filtered item list.
+    if (mask == 7 && c.alphabet >= 8) {
+      EXPECT_GT(ptpm->stats.metrics.CounterValue("prune.postfix.hits"), 0u);
+    }
+#endif
+  }
 
-  auto tps = MakeTPrefixSpan()->Mine(db, options);
+  auto tps = MakeTPrefixSpan()->Mine(db, defaults);
   ASSERT_TRUE(tps.ok());
   EXPECT_EQ(Render(*tps, db.dict()), expected) << "TPrefixSpan diverges";
 }
 
 TEST_P(WindowEquivalenceTest, CoincidenceMinersAgreeUnderWindow) {
   const WindowCase& c = GetParam();
-  IntervalDatabase db = RandomTinyDatabase(c.seed + 100, 14, 3, 3.5, 18);
-  MinerOptions options;
-  options.min_support = 0.2;
-  options.max_window = c.window;
+  IntervalDatabase db =
+      RandomTinyDatabase(c.seed + 100, 14, c.alphabet, 3.5, 18);
+  const MinerOptions defaults = WindowOptions(c, 7);
 
-  auto oracle = MakeBruteForceCoincidenceMiner()->Mine(db, options);
+  auto oracle = MakeBruteForceCoincidenceMiner()->Mine(db, defaults);
   ASSERT_TRUE(oracle.ok());
   const auto expected = Render(*oracle, db.dict());
 
-  auto ptpm = MakePTPMinerC()->Mine(db, options);
-  ASSERT_TRUE(ptpm.ok());
-  EXPECT_EQ(Render(*ptpm, db.dict()), expected) << "P-TPMiner/C diverges";
+  for (uint32_t mask = 0; mask < 8; ++mask) {
+    auto ptpm = MakePTPMinerC()->Mine(db, WindowOptions(c, mask));
+    ASSERT_TRUE(ptpm.ok());
+    EXPECT_EQ(Render(*ptpm, db.dict()), expected)
+        << "P-TPMiner/C diverges, mask=" << mask;
+#ifndef TPM_OBS_DISABLED
+    // With 8 symbols postfix pruning removes some, so the window `break`
+    // is reached on a filtered item list.
+    if (mask == 7 && c.alphabet >= 8) {
+      EXPECT_GT(ptpm->stats.metrics.CounterValue("prune.postfix.hits"), 0u);
+    }
+#endif
+  }
 
-  auto ctm = MakeCTMiner()->Mine(db, options);
+  auto ctm = MakeCTMiner()->Mine(db, defaults);
   ASSERT_TRUE(ctm.ok());
   EXPECT_EQ(Render(*ctm, db.dict()), expected) << "CTMiner diverges";
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, WindowEquivalenceTest,
-                         ::testing::Values(WindowCase{61, 5}, WindowCase{62, 10},
-                                           WindowCase{63, 15}, WindowCase{64, 3},
-                                           WindowCase{65, 25}, WindowCase{66, 1},
-                                           WindowCase{67, 8}, WindowCase{68, 12}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, WindowEquivalenceTest,
+    ::testing::Values(WindowCase{61, 5}, WindowCase{62, 10},
+                      WindowCase{63, 15}, WindowCase{64, 3},
+                      WindowCase{65, 25}, WindowCase{66, 1},
+                      WindowCase{67, 8}, WindowCase{68, 12},
+                      WindowCase{69, 6, /*alphabet=*/8}));
 
 }  // namespace
 }  // namespace tpm
