@@ -5,12 +5,16 @@
 //  1. Projection replay: realistic push/finalize traffic driven through
 //     ProjectionBuilder — every endpoint of every sequence staged into a
 //     symbol-keyed bucket, all buckets finalized, arenas reset — isolating
-//     the projection layer from the pattern-language scan logic.
+//     the projection layer from the pattern-language scan logic. The
+//     "pseudo" row keeps every state (one-state spans dominate, so Finalize
+//     selects straight from the staged records); the "multi-state" row
+//     stages into a few buckets and keeps only multi-state spans, timing the
+//     gather path.
 //
 //  2. End-to-end miner runs of both languages for context (the scan
 //     dominates total mine time).
 
-#include <deque>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/endpoint.h"
@@ -49,16 +53,19 @@ Cell CellFrom(const std::string& algo, const std::string& config,
 // Replays one round of realistic projection traffic: every endpoint item of
 // every sequence is staged into a symbol-keyed bucket (grouped by sequence,
 // as the engine's span scan guarantees), then every bucket finalizes into
-// depth 1 and the staging arena resets — exactly the engine's node
-// lifecycle.
+// depth 1 with `select` and the staging arena resets — exactly the engine's
+// node lifecycle, over the engine's bucket store.
+template <typename SelectFn>
 Cell ReplayProjection(const EndpointDatabase& edb, uint32_t num_buckets,
-                      uint32_t stride, int rounds) {
+                      uint32_t stride, int rounds, const std::string& config,
+                      SelectFn&& select) {
   MemoryTracker tracker;
   ProjectionArenas arenas(&tracker);
   uint64_t states = 0;
+  uint64_t kept = 0;
   WallTimer timer;
   for (int r = 0; r < rounds; ++r) {
-    std::deque<ProjectionBuilder> buckets(num_buckets);
+    std::vector<ProjectionBuilder> buckets(num_buckets);
     for (ProjectionBuilder& b : buckets) b.Init(stride, &arenas, 1);
     for (uint32_t s = 0; s < edb.size(); ++s) {
       const EndpointSequence& es = edb[s];
@@ -70,13 +77,14 @@ Cell ReplayProjection(const EndpointDatabase& edb, uint32_t num_buckets,
       }
     }
     const Arena::Mark mark = arenas.depth(1).mark();
-    for (ProjectionBuilder& b : buckets) b.FinalizeKeepAll();
+    for (ProjectionBuilder& b : buckets) kept += b.Finalize(select).num_states;
     arenas.staging().Reset();
     arenas.depth(1).Rewind(mark);
   }
+  TPM_CHECK(kept > 0);
   Cell c;
   c.algo = "projection-replay";
-  c.config = "pseudo";
+  c.config = config;
   c.seconds = timer.ElapsedSeconds();
   c.memory_bytes = tracker.peak_bytes();
   c.states = states;
@@ -113,7 +121,19 @@ int main() {
   // buckets every endpoint by symbol with one open obligation per state.
   const uint32_t kStride = 1;
   cells.push_back(ReplayProjection(
-      edb, static_cast<uint32_t>(edb.num_symbols()), kStride, kRounds));
+      edb, static_cast<uint32_t>(edb.num_symbols()), kStride, kRounds,
+      "pseudo",
+      [](const ProjectionBuilder::SpanView& v, std::vector<uint32_t>* keep) {
+        for (uint32_t i = 0; i < v.count; ++i) keep->push_back(i);
+      }));
+  // Eight buckets give each sequence several states per bucket; dropping
+  // the one-state spans leaves only gathered spans in the output.
+  cells.push_back(ReplayProjection(
+      edb, /*num_buckets=*/8, kStride, kRounds, "multi-state",
+      [](const ProjectionBuilder::SpanView& v, std::vector<uint32_t>* keep) {
+        if (v.count == 1) return;
+        for (uint32_t i = 0; i < v.count; ++i) keep->push_back(i);
+      }));
 
   // 2. End-to-end miner runs for context.
   MinerOptions options;
@@ -136,6 +156,7 @@ int main() {
   options.progress = nullptr;
   auto off = MineEndpointGrowth(*db, options, GrowthConfig{});
   TPM_CHECK_OK(off.status());
+  const size_t progress_off = cells.size();
   cells.push_back(
       CellFrom("P-TPMiner/E", "progress-off", off->stats, off->patterns.size()));
 
@@ -175,10 +196,10 @@ int main() {
   }
 
   PrintTable(cells);
-  if (cells[3].seconds > 0.0) {
+  if (cells[progress_off].seconds > 0.0) {
     std::printf(
         "ratio: progress on/off time=%.3fx (%llu snapshots emitted)\n",
-        cells[4].seconds / cells[3].seconds,
+        cells[progress_off + 1].seconds / cells[progress_off].seconds,
         static_cast<unsigned long long>(tracker.snapshots_emitted()));
   }
   for (size_t i = threads_base + 1; i < cells.size(); ++i) {

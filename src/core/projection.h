@@ -13,7 +13,9 @@
 // Staging goes into a shared bump Arena that is reset after every node, and
 // finalized nodes are exact-size allocations in a per-depth Arena that
 // rewinds when the search leaves the subtree. Byte accounting is exact (the
-// arenas charge their MemoryTracker per block).
+// arenas charge their MemoryTracker per block). A builder owns no heap
+// memory: Finalize borrows its context's FinalizeScratch, bounded by one
+// bucket.
 //
 // Lifetimes: Push() during the parent scan, then Finalize() once per bucket
 // (all buckets of a node finalize before the engine recurses), then the
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "core/validate.h"
@@ -88,19 +91,41 @@ struct NodeProjection {
   }
 };
 
-/// \brief The arena set backing projection for one miner run.
+/// \brief ProjectionBuilder::Finalize's working set, one per execution
+/// context and reused by every bucket the context finalizes.
+///
+/// Heap, outside MemoryTracker: it grows to the largest bucket one Finalize
+/// handled (a pointer per staged state of one bucket, plus one multi-state
+/// span gathered for select) and keeps that capacity. Nothing a finalized
+/// view points to lives here.
+struct FinalizeScratch {
+  /// The current span's staged records, in push order.
+  std::vector<const uint32_t*> span;
+  /// A multi-state span gathered into contiguous arrays for select.
+  std::vector<StateRec> recs;
+  std::vector<uint32_t> aux;
+  /// select's output for the current span.
+  std::vector<uint32_t> keep;
+  /// Every kept state's staged record, in output order.
+  std::vector<const uint32_t*> kept;
+};
+
+/// \brief The arena set backing projection for one execution context.
 ///
 /// One shared staging arena (reset after every node) plus one finalized-node
 /// arena per search depth (marked at node entry, rewound at node exit, so a
-/// subtree's projections vanish in O(1)). Blocks are retained for reuse;
-/// `total_allocated_bytes()` is therefore monotone and equals the tracker
-/// charge attributable to projection storage.
+/// subtree's projections vanish in O(1)), and the context's Finalize
+/// scratch. Blocks are retained for reuse; `total_allocated_bytes()` is
+/// therefore monotone and equals the tracker charge attributable to
+/// projection storage.
 class ProjectionArenas {
  public:
   explicit ProjectionArenas(MemoryTracker* tracker)
       : tracker_(tracker), staging_(tracker) {}
 
   Arena& staging() { return staging_; }
+
+  FinalizeScratch& finalize_scratch() { return finalize_scratch_; }
 
   /// The arena holding finalized projections of nodes at depth `d` (root
   /// spans live at depth 0, its children at depth 1, ...). Shallow arenas
@@ -134,6 +159,7 @@ class ProjectionArenas {
   MemoryTracker* tracker_;
   Arena staging_;
   std::deque<Arena> depth_;  // deque: arenas are immovable once created
+  FinalizeScratch finalize_scratch_;
 };
 
 /// \brief Builds one child bucket's projected database during the parent
@@ -142,6 +168,10 @@ class ProjectionArenas {
 /// States must be pushed grouped by sequence with nondecreasing seq — the
 /// scan iterates parent spans in order, so this holds by construction and is
 /// asserted in debug builds (TPM_DCHECK; see also ValidateProjection).
+///
+/// A builder holds no heap memory (staging lives in the staging arena,
+/// Finalize's working set in the context's FinalizeScratch), so it is
+/// trivially copyable and a bucket store can be a plain vector.
 class ProjectionBuilder {
  public:
   ProjectionBuilder() = default;
@@ -187,10 +217,11 @@ class ProjectionBuilder {
   /// Distinct sequences staged so far — the bucket's support.
   uint32_t num_spans() const { return span_count_; }
 
+  /// States staged since Init or the last Finalize.
   size_t num_staged_states() const { return staged_states_; }
 
-  /// One staged sequence's states as contiguous arrays (valid only inside
-  /// Finalize).
+  /// One staged sequence's states as contiguous arrays, valid only inside
+  /// the `select` call that receives it.
   struct SpanView {
     uint32_t seq = 0;
     const StateRec* recs = nullptr;
@@ -203,47 +234,79 @@ class ProjectionBuilder {
   ///
   /// `select(view, keep)` appends the *local* indices of the states to keep,
   /// in the desired output order, to `keep` (pre-cleared per span). Spans
-  /// whose selection comes back empty are dropped. The kept states land in
-  /// exact-size arrays in the depth arena.
+  /// whose selection comes back empty are dropped.
+  ///
+  /// One walk over the staged chunks: a one-state span goes to `select`
+  /// straight from its staged record; only a multi-state span is gathered
+  /// into the context's scratch first. Each kept state's staged record is
+  /// remembered, and once the total is known the kept states are written
+  /// once, into exact-size arrays in the depth arena.
   template <typename SelectFn>
   const NodeProjection& Finalize(SelectFn&& select) {
-    const uint32_t nspans = num_spans();
-    GatherStagedChunks();
-    keep_flat_.clear();
-    keep_offsets_.clear();
-    keep_offsets_.push_back(0);
-    for (uint32_t i = 0; i < nspans; ++i) {
-      span_keep_.clear();
-      select(StagedView(i), &span_keep_);
-      keep_flat_.insert(keep_flat_.end(), span_keep_.begin(), span_keep_.end());
-      keep_offsets_.push_back(static_cast<uint32_t>(keep_flat_.size()));
-    }
-    const size_t total = keep_flat_.size();
-
+    FinalizeScratch& fs = arenas_->finalize_scratch();
     Arena& fin = arenas_->depth(depth_);
-    SeqSpan* out_spans = fin.AllocateArray<SeqSpan>(nspans);
-    StateRec* out_recs = fin.AllocateArray<StateRec>(total);
-    uint32_t* out_aux = fin.AllocateArray<uint32_t>(total * stride_);
-
-    size_t off = 0;
+    SeqSpan* const out_spans = fin.AllocateArray<SeqSpan>(span_count_);
     uint32_t spans_out = 0;
-    for (uint32_t i = 0; i < nspans; ++i) {
-      const uint32_t kb = keep_offsets_[i];
-      const uint32_t ke = keep_offsets_[i + 1];
-      if (kb == ke) continue;
-      const SpanView v = StagedView(i);
-      const size_t begin = off;
-      for (uint32_t k = kb; k < ke; ++k) {
-        const uint32_t idx = keep_flat_[k];
-        out_recs[off] = v.recs[idx];
-        if (stride_ != 0) {
-          std::memcpy(out_aux + off * stride_, v.aux + size_t{idx} * stride_,
-                      stride_ * sizeof(uint32_t));
+    fs.kept.clear();
+    fs.span.clear();
+
+    // Selects the states staged for one sequence (fs.span) and records the
+    // kept ones.
+    auto select_span = [&] {
+      const uint32_t n = static_cast<uint32_t>(fs.span.size());
+      const uint32_t seq = fs.span[0][0];
+      StateRec one;
+      SpanView v;
+      if (n == 1) {
+        const uint32_t* const w = fs.span[0];
+        one = StateRec{w[1], w[2]};
+        v = SpanView{seq, &one, w + 3, 1, stride_};
+      } else {
+        fs.recs.resize(n);
+        fs.aux.resize(size_t{n} * stride_);
+        for (uint32_t i = 0; i < n; ++i) {
+          const uint32_t* const w = fs.span[i];
+          fs.recs[i] = StateRec{w[1], w[2]};
+          if (stride_ != 0) {
+            std::memcpy(fs.aux.data() + size_t{i} * stride_, w + 3,
+                        stride_ * sizeof(uint32_t));
+          }
         }
-        ++off;
+        v = SpanView{seq, fs.recs.data(), fs.aux.data(), n, stride_};
       }
-      out_spans[spans_out++] = SeqSpan{v.seq, static_cast<uint32_t>(begin),
-                                       static_cast<uint32_t>(off - begin)};
+      fs.keep.clear();
+      select(v, &fs.keep);
+      if (!fs.keep.empty()) {
+        out_spans[spans_out++] =
+            SeqSpan{seq, static_cast<uint32_t>(fs.kept.size()),
+                    static_cast<uint32_t>(fs.keep.size())};
+        for (const uint32_t idx : fs.keep) {
+          TPM_DCHECK(idx < n);
+          fs.kept.push_back(fs.span[idx]);
+        }
+      }
+      fs.span.clear();
+    };
+
+    const uint32_t rec_words = 3 + stride_;
+    for (StagedChunk* c = head_; c != nullptr; c = c->next) {
+      const uint32_t* words = ChunkPayload(c);
+      for (uint32_t r = 0; r < c->count; ++r, words += rec_words) {
+        if (!fs.span.empty() && fs.span[0][0] != words[0]) select_span();
+        fs.span.push_back(words);
+      }
+    }
+    if (!fs.span.empty()) select_span();
+
+    const size_t total = fs.kept.size();
+    StateRec* const out_recs = fin.AllocateArray<StateRec>(total);
+    uint32_t* const out_aux = fin.AllocateArray<uint32_t>(total * stride_);
+    for (size_t i = 0; i < total; ++i) {
+      const uint32_t* const w = fs.kept[i];
+      out_recs[i] = StateRec{w[1], w[2]};
+      if (stride_ != 0) {
+        std::memcpy(out_aux + i * stride_, w + 3, stride_ * sizeof(uint32_t));
+      }
     }
 
     // Drop the staging stream; its arena memory is reclaimed by the engine's
@@ -251,6 +314,7 @@ class ProjectionBuilder {
     head_ = nullptr;
     tail_ = nullptr;
     span_count_ = 0;
+    staged_states_ = 0;
     have_seq_ = false;
 
     view_.spans = out_spans;
@@ -258,7 +322,7 @@ class ProjectionBuilder {
     view_.states = out_recs;
     view_.aux = out_aux;
     view_.stride = stride_;
-    view_.num_states = off;
+    view_.num_states = total;
     // Stamp the lifetime contract: the view is valid exactly until the depth
     // arena rewinds (the engine rewinds it when the subtree exits).
     view_.arena = &fin;
@@ -318,40 +382,6 @@ class ProjectionBuilder {
     tail_ = c;
   }
 
-  // Unpacks the chunk stream into contiguous scratch arrays — rebuilding the
-  // span directory from the per-record seq words — so Finalize's SpanViews
-  // are flat. Heap scratch, untracked; every bucket owns its builder, so
-  // it lives only as long as one bucket.
-  void GatherStagedChunks() {
-    scratch_spans_.clear();
-    scratch_recs_.clear();
-    scratch_aux_.clear();
-    scratch_spans_.reserve(span_count_);
-    scratch_recs_.reserve(staged_states_);
-    scratch_aux_.reserve(staged_states_ * stride_);
-    for (StagedChunk* c = head_; c != nullptr; c = c->next) {
-      const uint32_t* words = ChunkPayload(c);
-      for (uint32_t r = 0; r < c->count; ++r, words += 3 + stride_) {
-        if (scratch_spans_.empty() || scratch_spans_.back().seq != words[0]) {
-          scratch_spans_.push_back(SeqSpan{
-              words[0], static_cast<uint32_t>(scratch_recs_.size()), 0});
-        }
-        ++scratch_spans_.back().count;
-        scratch_recs_.push_back(StateRec{words[1], words[2]});
-        scratch_aux_.insert(scratch_aux_.end(), words + 3,
-                            words + 3 + stride_);
-      }
-    }
-  }
-
-  SpanView StagedView(uint32_t i) const {
-    // Valid only inside Finalize, after GatherStagedChunks.
-    const SeqSpan& s = scratch_spans_[i];
-    return SpanView{s.seq, scratch_recs_.data() + s.offset,
-                    scratch_aux_.data() + size_t{s.offset} * stride_, s.count,
-                    stride_};
-  }
-
   uint32_t stride_ = 0;
   ProjectionArenas* arenas_ = nullptr;
   uint32_t depth_ = 0;
@@ -365,15 +395,10 @@ class ProjectionBuilder {
   uint32_t last_seq_ = 0;
   bool have_seq_ = false;
 
-  // Finalize scratch, reused across spans.
-  std::vector<SeqSpan> scratch_spans_;
-  std::vector<uint32_t> keep_flat_;
-  std::vector<uint32_t> keep_offsets_;
-  std::vector<uint32_t> span_keep_;
-  std::vector<StateRec> scratch_recs_;
-  std::vector<uint32_t> scratch_aux_;
-
   NodeProjection view_;
 };
+
+static_assert(std::is_trivially_destructible_v<ProjectionBuilder>,
+              "a bucket's builder must own no heap memory");
 
 }  // namespace tpm

@@ -89,9 +89,16 @@
 // Projection storage is delegated to core/projection.h: the engine stages
 // into a per-worker shared arena (reset once per node) and finalizes into
 // per-depth arenas (rewound when the subtree exits), making the run's
-// MemoryTracker view of projection bytes exact. The physical-projection
-// baselines differ only in copying each node's whole postfix into the
-// span's item list, where P-TPMiner lists only the Scannable items.
+// MemoryTracker view of projection bytes exact. A node's buckets are one
+// std::vector in first-touch order; each bucket's builder owns no heap, so
+// the store compacts and sorts into child order by plain copies, and every
+// Finalize borrows the worker's one FinalizeScratch (in its
+// ProjectionArenas). Two per-worker scratches sit outside MemoryTracker,
+// each bounded by one unit of work: ScanScratch::items (the longest postfix
+// one span listed) and the FinalizeScratch (the largest bucket one Finalize
+// handled). The physical-projection baselines differ only in copying each
+// node's whole postfix into the span's item list, where P-TPMiner lists
+// only the Scannable items.
 
 #pragma once
 
@@ -420,18 +427,25 @@ class GrowthEngine {
   }
 
  private:
-  // One candidate extension's child projection under construction.
+  // One candidate extension's child projection under construction. It owns
+  // no heap memory (staging and Finalize scratch belong to the context), so
+  // moving one while the store grows, compacts or sorts is a plain copy.
   struct Bucket {
     uint32_t code = 0;
     bool i_ext = false;
     ProjectionBuilder builder;
   };
+  static_assert(std::is_trivially_copyable_v<Bucket>);
 
   // Everything one node expansion owns. Kept explicit (rather than spread
   // over engine members mutated across recursion) so sibling subtrees only
   // share read-only inputs — the property the worker layer relies on.
   struct ExpandFrame {
-    std::deque<Bucket> buckets;  // deque: stable addresses under growth
+    // In first-touch order during the scan, then in child order. The
+    // ext-slot table holds indices into it, and a pointer from bucket_for is
+    // used before the next bucket is added; the store is never modified
+    // after Finalize, so views and unit pointers into it stay put.
+    std::vector<Bucket> buckets;
     size_t copies_bytes = 0;
     uint32_t cur_seq = 0;
   };

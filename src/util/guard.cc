@@ -1,7 +1,5 @@
 #include "util/guard.h"
 
-#include <algorithm>
-
 namespace tpm {
 
 const char* StopReasonName(StopReason reason) {
@@ -33,8 +31,7 @@ bool ExecutionGuard::TimedCheck() {
   // left the logical accounting far behind.
   if (limits_.memory_budget_bytes > 0 && rss_countdown_-- == 0) {
     rss_countdown_ = kRssSampleInterval - 1;
-    const uint64_t threshold =
-        std::max(4 * limits_.memory_budget_bytes, kRssBackstopFloorBytes);
+    const uint64_t threshold = RssBackstopBytes(limits_.memory_budget_bytes);
     const uint64_t rss = ReadCurrentRssBytes();
     if (rss > 0 && rss > rss_baseline_bytes_ &&
         rss - rss_baseline_bytes_ > threshold) {

@@ -117,6 +117,15 @@ class ExecutionGuard {
   /// meaningless, and the logical-byte check already handles small budgets.
   static constexpr uint64_t kRssBackstopFloorBytes = 64ull << 20;
 
+  /// RSS growth that trips the backstop under `budget_bytes`: 4x the budget,
+  /// saturating rather than wrapping for budgets near SIZE_MAX, and never
+  /// below the floor.
+  static uint64_t RssBackstopBytes(uint64_t budget_bytes) {
+    const uint64_t scaled =
+        budget_bytes > UINT64_MAX / 4 ? UINT64_MAX : 4 * budget_bytes;
+    return scaled > kRssBackstopFloorBytes ? scaled : kRssBackstopFloorBytes;
+  }
+
   /// A guard with no limits: ShouldStop() is always false.
   ExecutionGuard() : ExecutionGuard(GuardLimits{}, nullptr) {}
 

@@ -259,6 +259,24 @@ TEST(CliExitCodeTest, UsageErrorsExitWith1) {
                            "--minsup=nan"}) {
     EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), flag}, &out), 1) << flag;
   }
+  // Values past the option's range used to wrap when narrowed: 2^32 + 1
+  // items or blocks read as a cap of 1, and 2^44 + 1 MiB overflowed the
+  // byte count to a 1 MiB budget that truncated the run with exit 0.
+  for (const char* flag :
+       {"--max-items=4294967296", "--max-items=4294967297",
+        "--max-length=4294967296", "--max-length=4294967297",
+        "--memory-budget-mb=17592186044416",
+        "--memory-budget-mb=17592186044417"}) {
+    EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2", flag}, &out), 1)
+        << flag;
+  }
+  // The largest values that fit are accepted and mine as unlimited.
+  for (const char* flag :
+       {"--max-items=4294967295", "--max-length=4294967295",
+        "--memory-budget-mb=17592186044415"}) {
+    EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2", flag}, &out), 0)
+        << flag;
+  }
 }
 
 TEST(CliExitCodeTest, TimeBudgetTruncationExitsWith3AndWritesPartials) {

@@ -84,6 +84,70 @@ TEST(ArenaPoisonTest, GenerationAdvancesOnRewindAndReset) {
   EXPECT_EQ(arena.generation(), 2u);
 }
 
+// Stages two buckets the way a node's scan does — one-state and multi-state
+// spans, stride 2 — and finalizes the first. Expected words are functions of
+// (seq, state) so a read through a stale alias shows as a wrong value in
+// every build and as a poisoned read under ASan.
+uint32_t ExpectedAux(uint32_t seq, uint32_t i, uint32_t k) {
+  return 1000 * seq + 10 * i + k;
+}
+
+void StageMixedSpans(ProjectionBuilder* builder, uint32_t base_seq) {
+  for (uint32_t seq = base_seq; seq < base_seq + 12; ++seq) {
+    const uint32_t count = seq % 3 == 0 ? 5 : 1;  // every third span multi
+    for (uint32_t i = 0; i < count; ++i) {
+      uint32_t* aux = builder->Push(seq, /*item=*/seq * 7 + i, /*anchor=*/i);
+      aux[0] = ExpectedAux(seq, i, 0);
+      aux[1] = ExpectedAux(seq, i, 1);
+    }
+  }
+}
+
+void ReadAllWords(const NodeProjection& view, uint32_t base_seq) {
+  size_t state = 0;
+  ASSERT_EQ(view.num_spans, 12u);
+  for (uint32_t s = 0; s < view.num_spans; ++s) {
+    const SeqSpan& sp = view.spans[s];
+    EXPECT_EQ(sp.seq, base_seq + s);
+    for (uint32_t i = 0; i < sp.count; ++i, ++state) {
+      g_sink_word = view.states[state].item;
+      g_sink_word = view.states[state].anchor;
+      EXPECT_EQ(view.states[state].item, sp.seq * 7 + i);
+      EXPECT_EQ(view.states[state].anchor, i);
+      for (uint32_t k = 0; k < view.stride; ++k) {
+        g_sink_word = view.aux[state * view.stride + k];
+        EXPECT_EQ(view.aux[state * view.stride + k], ExpectedAux(sp.seq, i, k));
+      }
+    }
+  }
+  EXPECT_EQ(state, view.num_states);
+}
+
+// A finalized view points only into its depth arena: neither the staging
+// chunks (reset after every node, poisoned under ASan) nor the context's
+// Finalize scratch (reused by the next bucket) may back any word of it.
+TEST(ProjectionNoAliasTest, FinalizedViewOutlivesStagingAndScratchReuse) {
+  ProjectionArenas arenas(nullptr);
+  ProjectionBuilder first;
+  ProjectionBuilder second;
+  first.Init(/*stride=*/2, &arenas, /*depth=*/1);
+  second.Init(/*stride=*/2, &arenas, /*depth=*/1);
+  StageMixedSpans(&first, /*base_seq=*/0);
+  StageMixedSpans(&second, /*base_seq=*/100);
+  const NodeProjection view = first.FinalizeKeepAll();
+  ReadAllWords(view, 0);
+
+  // The second bucket's Finalize rewrites the shared scratch.
+  const NodeProjection other = second.FinalizeKeepAll();
+  ReadAllWords(view, 0);
+
+  // What the engine does once every bucket of the node finalized.
+  arenas.staging().Reset();
+  ReadAllWords(view, 0);
+  ReadAllWords(other, 100);
+  EXPECT_TRUE(ValidateProjection(view).ok());
+}
+
 TEST(ProjectionGenerationTest, FreshViewIsAliveAndValid) {
   ProjectionArenas arenas(nullptr);
   ProjectionBuilder builder;
@@ -146,6 +210,22 @@ TEST(ArenaPoisonDeathTest, StaleProjectionStateReadDies) {
             BuildProjection(&arenas, &builder, /*depth=*/1);
         depth1.Rewind(m);  // what the engine does when the subtree exits
         g_sink_word = view.states[0].item;
+      },
+      "use-after-poison");
+}
+
+TEST(ArenaPoisonDeathTest, StagingReadAfterNodeResetDies) {
+  // The ASan half of ProjectionNoAliasTest: a view that pointed a one-state
+  // span at its staged record would read exactly this poisoned range.
+  EXPECT_DEATH(
+      {
+        ProjectionArenas arenas(nullptr);
+        ProjectionBuilder builder;
+        builder.Init(/*stride=*/2, &arenas, /*depth=*/1);
+        const uint32_t* staged = builder.Push(/*seq=*/3, 7, 0);
+        (void)builder.FinalizeKeepAll();
+        arenas.staging().Reset();
+        g_sink_word = staged[1];
       },
       "use-after-poison");
 }

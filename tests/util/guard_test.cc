@@ -80,6 +80,15 @@ TEST(ExecutionGuardTest, LogicalMemoryBudgetTrips) {
   EXPECT_TRUE(guard.ShouldStop());
 }
 
+TEST(ExecutionGuardTest, RssBackstopScalesSaturatesAndFloors) {
+  constexpr uint64_t kFloor = ExecutionGuard::kRssBackstopFloorBytes;
+  EXPECT_EQ(ExecutionGuard::RssBackstopBytes(1000), kFloor);
+  EXPECT_EQ(ExecutionGuard::RssBackstopBytes(kFloor), 4 * kFloor);
+  // 4 x 2^62 would wrap to 0 and fall back to the 64 MiB floor.
+  EXPECT_EQ(ExecutionGuard::RssBackstopBytes(uint64_t{1} << 62), UINT64_MAX);
+  EXPECT_EQ(ExecutionGuard::RssBackstopBytes(UINT64_MAX), UINT64_MAX);
+}
+
 TEST(ExecutionGuardTest, CancellationTrips) {
   CancellationToken token;
   GuardLimits limits;

@@ -1,6 +1,7 @@
 #include "cli.h"
 
 #include <cmath>
+#include <cstdint>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -255,14 +256,25 @@ struct MineFlags {
     if (!(budget >= 0.0)) {
       return Status::InvalidArgument("--budget must be >= 0 seconds");
     }
-    if (memory_budget_mb < 0) {
-      return Status::InvalidArgument("--memory-budget-mb must be >= 0");
+    // ToOptions() scales this to bytes in a size_t; a larger value would
+    // overflow to a tiny budget and truncate the run.
+    if (memory_budget_mb < 0 ||
+        static_cast<uint64_t>(memory_budget_mb) > (SIZE_MAX >> 20)) {
+      return Status::InvalidArgument(
+          "--memory-budget-mb must be between 0 and " +
+          std::to_string(SIZE_MAX >> 20));
     }
-    // ToOptions() narrows these to unsigned fields; a negative value would
-    // wrap to ~4 billion (an effectively unlimited cap or an unsatisfiable
-    // window) instead of failing loudly.
-    if (max_items < 0) return Status::InvalidArgument("--max-items must be >= 0");
-    if (max_length < 0) return Status::InvalidArgument("--max-length must be >= 0");
+    // ToOptions() narrows these to uint32_t fields; a negative value would
+    // wrap to ~4 billion (an effectively unlimited cap) and a larger one to
+    // its low 32 bits, instead of failing loudly.
+    if (max_items < 0 || max_items > UINT32_MAX) {
+      return Status::InvalidArgument("--max-items must be between 0 and " +
+                                     std::to_string(UINT32_MAX));
+    }
+    if (max_length < 0 || max_length > UINT32_MAX) {
+      return Status::InvalidArgument("--max-length must be between 0 and " +
+                                     std::to_string(UINT32_MAX));
+    }
     if (window < 0) return Status::InvalidArgument("--window must be >= 0");
     if (top < 0) return Status::InvalidArgument("--top must be >= 0");
     // Hard range, not a clamp: --threads=0 or a negative/absurd count is a
@@ -299,8 +311,7 @@ struct MineFlags {
     options.max_length = static_cast<uint32_t>(max_length);
     options.max_window = window;
     options.time_budget_seconds = budget;
-    options.memory_budget_bytes =
-        static_cast<size_t>(memory_budget_mb) * 1024 * 1024;
+    options.memory_budget_bytes = static_cast<size_t>(memory_budget_mb) << 20;
     options.pair_pruning = !no_pair_pruning;
     options.postfix_pruning = !no_postfix_pruning;
     options.validity_pruning = !no_validity_pruning;
