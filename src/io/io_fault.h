@@ -12,7 +12,6 @@
 namespace tpm {
 
 inline bool IoFaultPoint(const char* site) {
-  (void)site;  // unused when TPM_FAULT_DISABLED compiles the point out
   // Every I/O fault site fronts a syscall (open/write/rename); holding a
   // lock across one is a lock-held unwind waiting to happen.
   CheckNoLocksHeld();

@@ -31,13 +31,16 @@
 // worker / merger"):
 //
 //   scheduler  The root-node scan produces the level-1 buckets in the
-//              deterministic child order; miner/scheduler.h freezes that
-//              order into work units whose id IS the bucket index, so a
-//              unit means the same subtree for every thread count and every
-//              checkpoint ever written. --steal additionally publishes a
-//              heavyweight unit's level-2 children as stealable sub-units
-//              (the split decision depends only on projection sizes, never
-//              on the thread count).
+//              deterministic child order; the engine's unit table (one
+//              UnitInfo per bucket) freezes that order, so a unit's id IS
+//              its bucket index and means the same subtree for every thread
+//              count and every checkpoint ever written. miner/scheduler.h
+//              queues the ids of the units left to mine. --steal
+//              additionally publishes a heavyweight unit's level-2 children
+//              as stealable sub-units (the split decision depends only on
+//              projection sizes, never on the thread count). A whole unit
+//              and a sub-unit run through the same RunSubtree: replay the
+//              path from the root, walk the subtree, undo.
 //
 //   workers    --threads=N runs N workers: the calling thread is worker 0
 //              and N-1 helper threads are the rest (none at N=1), all in
@@ -96,9 +99,11 @@
 // ProjectionArenas). Two per-worker scratches sit outside MemoryTracker,
 // each bounded by one unit of work: ScanScratch::items (the longest postfix
 // one span listed) and the FinalizeScratch (the largest bucket one Finalize
-// handled). The physical-projection baselines differ only in copying each
-// node's whole postfix into the span's item list, where P-TPMiner lists
-// only the Scannable items.
+// handled). Every mode lists a span's items in the same one pass over its
+// postfix; with postfix pruning that pass also counts the postfix symbols.
+// The physical-projection baselines differ only in that every item is
+// Scannable for them, so the list is a copy of the node's whole postfix,
+// and its bytes are charged to the run's account as their copy.
 
 #pragma once
 
@@ -324,12 +329,6 @@ class GrowthEngine {
         }
       }
     }
-    // Without postfix pruning every node keeps the root's allowed set, so
-    // each sequence's Scannable items are listed once, before the root scan,
-    // and every span scans the suffix of its sequence's list.
-    if (!postfix_pruning_ && !baseline_) {
-      BuildSeqItems(pair_pruning_ ? allowed.data() : nullptr);
-    }
     SeedFromResume();
     if (progress_ != nullptr) {
       progress_->ConfigureWorkers(NumWorkers(), &tracker_);
@@ -427,6 +426,9 @@ class GrowthEngine {
   }
 
  private:
+  // One extension on a path from the root: (code, i_ext).
+  using Step = std::pair<uint32_t, bool>;
+
   // One candidate extension's child projection under construction. It owns
   // no heap memory (staging and Finalize scratch belong to the context), so
   // moving one while the store grows, compacts or sorts is a plain copy.
@@ -511,7 +513,6 @@ class GrowthEngine {
   struct UnitOutcome {
     bool delivered = false;  ///< a worker finished (possibly truncated)
     bool complete = false;   ///< subtree fully mined — checkpointable
-    bool from_resume = false;
     std::vector<MinedPattern<PatternT>> bank;
     SearchTally tally;  ///< zero for resumed units (in the prior metrics)
   };
@@ -551,7 +552,7 @@ class GrowthEngine {
   struct SubUnit {
     const NodeProjection* view = nullptr;
     const std::vector<uint8_t>* allowed = nullptr;
-    std::vector<std::pair<uint32_t, bool>> path;  ///< (code, i_ext) replay
+    std::vector<Step> path;  ///< the replay from the root
     SplitState* split = nullptr;
     bool complete = false;
     ItemOutput out;
@@ -657,11 +658,38 @@ class GrowthEngine {
       return b->builder.Push(frame.cur_seq, item, anchor);
     };
 
+    // The span's item list: the postfix items from min_item on that a state
+    // may extend with (Scannable), at their absolute positions. With postfix
+    // pruning the same pass counts the postfix symbols for the children's
+    // allowed set (symbols already disallowed stay so whatever their count:
+    // skip them). The mode is a compile-time tag, so neither loop branches
+    // on it per item.
+    auto list_items = [&](const SeqSpan& sp, uint32_t min_item,
+                          auto count_postfix) -> std::span<const ScanItem> {
+      constexpr bool kCount = decltype(count_postfix)::value;
+      const uint32_t nitems = w.policy.NumItems(sp.seq);
+      [[maybe_unused]] const uint32_t epoch =
+          kCount ? scratch.NextEpoch() : 0;
+      ScanItem* const out = scratch.ItemBuffer(nitems - min_item);
+      size_t n = 0;
+      for (uint32_t p = min_item; p < nitems; ++p) {
+        const uint32_t code = w.policy.ItemCode(sp.seq, p);
+        if constexpr (kCount) {
+          const EventId ev = Policy::SymbolOf(code);
+          if (allowed[ev] != 0 && scratch.seen_epoch[ev] != epoch) {
+            scratch.seen_epoch[ev] = epoch;
+            ++scratch.postfix_count[ev];
+          }
+        }
+        if (w.policy.Scannable(code, filter)) out[n++] = {p, code};
+      }
+      return {out, n};
+    };
+
     // ---- Candidate scan ------------------------------------------------
     for (uint32_t si = 0; si < proj.num_spans; ++si) {
       const SeqSpan& sp = proj.spans[si];
       frame.cur_seq = sp.seq;
-      const uint32_t nitems = w.policy.NumItems(sp.seq);
 
       uint32_t min_item = ~0u;
       for (uint32_t i = 0; i < sp.count; ++i) {
@@ -670,42 +698,12 @@ class GrowthEngine {
             std::min(min_item, r.item == kNoStateItem ? 0 : r.item + 1);
       }
 
-      // The span's item list: the postfix items from min_item on that a
-      // state may extend with, at their absolute positions.
-      std::span<const ScanItem> items;
-      if (postfix_pruning_) {
-        // One pass over the postfix both counts its symbols for the
-        // children's allowed set (symbols already disallowed stay so
-        // whatever their count: skip them) and lists the Scannable items.
-        const uint32_t epoch = scratch.NextEpoch();
-        ScanItem* const out = scratch.ItemBuffer(nitems - min_item);
-        size_t n = 0;
-        for (uint32_t p = min_item; p < nitems; ++p) {
-          const uint32_t code = w.policy.ItemCode(sp.seq, p);
-          const EventId ev = Policy::SymbolOf(code);
-          if (allowed[ev] != 0 && scratch.seen_epoch[ev] != epoch) {
-            scratch.seen_epoch[ev] = epoch;
-            ++scratch.postfix_count[ev];
-          }
-          if (w.policy.Scannable(code, filter)) out[n++] = {p, code};
-        }
-        items = {out, n};
-      } else if (baseline_) {
-        // TPrefixSpan / CTMiner: physically copy this node's whole postfix
-        // (every item is Scannable without pruning) and scan the copy.
-        ScanItem* const out = scratch.ItemBuffer(nitems - min_item);
-        for (uint32_t p = min_item; p < nitems; ++p) {
-          out[p - min_item] = {p, w.policy.ItemCode(sp.seq, p)};
-        }
-        items = {out, nitems - min_item};
-        frame.copies_bytes += items.size_bytes();
-      } else {
-        const ScanItem* const seq_begin =
-            seq_items_.data() + seq_item_begin_[sp.seq];
-        const ScanItem* const seq_end =
-            seq_items_.data() + seq_item_begin_[sp.seq + 1];
-        items = {FirstItemAtOrAfter({seq_begin, seq_end}, min_item), seq_end};
-      }
+      const std::span<const ScanItem> items =
+          postfix_pruning_ ? list_items(sp, min_item, std::true_type{})
+                           : list_items(sp, min_item, std::false_type{});
+      // TPrefixSpan / CTMiner: without a filter or validity pruning every
+      // item is Scannable, so the list is the node's whole postfix, copied.
+      if (baseline_) frame.copies_bytes += items.size_bytes();
       tally.scan_items += items.size();
 
       for (uint32_t i = 0; i < sp.count; ++i) {
@@ -766,30 +764,6 @@ class GrowthEngine {
     tally.arena_depth_bytes.Observe(child_arena.used_bytes());
     nc->entered = true;
     return true;
-  }
-
-  /// Lists every sequence's Scannable items under `filter` (the root's
-  /// allowed set, or null) into seq_items_, charged to the run's account.
-  void BuildSeqItems(const uint8_t* filter) {
-    const uint32_t nseqs = policy_.NumSeqs();
-    seq_item_begin_.assign(nseqs + 1, 0);
-    for (uint32_t s = 0; s < nseqs; ++s) {
-      size_t n = 0;
-      for (uint32_t p = 0; p < policy_.NumItems(s); ++p) {
-        n += policy_.Scannable(policy_.ItemCode(s, p), filter) ? 1 : 0;
-      }
-      seq_item_begin_[s + 1] = seq_item_begin_[s] + n;
-    }
-    seq_items_.resize(seq_item_begin_[nseqs]);
-    ScanItem* out = seq_items_.data();
-    for (uint32_t s = 0; s < nseqs; ++s) {
-      for (uint32_t p = 0; p < policy_.NumItems(s); ++p) {
-        const uint32_t code = policy_.ItemCode(s, p);
-        if (policy_.Scannable(code, filter)) *out++ = {p, code};
-      }
-    }
-    tracker_.Allocate(seq_items_.size() * sizeof(ScanItem) +
-                      seq_item_begin_.size() * sizeof(size_t));
   }
 
   void ReleaseNode(WorkerSlot& w, NodeChildren* nc, uint32_t depth) {
@@ -914,18 +888,16 @@ class GrowthEngine {
     outcomes_.resize(units_.size());
     if (top_k_ > 0) SeedBar();
     if (options_.steal) {
-      std::vector<WorkUnit> wu(units_.size());
-      for (size_t i = 0; i < units_.size(); ++i) {
-        wu[i].id = i;
-        wu[i].key = units_[i].key;
-        wu[i].weight = units_[i].view->num_spans;
-      }
+      std::vector<uint64_t> weights;
+      weights.reserve(units_.size());
+      for (const UnitInfo& u : units_) weights.push_back(u.view->num_spans);
       // Thread-count independent: the split set depends only on the
       // projection sizes, so the work-item set (and every per-item tally)
       // is the same for any --threads.
-      MarkSplittableUnits(&wu, minsup_);
+      const std::vector<bool> splittable =
+          MarkSplittableUnits(weights, minsup_);
       for (size_t i = 0; i < units_.size(); ++i) {
-        units_[i].splittable = wu[i].splittable;
+        units_[i].splittable = splittable[i];
       }
     }
     // Attach resumed banks to their units; a key with no bucket (possible
@@ -941,7 +913,6 @@ class GrowthEngine {
       UnitOutcome& o = outcomes_[it->second];
       o.delivered = true;
       o.complete = true;
-      o.from_resume = true;
       o.bank = std::move(r.bank);
     }
     orphan_units_.swap(leftovers);
@@ -951,7 +922,7 @@ class GrowthEngine {
   /// drain the scheduler with N workers — the calling thread as worker 0
   /// (and merger) plus N-1 helper threads — and merge what is left.
   void RunUnits() {
-    std::vector<WorkUnit> pending;
+    std::vector<uint64_t> pending;
     for (size_t i = 0; i < units_.size(); ++i) {
       if (outcomes_[i].delivered) {
         // Seeded from the checkpoint: re-expanding would double-count both
@@ -968,12 +939,7 @@ class GrowthEngine {
         if (!ckpt_status_.ok()) return;
         continue;
       }
-      WorkUnit wu;
-      wu.id = i;
-      wu.key = units_[i].key;
-      wu.weight = units_[i].view->num_spans;
-      wu.splittable = units_[i].splittable;
-      pending.push_back(wu);
+      pending.push_back(i);
     }
     if (pending.empty()) return;
     scheduler_.Reset(std::move(pending));
@@ -1026,31 +992,42 @@ class GrowthEngine {
   }
 
   void ProcessItem(WorkerSlot& w, const WorkItem& item) {
-    if (item.kind == WorkItem::Kind::kUnit) {
-      const UnitInfo& u = units_[item.unit_id];
-      if (u.splittable) {
-        ProcessSplitUnit(w, item.unit_id);
-      } else {
-        ProcessUnit(w, item.unit_id);
-      }
+    if (item.kind == WorkItem::Kind::kSub) {
+      SubUnit& s = *static_cast<SubUnit*>(item.sub);
+      s.complete = RunSubtree(w, *s.view, *s.allowed, s.path, &s.out);
+      // Release-decrement publishes out/complete to the owner's acquire-load
+      // in ProcessSplitUnit.
+      s.split->remaining.fetch_sub(1, std::memory_order_release);
+    } else if (units_[item.unit_id].splittable) {
+      ProcessSplitUnit(w, item.unit_id);
     } else {
-      ProcessSub(w, *static_cast<SubUnit*>(item.sub));
+      const UnitInfo& u = units_[item.unit_id];
+      const Step step{u.code, u.i_ext};
+      ItemOutput out;
+      const bool complete = RunSubtree(w, *u.view, *root_child_allowed_,
+                                       {&step, 1}, &out);
+      FinishUnit(w, item.unit_id, complete, std::move(out));
     }
     open_items_.fetch_sub(1, std::memory_order_release);
   }
 
-  void ProcessUnit(WorkerSlot& w, uint64_t unit_id) {
-    const UnitInfo& u = units_[unit_id];
-    ItemOutput out;
-    ItemOutput* const outer = std::exchange(w.out, &out);
-    // The bar may have risen past this unit since the pre-pass.
-    if (!BelowFloor(&out.tally, u.view->num_spans)) {
-      w.policy.Apply(u.code, u.i_ext);
-      ExpandSubtree(w, *u.view, *root_child_allowed_, /*depth=*/1);
-      w.policy.Undo(u.code, u.i_ext);
+  /// Mines the subtree under `view`, the node the root reaches by `path`,
+  /// into `out`: a whole unit (a path of one step) or a stolen sub-unit.
+  /// The bar may have risen past the node since it was queued. Returns
+  /// whether the subtree finished, i.e. no stop tripped.
+  bool RunSubtree(WorkerSlot& w, const NodeProjection& view,
+                  const std::vector<uint8_t>& allowed,
+                  std::span<const Step> path, ItemOutput* out) {
+    ItemOutput* const outer = std::exchange(w.out, out);
+    if (!BelowFloor(&out->tally, view.num_spans)) {
+      for (const Step& step : path) w.policy.Apply(step.first, step.second);
+      ExpandSubtree(w, view, allowed, static_cast<uint32_t>(path.size()));
+      for (size_t i = path.size(); i > 0; --i) {
+        w.policy.Undo(path[i - 1].first, path[i - 1].second);
+      }
     }
     w.out = outer;
-    FinishUnit(w, unit_id, !w.guard.stopped(), std::move(out));
+    return !w.guard.stopped();
   }
 
   /// --steal path for a splittable unit: expand the unit root, publish its
@@ -1113,25 +1090,6 @@ class GrowthEngine {
       out.tally.Add(s.out.tally);
     }
     FinishUnit(w, unit_id, complete, std::move(out));
-  }
-
-  void ProcessSub(WorkerSlot& w, SubUnit& s) {
-    ItemOutput* const outer = std::exchange(w.out, &s.out);
-    if (!BelowFloor(&s.out.tally, s.view->num_spans)) {
-      for (const std::pair<uint32_t, bool>& step : s.path) {
-        w.policy.Apply(step.first, step.second);
-      }
-      ExpandSubtree(w, *s.view, *s.allowed,
-                    static_cast<uint32_t>(s.path.size()));
-      for (size_t i = s.path.size(); i > 0; --i) {
-        w.policy.Undo(s.path[i - 1].first, s.path[i - 1].second);
-      }
-    }
-    w.out = outer;
-    s.complete = !w.guard.stopped();
-    // Release-decrement publishes out/complete to the owner's acquire-load
-    // in ProcessSplitUnit.
-    s.split->remaining.fetch_sub(1, std::memory_order_release);
   }
 
   void FinishUnit(WorkerSlot& w, uint64_t unit_id, bool complete,
@@ -1409,10 +1367,6 @@ class GrowthEngine {
   Policy policy_;
   CooccurrenceTable cooc_;
   size_t num_symbols_ = 0;
-  // P-TPMiner without postfix pruning only: every sequence's Scannable
-  // items, sequence s at [seq_item_begin_[s], seq_item_begin_[s + 1]).
-  std::vector<ScanItem> seq_items_;
-  std::vector<size_t> seq_item_begin_;
 
   // Observability domain the run charges: caller-provided (`tpm mine`) or a
   // private throwaway.

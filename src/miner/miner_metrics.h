@@ -161,16 +161,11 @@ inline void RecordStopMetrics(StopReason reason, obs::MetricsRegistry* registry)
       ->Increment();
 }
 
-inline void RecordStopMetrics(StopReason reason) {
-  RecordStopMetrics(reason, &obs::MetricsRegistry::Global());
-}
-
 /// Fault-point shim for miner allocation sites; charges
 /// robust.fault.injected (to `registry`, or the global registry when null)
 /// when it fires.
 inline bool MinerFaultPoint(const char* site,
                             obs::MetricsRegistry* registry = nullptr) {
-  (void)site;  // unused when TPM_FAULT_DISABLED compiles the point out
   // Allocation fault sites must not be reached with a lock held: an
   // injected failure would unwind through the critical section.
   CheckNoLocksHeld();

@@ -7,20 +7,24 @@
 
 namespace tpm {
 
-void MarkSplittableUnits(std::vector<WorkUnit>* units, uint64_t min_spans) {
-  if (units->empty()) return;
+std::vector<bool> MarkSplittableUnits(const std::vector<uint64_t>& weights,
+                                      uint64_t min_spans) {
+  if (weights.empty()) return {};
   uint64_t total = 0;
-  for (const WorkUnit& u : *units) total += u.weight;
-  const uint64_t mean = total / units->size();
+  for (uint64_t w : weights) total += w;
+  const uint64_t mean = total / weights.size();
   // `2 * mean` keeps splitting to genuinely skewed subtrees; the min_spans
   // floor stops tiny databases from splitting everything.
   const uint64_t threshold = std::max<uint64_t>(min_spans, 2 * mean);
-  for (WorkUnit& u : *units) u.splittable = u.weight >= threshold;
+  std::vector<bool> splittable;
+  splittable.reserve(weights.size());
+  for (uint64_t w : weights) splittable.push_back(w >= threshold);
+  return splittable;
 }
 
-void WorkScheduler::Reset(std::vector<WorkUnit> units) {
+void WorkScheduler::Reset(std::vector<uint64_t> unit_ids) {
   MutexLock lock(&mu_);
-  units_ = std::move(units);
+  unit_ids_ = std::move(unit_ids);
   unit_cursor_ = 0;
   subs_.clear();
   sub_cursor_ = 0;
@@ -35,10 +39,9 @@ bool WorkScheduler::TryNext(WorkItem* out) {
     *out = subs_[sub_cursor_++];
     return true;
   }
-  if (unit_cursor_ < units_.size()) {
-    const WorkUnit& u = units_[unit_cursor_++];
+  if (unit_cursor_ < unit_ids_.size()) {
     out->kind = WorkItem::Kind::kUnit;
-    out->unit_id = u.id;
+    out->unit_id = unit_ids_[unit_cursor_++];
     out->sub = nullptr;
     return true;
   }
@@ -69,7 +72,7 @@ void WorkScheduler::PushSubs(uint64_t unit_id, const std::vector<void*>& subs) {
 
 uint64_t WorkScheduler::units_pending() const {
   MutexLock lock(&mu_);
-  return units_.size() - unit_cursor_;
+  return unit_ids_.size() - unit_cursor_;
 }
 
 }  // namespace tpm

@@ -3,13 +3,13 @@
 //
 // The engine's root-node scan produces the level-1 frequent-item buckets in
 // a deterministic order (i_ext desc, code asc — the same order the
-// single-thread recursion visited them). The scheduler freezes that order
-// into work units with stable IDs (unit id == index in bucket order), so a
-// unit means the same subtree for every thread count, every completion
-// order, and every checkpoint ever written. Workers drain the queue FIFO;
-// nothing here inspects projections or patterns — the scheduler is pure
-// bookkeeping, which is what keeps it language-agnostic and testable
-// without a miner.
+// single-thread recursion visited them). The engine's unit table freezes
+// that order (unit id == index in bucket order), so a unit means the same
+// subtree for every thread count, every completion order, and every
+// checkpoint ever written. The scheduler queues only unit ids, which
+// workers drain FIFO; nothing here inspects projections or patterns — the
+// scheduler is pure bookkeeping, which is what keeps it language-agnostic
+// and testable without a miner.
 //
 // Work stealing (--steal) adds a second, higher-priority queue of sub-units:
 // an owner that opens a heavyweight unit publishes that unit's level-2
@@ -33,14 +33,6 @@
 
 namespace tpm {
 
-/// One depth-0 subtree of the growth search, in deterministic bucket order.
-struct WorkUnit {
-  uint64_t id = 0;      ///< index in bucket order == stable checkpoint unit
-  uint64_t key = 0;     ///< `(code << 1) | i_ext`, the checkpoint unit key
-  uint64_t weight = 0;  ///< projected span count (split heuristic input)
-  bool splittable = false;  ///< eligible for per-child sub-unit splitting
-};
-
 /// What TryNext hands a worker: a whole unit, or one stolen sub-unit of a
 /// unit another worker opened. `sub` is an engine-owned descriptor.
 struct WorkItem {
@@ -50,11 +42,13 @@ struct WorkItem {
   void* sub = nullptr;
 };
 
-/// Marks units whose subtrees are worth splitting: weight at least
-/// `min_spans` and at least twice the mean weight. Depends only on the
-/// projection sizes — never on the thread count — so the work-item set (and
-/// therefore every per-item tally) is identical for any --threads.
-void MarkSplittableUnits(std::vector<WorkUnit>* units, uint64_t min_spans);
+/// Flags, per unit, whether its subtree is worth splitting: weight (the
+/// unit's projected span count) at least `min_spans` and at least twice the
+/// mean weight. Depends only on the projection sizes — never on the thread
+/// count — so the work-item set (and therefore every per-item tally) is
+/// identical for any --threads.
+std::vector<bool> MarkSplittableUnits(const std::vector<uint64_t>& weights,
+                                      uint64_t min_spans);
 
 /// FIFO work queue shared by the workers. Sub-units outrank whole units so
 /// a split unit's children finish promptly and their owner stops draining.
@@ -64,8 +58,8 @@ class WorkScheduler {
   WorkScheduler(const WorkScheduler&) = delete;
   WorkScheduler& operator=(const WorkScheduler&) = delete;
 
-  /// Replaces the queue with `units` (already in deterministic id order).
-  void Reset(std::vector<WorkUnit> units);
+  /// Replaces the queue with `unit_ids` (in deterministic id order).
+  void Reset(std::vector<uint64_t> unit_ids);
 
   /// Claims the next item: the oldest unclaimed sub-unit if any, else the
   /// next whole unit in id order. False when both queues are drained (more
@@ -88,7 +82,7 @@ class WorkScheduler {
 
  private:
   mutable Mutex mu_;
-  std::vector<WorkUnit> units_ TPM_GUARDED_BY(mu_);
+  std::vector<uint64_t> unit_ids_ TPM_GUARDED_BY(mu_);
   size_t unit_cursor_ TPM_GUARDED_BY(mu_) = 0;
   std::vector<WorkItem> subs_ TPM_GUARDED_BY(mu_);
   size_t sub_cursor_ TPM_GUARDED_BY(mu_) = 0;

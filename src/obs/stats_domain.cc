@@ -37,7 +37,9 @@ std::string JsonEscape(const std::string& s) {
 
 }  // namespace
 
-std::string PostmortemJson(const StatsDomain& domain, const std::string& outcome,
+std::string PostmortemJson(const StatsDomain& domain,
+                           const MetricsSnapshot& metrics,
+                           const std::string& outcome,
                            const std::string& detail,
                            const std::string& checkpoint_path) {
   const std::vector<FlightEvent> events = domain.recorder().Events();
@@ -62,7 +64,7 @@ std::string PostmortemJson(const StatsDomain& domain, const std::string& outcome
         static_cast<unsigned long long>(e.b));
   }
   out += events.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"metrics\": " + domain.Snapshot().ToJson() + "\n";
+  out += "  \"metrics\": " + metrics.ToJson() + "\n";
   out += "}\n";
   return out;
 }

@@ -83,11 +83,13 @@ class StatsDomain {
 /// ("truncated", "fault", "cancelled", ...), free-form detail, the path of
 /// the checkpoint written on the same exit (empty when checkpointing was
 /// off), the flight recorder's surviving events (timestamps in microseconds
-/// relative to the oldest event), and the domain's full metrics snapshot.
-/// The obs layer cannot write files (io sits above it); callers persist the
-/// string with the atomic writer — see the `tpm mine` postmortem path in
-/// tools/cli.cc.
-std::string PostmortemJson(const StatsDomain& domain, const std::string& outcome,
+/// relative to the oldest event), and `metrics` — the run's merged metrics
+/// when it produced a result, else the domain's own snapshot. The obs layer
+/// cannot write files (io sits above it); callers persist the string with
+/// the atomic writer — see the `tpm mine` postmortem path in tools/cli.cc.
+std::string PostmortemJson(const StatsDomain& domain,
+                           const MetricsSnapshot& metrics,
+                           const std::string& outcome,
                            const std::string& detail,
                            const std::string& checkpoint_path = std::string());
 

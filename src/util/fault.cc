@@ -42,8 +42,6 @@ bool IsRegisteredSite(const std::string& site) {
   return std::binary_search(sites.begin(), sites.end(), site);
 }
 
-#ifndef TPM_FAULT_DISABLED
-
 namespace {
 
 struct FaultState {
@@ -127,8 +125,6 @@ uint64_t InjectionCount() {
   MutexLock lock(&s.mu);
   return s.injections;
 }
-
-#endif  // !TPM_FAULT_DISABLED
 
 }  // namespace fault
 }  // namespace tpm

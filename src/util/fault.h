@@ -17,10 +17,6 @@
 //
 //   if (TPM_FAULT_POINT("io.fsync")) return Status::IOError("injected ...");
 //
-// The framework compiles out with -DTPM_FAULT_DISABLED (a CMake option,
-// mirroring TPM_OBS_DISABLED): the macro becomes a constant false and every
-// call site folds away; release binaries carry no injection overhead.
-//
 // The canonical site list lives in fault.cc and is exposed via
 // RegisteredSites() so tools (`tpm faults`) and CI can enumerate the matrix.
 
@@ -34,15 +30,11 @@
 namespace tpm {
 namespace fault {
 
-/// Every fault site compiled into the binary, sorted. Available (and
-/// accurate) even under TPM_FAULT_DISABLED so tooling can still list the
-/// matrix it would exercise in an injection-enabled build.
+/// Every fault site compiled into the binary, sorted.
 const std::vector<std::string>& RegisteredSites();
 
 /// True when `site` names a registered site.
 bool IsRegisteredSite(const std::string& site);
-
-#ifndef TPM_FAULT_DISABLED
 
 /// Arms `site` to fail on its `nth` upcoming hit (1-based). Replaces any
 /// previous arming (programmatic or TPM_FAULT) and zeroes the hit counter.
@@ -68,28 +60,9 @@ class ScopedFault {
   ScopedFault& operator=(const ScopedFault&) = delete;
 };
 
-#else  // TPM_FAULT_DISABLED
-
-inline void Arm(const std::string&, uint64_t) {}
-inline void Disarm() {}
-inline bool ShouldFail(const char*) { return false; }
-inline uint64_t InjectionCount() { return 0; }
-
-class ScopedFault {
- public:
-  ScopedFault(const std::string&, uint64_t) {}
-};
-
-#endif  // TPM_FAULT_DISABLED
-
 }  // namespace fault
 }  // namespace tpm
 
-/// Use at call sites; reads as a predicate and compiles to `false` when the
-/// framework is disabled.
-#ifndef TPM_FAULT_DISABLED
+/// Use at call sites; reads as a predicate.
 #define TPM_FAULT_POINT(site) (::tpm::fault::ShouldFail(site))
-#else
-#define TPM_FAULT_POINT(site) (false)
-#endif
 

@@ -298,7 +298,6 @@ TEST(CorruptionTest, ReportsSectionAndOffset) {
 }
 
 TEST(AtomicWriteTest, NoTempFileSurvivesAnInjectedFault) {
-#ifndef TPM_FAULT_DISABLED
   const IntervalDatabase db = SampleDb();
   const std::string path = TempPath("atomic.tpmb");
   ASSERT_TRUE(SaveDatabase(db, path).ok());
@@ -316,7 +315,6 @@ TEST(AtomicWriteTest, NoTempFileSurvivesAnInjectedFault) {
     std::ifstream tmp(path + ".tmp");
     EXPECT_FALSE(tmp.good()) << site << " left " << path << ".tmp behind";
   }
-#endif
 }
 
 }  // namespace

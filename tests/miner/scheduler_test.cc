@@ -21,26 +21,20 @@
 namespace tpm {
 namespace {
 
-std::vector<WorkUnit> MakeUnits(std::initializer_list<uint64_t> weights) {
-  std::vector<WorkUnit> units;
-  uint64_t id = 0;
-  for (uint64_t w : weights) {
-    WorkUnit u;
-    u.id = id;
-    u.key = id * 2;  // arbitrary but distinct
-    u.weight = w;
-    units.push_back(u);
-    ++id;
-  }
-  return units;
+// Unit ids 0..n-1, the engine's bucket order.
+std::vector<uint64_t> UnitIds(uint64_t n) {
+  std::vector<uint64_t> ids;
+  for (uint64_t id = 0; id < n; ++id) ids.push_back(id);
+  return ids;
 }
 
 TEST(WorkSchedulerTest, DispatchesUnitsInIdOrder) {
   WorkScheduler sched;
-  sched.Reset(MakeUnits({5, 3, 9, 1}));
+  // The engine queues only the units left to mine, so ids may skip.
+  sched.Reset({0, 2, 3, 7});
   EXPECT_EQ(sched.units_pending(), 4u);
 
-  for (uint64_t want = 0; want < 4; ++want) {
+  for (uint64_t want : {0, 2, 3, 7}) {
     WorkItem item;
     ASSERT_TRUE(sched.TryNext(&item));
     EXPECT_EQ(item.kind, WorkItem::Kind::kUnit);
@@ -54,7 +48,7 @@ TEST(WorkSchedulerTest, DispatchesUnitsInIdOrder) {
 
 TEST(WorkSchedulerTest, SubsOutrankWholeUnits) {
   WorkScheduler sched;
-  sched.Reset(MakeUnits({5, 5, 5}));
+  sched.Reset(UnitIds(3));
 
   WorkItem item;
   ASSERT_TRUE(sched.TryNext(&item));
@@ -83,7 +77,7 @@ TEST(WorkSchedulerTest, SubsOutrankWholeUnits) {
 
 TEST(WorkSchedulerTest, TryNextSubNeverClaimsWholeUnits) {
   WorkScheduler sched;
-  sched.Reset(MakeUnits({5, 5}));
+  sched.Reset(UnitIds(2));
 
   WorkItem item;
   EXPECT_FALSE(sched.TryNextSub(&item));
@@ -103,13 +97,13 @@ TEST(WorkSchedulerTest, TryNextSubNeverClaimsWholeUnits) {
 
 TEST(WorkSchedulerTest, ResetClearsEverything) {
   WorkScheduler sched;
-  sched.Reset(MakeUnits({1, 2}));
+  sched.Reset(UnitIds(2));
   WorkItem item;
   ASSERT_TRUE(sched.TryNext(&item));
   int payload = 0;
   sched.PushSubs(0, {&payload});
 
-  sched.Reset(MakeUnits({7}));
+  sched.Reset(UnitIds(1));
   EXPECT_EQ(sched.units_pending(), 1u);
   // The stale sub from the previous generation must be gone.
   ASSERT_TRUE(sched.TryNext(&item));
@@ -120,51 +114,34 @@ TEST(WorkSchedulerTest, ResetClearsEverything) {
 
 TEST(MarkSplittableUnitsTest, MarksOnlySkewedHeavyUnits) {
   // Mean weight = (1+1+1+1+16)/5 = 4; threshold = max(2, 8) = 8.
-  auto units = MakeUnits({1, 1, 1, 1, 16});
-  MarkSplittableUnits(&units, 2);
-  EXPECT_FALSE(units[0].splittable);
-  EXPECT_FALSE(units[1].splittable);
-  EXPECT_FALSE(units[2].splittable);
-  EXPECT_FALSE(units[3].splittable);
-  EXPECT_TRUE(units[4].splittable);
+  const std::vector<bool> split = MarkSplittableUnits({1, 1, 1, 1, 16}, 2);
+  EXPECT_EQ(split, (std::vector<bool>{false, false, false, false, true}));
 }
 
 TEST(MarkSplittableUnitsTest, MinSpansFloorStopsTinyDatabases) {
   // Uniform weights: 2*mean == every weight would qualify without the floor.
-  auto units = MakeUnits({3, 3, 3});
-  MarkSplittableUnits(&units, 100);
-  for (const WorkUnit& u : units) EXPECT_FALSE(u.splittable);
+  const std::vector<uint64_t> weights = {3, 3, 3};
+  EXPECT_EQ(MarkSplittableUnits(weights, 100), std::vector<bool>(3, false));
 
   // With a low floor, 2*mean = 6 still disqualifies uniform weight-3 units.
-  MarkSplittableUnits(&units, 1);
-  for (const WorkUnit& u : units) EXPECT_FALSE(u.splittable);
+  EXPECT_EQ(MarkSplittableUnits(weights, 1), std::vector<bool>(3, false));
 }
 
 TEST(MarkSplittableUnitsTest, IndependentOfUnitOrderAndEmptyInput) {
-  std::vector<WorkUnit> empty;
-  MarkSplittableUnits(&empty, 2);  // must not divide by zero
-  EXPECT_TRUE(empty.empty());
+  // Must not divide by zero.
+  EXPECT_TRUE(MarkSplittableUnits({}, 2).empty());
 
-  auto a = MakeUnits({16, 1, 1, 1, 1});
-  auto b = MakeUnits({1, 1, 16, 1, 1});
-  MarkSplittableUnits(&a, 2);
-  MarkSplittableUnits(&b, 2);
-  EXPECT_TRUE(a[0].splittable);
-  EXPECT_TRUE(b[2].splittable);
+  const std::vector<bool> a = MarkSplittableUnits({16, 1, 1, 1, 1}, 2);
+  const std::vector<bool> b = MarkSplittableUnits({1, 1, 16, 1, 1}, 2);
+  EXPECT_TRUE(a[0]);
+  EXPECT_TRUE(b[2]);
 }
 
 TEST(WorkSchedulerTest, ConcurrentClaimsAreExactlyOnce) {
   constexpr int kUnits = 64;
   constexpr int kThreads = 8;
-  std::vector<WorkUnit> units;
-  for (int i = 0; i < kUnits; ++i) {
-    WorkUnit u;
-    u.id = static_cast<uint64_t>(i);
-    u.weight = 1;
-    units.push_back(u);
-  }
   WorkScheduler sched;
-  sched.Reset(std::move(units));
+  sched.Reset(UnitIds(kUnits));
 
   // Each worker also publishes one sub per claimed even unit, so both
   // queues see contention. Subs are tagged by pointer identity.

@@ -120,8 +120,7 @@ TEST(PinnedSearchCountsTest, BothLanguagesEveryPruningMask) {
 
 // Without pair or postfix pruning (and, for endpoints, without validity
 // pruning) every postfix item is listed, so P-TPMiner scans exactly as many
-// items as the physical baselines copy, whose lists are built per node on a
-// separate path.
+// items as the physical baselines copy.
 TEST(PinnedSearchCountsTest, ScanItemsWithoutPruningMatchTheBaselineCopies) {
 #ifndef TPM_OBS_DISABLED
   const IntervalDatabase db = MakeDb();
@@ -138,6 +137,25 @@ TEST(PinnedSearchCountsTest, ScanItemsWithoutPruningMatchTheBaselineCopies) {
             ctm->stats.metrics.CounterValue("search.scan_items"));
   EXPECT_GT(co->stats.metrics.CounterValue("search.scan_items"), 0u);
 #endif
+}
+
+// The physical baselines charge each node's postfix copy to the run's
+// memory account while the node's subtree is live, so their peak tracked
+// bytes (build + arenas + patterns + the deepest stack of copies) are
+// pinned: a scan-list change that stopped charging the copy moves them. At
+// --threads=1 the peak is deterministic; the two runs must agree.
+TEST(PinnedSearchCountsTest, BaselinePeakTrackedBytes) {
+  const IntervalDatabase db = MakeDb();
+  const MinerOptions options = BaseOptions(0);
+  const GrowthConfig baseline{.baseline = true};
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(::testing::Message() << "run=" << run);
+    auto tps = MineEndpointGrowth(db, options, baseline);
+    auto ctm = MineCoincidenceGrowth(db, options, baseline);
+    ASSERT_TRUE(tps.ok() && ctm.ok());
+    EXPECT_EQ(tps->stats.peak_tracked_bytes, 367244u);
+    EXPECT_EQ(ctm->stats.peak_tracked_bytes, 507600u);
+  }
 }
 
 // The item index at which the earliest-ending occurrence of `pat` in `cs`

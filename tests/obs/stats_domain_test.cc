@@ -69,7 +69,7 @@ TEST(PostmortemJsonTest, DocumentShape) {
   domain.RecordEvent("run.begin", 300, 3);
   domain.RecordEvent("guard.stop", 1, 77);
   domain.GetCounter("search.nodes")->Increment(9);
-  const std::string doc = PostmortemJson(domain, "truncated", "deadline");
+  const std::string doc = PostmortemJson(domain, domain.Snapshot(), "truncated", "deadline");
   auto parsed = ParseJson(doc);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Find("domain")->text, "mine");

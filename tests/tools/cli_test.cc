@@ -7,11 +7,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/json.h"
 
 namespace tpm {
 namespace {
@@ -342,8 +345,6 @@ TEST(CliFaultsTest, FaultsCommandListsRegisteredSites) {
   }
 }
 
-#ifndef TPM_FAULT_DISABLED
-
 TEST(CliFaultsTest, InjectedLoadFaultExitsWith4AndWritesPostmortem) {
   const std::string db = TempPath("cli_fault_load.tisd");
   const std::string pm = TempPath("cli_fault_load.pm.json");
@@ -404,8 +405,6 @@ TEST(CliFaultsTest, InjectedRenameFaultLeavesNoTempFile) {
   EXPECT_FALSE(FileExists(patterns + ".tmp"));
 }
 
-#endif  // !TPM_FAULT_DISABLED
-
 TEST(CliObservabilityTest, ProgressFlagChargesCounterAndKeepsPositional) {
   // Bare --progress must not swallow the following <db> positional, and a
   // zero-interval run must record at least one snapshot in the metrics.
@@ -444,6 +443,57 @@ TEST(CliObservabilityTest, TruncatedRunWritesPostmortem) {
   EXPECT_NE(doc.find("\"detail\": \"deadline\""), std::string::npos) << doc;
 #ifndef TPM_OBS_DISABLED
   EXPECT_NE(doc.find("\"kind\": \"guard.stop\""), std::string::npos) << doc;
+#endif
+}
+
+// Every work item charges its own tally, which the run merges into its
+// result; the run domain keeps only the preamble. A truncated run's
+// postmortem must report the merged search and pruning counters, the same
+// ones --metrics-out writes. At --threads=1 the memory budget stops the run
+// partway through its units at the same point every time.
+TEST(CliObservabilityTest, TruncatedPostmortemCarriesTheMergedMetrics) {
+  const std::string db = TempPath("cli_pm_merged.tisd");
+  const std::string pm = TempPath("cli_pm_merged.pm.json");
+  const std::string metrics = TempPath("cli_pm_merged.metrics.json");
+  std::string out;
+  ASSERT_EQ(RunCli({"tpm", "generate", "--kind=quest", "--sequences=600",
+                    "--symbols=40", "--seed=3", ("--output=" + db).c_str()},
+                   &out),
+            0);
+  // --metrics-out scrapes the process-wide registry, which earlier tests in
+  // this binary charged too.
+  obs::MetricsRegistry::Global().Reset();
+  ASSERT_EQ(RunCli({"tpm", "mine", db.c_str(), "--type=coincidence",
+                    "--minsup=0.02", "--memory-budget-mb=2",
+                    ("--metrics-out=" + metrics).c_str(),
+                    ("--postmortem-out=" + pm).c_str()},
+                   &out),
+            3);
+#ifndef TPM_OBS_DISABLED
+  // The nonzero search.* and prune.* counters of a metrics snapshot.
+  auto search_counters = [](const JsonValue* snapshot) {
+    std::map<std::string, uint64_t> counters;
+    const JsonValue* all =
+        snapshot == nullptr ? nullptr : snapshot->Find("counters");
+    if (all == nullptr) return counters;
+    for (const auto& [name, value] : all->fields) {
+      const bool search = name.rfind("search.", 0) == 0 ||
+                          name.rfind("prune.", 0) == 0;
+      if (search && value.AsUint64() != 0) counters[name] = value.AsUint64();
+    }
+    return counters;
+  };
+  auto written = ParseJson(Slurp(metrics));
+  auto doc = ParseJson(Slurp(pm));
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const std::map<std::string, uint64_t> want = search_counters(&*written);
+  const std::map<std::string, uint64_t> got =
+      search_counters(doc->Find("metrics"));
+  EXPECT_EQ(got, want);
+  // The units' work is in: the root node alone emits no pattern.
+  ASSERT_TRUE(got.count("search.patterns")) << Slurp(pm);
+  EXPECT_GT(got.at("search.patterns"), 0u);
 #endif
 }
 

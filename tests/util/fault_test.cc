@@ -27,8 +27,6 @@ TEST(FaultRegistryTest, ExpectedSitesRegistered) {
   }
 }
 
-#ifndef TPM_FAULT_DISABLED
-
 TEST(FaultInjectionTest, FiresOnNthHitOnly) {
   Arm("io.write", 3);
   EXPECT_FALSE(TPM_FAULT_POINT("io.write"));  // hit 1
@@ -71,8 +69,6 @@ TEST(FaultInjectionTest, ScopedFaultDisarmsOnExit) {
   }
   EXPECT_FALSE(TPM_FAULT_POINT("io.rename"));
 }
-
-#endif  // !TPM_FAULT_DISABLED
 
 }  // namespace
 }  // namespace fault

@@ -395,9 +395,13 @@ int CmdProfile(int argc, const char* const* argv, std::ostream& out) {
 // disables, anything else is the destination path. A write failure only
 // warns — the postmortem must never mask the run's own exit code. When the
 // run saved a checkpoint, its path is logged alongside (and embedded in)
-// the postmortem so the two artifacts cross-reference.
-void WritePostmortem(const obs::StatsDomain& domain, const MineFlags& flags,
-                     const char* outcome, const std::string& detail,
+// the postmortem so the two artifacts cross-reference. `metrics` is what
+// the postmortem reports: a truncated run's merged metrics, or the domain's
+// own snapshot on a fault exit.
+void WritePostmortem(const obs::StatsDomain& domain,
+                     const obs::MetricsSnapshot& metrics,
+                     const MineFlags& flags, const char* outcome,
+                     const std::string& detail,
                      const std::string& checkpoint_path) {
   if (!checkpoint_path.empty()) {
     std::cerr << "tpm: checkpoint saved to " << checkpoint_path
@@ -408,7 +412,8 @@ void WritePostmortem(const obs::StatsDomain& domain, const MineFlags& flags,
                                ? std::string("tpm-postmortem.json")
                                : flags.postmortem_out;
   const Status st = WriteFileAtomic(
-      path, obs::PostmortemJson(domain, outcome, detail, checkpoint_path));
+      path,
+      obs::PostmortemJson(domain, metrics, outcome, detail, checkpoint_path));
   if (!st.ok()) {
     std::cerr << "tpm: postmortem write failed: " << st.ToString() << "\n";
   } else {
@@ -424,8 +429,8 @@ int FailWithPostmortem(const Status& status, const MineFlags& flags,
                        const std::string& checkpoint_path = std::string()) {
   const int code = Fail(status, fallback);
   if (code == kExitFault) {
-    WritePostmortem(domain, flags, "fault", status.ToString(),
-                    checkpoint_path);
+    WritePostmortem(domain, domain.Snapshot(), flags, "fault",
+                    status.ToString(), checkpoint_path);
   }
   return code;
 }
@@ -451,7 +456,9 @@ int FinishMine(ResultT result, const IntervalDatabase& db,
     return FailWithPostmortem(st, flags, domain, kExitError, checkpoint_path);
   }
   if (stats.truncated) {
-    WritePostmortem(domain, flags, "truncated",
+    // The domain holds only the preamble: every work item charges its own
+    // tally, which the run merged into stats.metrics.
+    WritePostmortem(domain, stats.metrics, flags, "truncated",
                     StopReasonName(stats.stop_reason), checkpoint_path);
     std::cerr << "tpm: run truncated (" << StopReasonName(stats.stop_reason)
               << "); partial results were written\n";
