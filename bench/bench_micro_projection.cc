@@ -174,13 +174,17 @@ int main() {
   //    worker / merger split, docs/ARCHITECTURE.md). Output is byte-identical
   //    across rows by construction — the interesting number is the wall-clock
   //    column. The substrate gets a scale floor so the single-thread run is
-  //    long enough (~100ms) to measure scheduling against even under CI's
-  //    reduced TPM_BENCH_SCALE; CI asserts the 8-thread row at <=0.5x the
-  //    single-thread row from BENCH_micro.json when the host has the cores.
+  //    long enough (0.1 s or more on a 4-core x86 container) to measure
+  //    scheduling against even under CI's reduced TPM_BENCH_SCALE. A spin
+  //    probe before and after the rows records how many cores the host
+  //    really granted; CI asserts the 8-thread row at <=0.5x the
+  //    single-thread row from BENCH_micro.json when both probes saw them.
+  const uint32_t kProbeThreads = 4;
+  const SpinProbe probe_before = RunSpinProbe(kProbeThreads);
   const size_t threads_base = cells.size();
   QuestConfig par_config = config;
   par_config.num_sequences =
-      static_cast<uint32_t>(4000 * std::max(scale, 0.5));
+      static_cast<uint32_t>(4000 * std::max(scale, 6.0));
   auto par_db = GenerateQuest(par_config);
   TPM_CHECK_OK(par_db.status());
   MinerOptions par_options;
@@ -194,6 +198,8 @@ int main() {
     cells.push_back(CellFrom("P-TPMiner/E", "threads-" + std::to_string(threads),
                              run->stats, run->patterns.size()));
   }
+
+  const SpinProbe probe_after = RunSpinProbe(kProbeThreads);
 
   PrintTable(cells);
   if (cells[progress_off].seconds > 0.0) {
@@ -209,6 +215,16 @@ int main() {
                   cells[threads_base].seconds / cells[i].seconds);
     }
   }
+  for (const SpinProbe* probe : {&probe_before, &probe_after}) {
+    std::printf(
+        "host: %u-thread spin probe %s scaling: %.3fs alone, %.3fs together, "
+        "effective parallelism %.2f\n",
+        probe->threads, probe == &probe_before ? "before" : "after",
+        probe->one_thread_seconds, probe->all_threads_seconds,
+        probe->EffectiveParallelism());
+  }
+  cells.push_back(ProbeCell(probe_before, "probe-before"));
+  cells.push_back(ProbeCell(probe_after, "probe-after"));
   WriteJsonRecords("micro", cells);
   return 0;
 }

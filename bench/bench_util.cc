@@ -4,9 +4,11 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "io/atomic_write.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace tpm {
 namespace bench {
@@ -166,7 +168,12 @@ void WriteJsonRecords(const std::string& name, const std::vector<Cell>& cells) {
         << ", \"candidates\": " << c.candidates << ", \"states\": " << c.states
         << ", \"dnf\": " << (c.dnf ? "true" : "false")
         << ", \"stop_reason\": " << JsonQuote(StopReasonName(c.stop_reason))
-        << ", \"metrics\": " << c.metrics.ToJson() << "}"
+        << ", \"metrics\": " << c.metrics.ToJson();
+    if (c.effective_parallelism > 0.0) {
+      out << ", \"host.effective_parallelism\": "
+          << StringPrintf("%.3f", c.effective_parallelism);
+    }
+    out << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "]\n";
@@ -175,6 +182,53 @@ void WriteJsonRecords(const std::string& name, const std::vector<Cell>& cells) {
     return;
   }
   std::printf("json: %s\n", path.c_str());
+}
+
+namespace {
+
+// About 70 ms of dependent integer work on one x86 core; the result escapes
+// through a volatile so the loop cannot be folded away.
+double SpinOnce() {
+  WallTimer timer;
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (uint64_t i = 0; i < (uint64_t{1} << 25); ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  volatile uint64_t sink = x;
+  (void)sink;
+  return timer.ElapsedSeconds();
+}
+
+}  // namespace
+
+double SpinProbe::EffectiveParallelism() const {
+  return all_threads_seconds > 0.0
+             ? threads * one_thread_seconds / all_threads_seconds
+             : 0.0;
+}
+
+SpinProbe RunSpinProbe(uint32_t threads) {
+  SpinProbe probe;
+  probe.threads = threads;
+  probe.one_thread_seconds = SpinOnce();
+  WallTimer timer;
+  std::vector<std::thread> crew;
+  crew.reserve(threads);
+  for (uint32_t i = 0; i < threads; ++i) crew.emplace_back([] { SpinOnce(); });
+  for (std::thread& t : crew) t.join();
+  probe.all_threads_seconds = timer.ElapsedSeconds();
+  return probe;
+}
+
+Cell ProbeCell(const SpinProbe& probe, const std::string& label) {
+  Cell c;
+  c.algo = "host";
+  c.config = label;
+  c.seconds = probe.all_threads_seconds;
+  c.effective_parallelism = probe.EffectiveParallelism();
+  return c;
 }
 
 double BenchScale() {

@@ -32,6 +32,7 @@ struct Cell {
   bool dnf = false;      // truncated or failed before completing
   StopReason stop_reason = StopReason::kNone;  // why, when dnf is true
   obs::MetricsSnapshot metrics;  // per-run registry delta (prune.*, search.*)
+  double effective_parallelism = 0.0;  // spin-probe rows only (ProbeCell)
 
   std::string SecondsStr() const;
 };
@@ -58,6 +59,23 @@ void PrintTable(const std::vector<Cell>& cells);
 /// BENCH_<name>.json in TPM_BENCH_JSON_DIR (default: current directory).
 /// Failures only warn: record files must never break a bench run.
 void WriteJsonRecords(const std::string& name, const std::vector<Cell>& cells);
+
+/// A fixed spin workload timed on one thread, then on `threads` threads at
+/// once. A host that grants the run `threads` cores takes the same time for
+/// both, so threads × one / all is the number of cores it actually got.
+struct SpinProbe {
+  uint32_t threads = 0;
+  double one_thread_seconds = 0.0;
+  double all_threads_seconds = 0.0;
+
+  double EffectiveParallelism() const;
+};
+
+SpinProbe RunSpinProbe(uint32_t threads);
+
+/// The probe as a record row: algo "host", config `label`, seconds the
+/// all-threads time, and "host.effective_parallelism" in the JSON record.
+Cell ProbeCell(const SpinProbe& probe, const std::string& label);
 
 /// Reads TPM_BENCH_SCALE (default 1.0): multiplies dataset sizes so the
 /// suite can be shrunk for smoke runs or grown for slower machines.

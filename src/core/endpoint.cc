@@ -24,10 +24,19 @@ EndpointSequence EndpointSequence::FromEventSequence(const EventSequence& seq) {
     return a.code < b.code;
   });
 
+  // One slice per distinct time: sized exactly, so the slice arrays hold no
+  // growth slack (the representation's bytes are charged by capacity).
+  uint32_t num_slices = 0;
+  for (uint32_t i = 0; i < raw.size(); ++i) {
+    if (i == 0 || raw[i].time != raw[i - 1].time) ++num_slices;
+  }
+
   EndpointSequence out;
   out.items_.reserve(raw.size());
   out.item_slice_.reserve(raw.size());
   out.partner_.assign(raw.size(), 0);
+  out.slice_offsets_.reserve(num_slices + 1);
+  out.slice_times_.reserve(num_slices);
 
   // Map interval -> item index of its start, to wire partners.
   std::vector<uint32_t> start_item(seq.size(), 0);
@@ -49,9 +58,6 @@ EndpointSequence EndpointSequence::FromEventSequence(const EventSequence& seq) {
     }
   }
   out.slice_offsets_.push_back(static_cast<uint32_t>(raw.size()));
-  if (raw.empty()) {
-    out.slice_offsets_ = {0};
-  }
   return out;
 }
 

@@ -5,8 +5,8 @@
 // search scaffolding — projected-database buckets, support counting,
 // candidate admission (the pair table, with per-node decisions memoized in
 // a stamped extension-slot table), epoch-stamped postfix symbol counting
-// into the allowed-symbol sets, the per-span list of the postfix items a
-// state may extend with (all in ScanScratch), physical-copy baselines,
+// into the allowed-symbol sets (both in ScanScratch), the per-span list of
+// the postfix items a state may extend with, physical-copy baselines,
 // deterministic child ordering, guard/metrics/validator hooks, and the
 // recursion driver — is identical. GrowthEngine<Policy> owns all of that;
 // the policy contributes the language-specific pieces:
@@ -47,18 +47,18 @@
 //              the same WorkerLoop. Each worker owns a WorkerSlot, created
 //              right after the representation build: a copy of the built
 //              policy (cheap — the language representation is shared via
-//              shared_ptr), ProjectionArenas, ExecutionGuard, and a
-//              ScanScratch. The root node is worker 0's first node, so the
-//              unit views live in worker 0's depth-1 arena, which worker 0
-//              never writes again until the unit phase ends. Every work item
-//              charges its own plain SearchTally (miner/miner_metrics.h)
-//              with non-atomic adds, so nothing mutable is shared between
-//              workers on the hot path; a split unit adds its sub-units'
-//              tallies at the join. Memory is the exception by design: every
-//              arena and guard charges and reads the engine's one
-//              MemoryTracker (atomic, touched per arena block and per
-//              pattern, never per node), so the budget bounds the whole-run
-//              total at every thread count.
+//              shared_ptr), ProjectionArenas, ExecutionGuard, a ScanScratch
+//              and the list arena. The root node is worker 0's first node,
+//              so the unit views live in worker 0's depth-1 arena, which
+//              worker 0 never writes again until the unit phase ends. Every
+//              work item charges its own plain SearchTally
+//              (miner/miner_metrics.h) with non-atomic adds, so nothing
+//              mutable is shared between workers on the hot path; a split
+//              unit adds its sub-units' tallies at the join. Memory is the
+//              exception by design: every projection arena and guard
+//              charges and reads the engine's one MemoryTracker (atomic,
+//              touched per arena block and per pattern, never per node), so
+//              the budget bounds the whole-run total at every thread count.
 //
 //   merger     Workers deliver finished units (pattern bank + tally)
 //              through a single mutex-guarded inbox. Worker 0 merges them
@@ -96,14 +96,21 @@
 // std::vector in first-touch order; each bucket's builder owns no heap, so
 // the store compacts and sorts into child order by plain copies, and every
 // Finalize borrows the worker's one FinalizeScratch (in its
-// ProjectionArenas). Two per-worker scratches sit outside MemoryTracker,
-// each bounded by one unit of work: ScanScratch::items (the longest postfix
-// one span listed) and the FinalizeScratch (the largest bucket one Finalize
-// handled). Every mode lists a span's items in the same one pass over its
-// postfix; with postfix pruning that pass also counts the postfix symbols.
-// The physical-projection baselines differ only in that every item is
-// Scannable for them, so the list is a copy of the node's whole postfix,
-// and its bytes are charged to the run's account as their copy.
+// ProjectionArenas). Each span's scan list is carried down the DFS: a node
+// builds its lists from its parent's list for the same sequence (a child's
+// postfix is a suffix of its parent's, its allowed set a subset), and only
+// a node with no parent list in its worker — the root, and the first node
+// of every unit and sub-unit — reads the raw postfix. With postfix pruning
+// the same pass counts the symbols of exactly the listed items. The lists
+// live in the worker's list arena (WorkerSlot::lists), marked when a node's
+// scan starts and rewound at its ReleaseNode, so it holds one DFS path's
+// lists; nodes whose lists no child reads (the root, a split unit's owner)
+// give each span's list back as its scan ends. Two per-worker stores sit
+// outside MemoryTracker: that list arena and the FinalizeScratch (the
+// largest bucket one Finalize handled). The physical-projection baselines
+// differ only in that every item is Scannable for them, so the list is a
+// copy of the node's whole postfix, and its bytes are charged to the run's
+// account as their copy.
 
 #pragma once
 
@@ -184,10 +191,6 @@ struct ScanScratch {
   /// Zeroed per node (postfix pruning only), read before any child expands.
   std::vector<SupportCount> postfix_count;
 
-  /// The current span's Scannable postfix items; grows to the longest
-  /// postfix listed and is then reused.
-  std::vector<ScanItem> items;
-
   /// Extension slots, indexed by (code << 1) | i_ext. Codes are below
   /// 2 × symbols in both languages, so 4 × symbols entries cover every key.
   /// A slot holds stamp << 32 | (bucket index + 1); a low half of 0 means
@@ -215,12 +218,6 @@ struct ScanScratch {
       stamp = 1;
     }
     return stamp;
-  }
-
-  /// The item buffer, grown to hold at least `n` items.
-  ScanItem* ItemBuffer(size_t n) {
-    if (items.size() < n) items.resize(n);
-    return items.data();
   }
 
   uint64_t& ext_slot(uint32_t code, bool i_ext) {
@@ -339,7 +336,9 @@ class GrowthEngine {
     // ReleaseNode(root) below, and helpers may read the views meanwhile.
     NodeChildren root_nc;
     w0.out = &root_out;
-    const bool root_entered = ExpandNode(w0, root, allowed, 0, &root_nc);
+    const bool root_entered = ExpandNode(w0, root, allowed, /*depth=*/0,
+                                         /*parent=*/nullptr, /*kept=*/nullptr,
+                                         &root_nc);
     w0.out = nullptr;
     if (root_entered) {
       BuildUnits(&root_nc);
@@ -459,7 +458,16 @@ class GrowthEngine {
     ExpandFrame frame;
     std::vector<uint8_t> child_allowed;
     Arena::Mark child_mark;
+    Arena::Mark list_mark;  ///< the worker's list arena at the node's scan
     bool entered = false;  ///< node charged and children finalized
+  };
+
+  // A node's kept span lists, for its children to build theirs from:
+  // lists[i] belongs to proj->spans[i]. They live in the expanding worker's
+  // list arena until the node's ReleaseNode.
+  struct SpanLists {
+    const NodeProjection* proj = nullptr;
+    std::span<const std::span<const ScanItem>> lists;
   };
 
   // What one work item produces: its pattern bank and its search tally.
@@ -486,6 +494,18 @@ class GrowthEngine {
     ProjectionArenas arenas;
     ExecutionGuard guard;
     ScanScratch scratch;
+
+    /// The span lists of the nodes on this worker's DFS path, outside
+    /// MemoryTracker: a node's lists sit above its ancestors' and go at its
+    /// ReleaseNode, so the arena holds one path's lists at most.
+    Arena lists;
+    /// Per depth: the kept lists of the node expanding there, by span.
+    std::deque<std::vector<std::span<const ScanItem>>> kept_lists;
+
+    std::vector<std::span<const ScanItem>>& KeptLists(uint32_t depth) {
+      while (kept_lists.size() <= depth) kept_lists.emplace_back();
+      return kept_lists[depth];
+    }
 
     /// The current work item's bank and tally; null between items. A
     /// sub-unit mined while its owner joins restores the owner's.
@@ -574,11 +594,17 @@ class GrowthEngine {
 
   /// Expands one node: charges it, emits when the policy deems the pattern
   /// complete, scans the projection, and finalizes the children into `nc`.
+  /// Each span's item list is built from the parent's list for the same
+  /// sequence when `parent` has them, else from the raw postfix. The lists
+  /// go into `kept` for the children, or, when it is null (no child of this
+  /// node reads them), back to the list arena as each span's scan ends.
   /// Returns false when the node produced no children to walk (guard stop,
   /// emit-time stop, or the max_items cutoff) — `nc` is untouched then and
   /// needs no ReleaseNode.
   bool ExpandNode(WorkerSlot& w, const NodeProjection& proj,
                   const std::vector<uint8_t>& allowed, uint32_t depth,
+                  const SpanLists* parent,
+                  std::vector<std::span<const ScanItem>>* kept,
                   NodeChildren* nc) {
     // Arena-lifetime contract: the projection's depth arena must not have
     // rewound since Finalize (docs/ARCHITECTURE.md). A violation here means
@@ -612,6 +638,7 @@ class GrowthEngine {
 
     ExpandFrame& frame = nc->frame;
     ScanScratch& scratch = w.scratch;
+    Arena& lists = w.lists;
     if (postfix_pruning_) {
       std::fill(scratch.postfix_count.begin(), scratch.postfix_count.end(), 0);
     }
@@ -659,21 +686,27 @@ class GrowthEngine {
     };
 
     // The span's item list: the postfix items from min_item on that a state
-    // may extend with (Scannable), at their absolute positions. With postfix
-    // pruning the same pass counts the postfix symbols for the children's
-    // allowed set (symbols already disallowed stay so whatever their count:
-    // skip them). The mode is a compile-time tag, so neither loop branches
-    // on it per item.
+    // may extend with (Scannable), at their absolute positions. A child's
+    // postfix is a suffix of its parent's and its filter a subset, so the
+    // parent's list for the same sequence, from min_item on, holds every
+    // item the child's list keeps; only a node without a parent list reads
+    // the raw postfix. The list is allocated at its upper bound and its
+    // unused tail given back. With postfix pruning the same pass counts the
+    // symbols of the listed items for the children's allowed set (symbols
+    // already disallowed stay so whatever their count: skip them). Counting
+    // exactly the listed items keeps the two sources' counts equal. The
+    // mode is a compile-time tag, so neither loop branches on it per item.
     auto list_items = [&](const SeqSpan& sp, uint32_t min_item,
+                          const std::span<const ScanItem>* from,
                           auto count_postfix) -> std::span<const ScanItem> {
       constexpr bool kCount = decltype(count_postfix)::value;
-      const uint32_t nitems = w.policy.NumItems(sp.seq);
       [[maybe_unused]] const uint32_t epoch =
           kCount ? scratch.NextEpoch() : 0;
-      ScanItem* const out = scratch.ItemBuffer(nitems - min_item);
+      ScanItem* out = nullptr;
       size_t n = 0;
-      for (uint32_t p = min_item; p < nitems; ++p) {
-        const uint32_t code = w.policy.ItemCode(sp.seq, p);
+      auto keep = [&](uint32_t pos, uint32_t code) {
+        if (!w.policy.Scannable(code, filter)) return;
+        out[n++] = {pos, code};
         if constexpr (kCount) {
           const EventId ev = Policy::SymbolOf(code);
           if (allowed[ev] != 0 && scratch.seen_epoch[ev] != epoch) {
@@ -681,12 +714,30 @@ class GrowthEngine {
             ++scratch.postfix_count[ev];
           }
         }
-        if (w.policy.Scannable(code, filter)) out[n++] = {p, code};
+      };
+      size_t bound = 0;
+      if (from != nullptr) {
+        const ScanItem* it = FirstItemAtOrAfter(*from, min_item);
+        const ScanItem* const end = from->data() + from->size();
+        bound = static_cast<size_t>(end - it);
+        out = lists.AllocateArray<ScanItem>(bound);
+        for (; it != end; ++it) keep(it->pos, it->code);
+      } else {
+        const uint32_t nitems = w.policy.NumItems(sp.seq);
+        bound = nitems - min_item;
+        out = lists.AllocateArray<ScanItem>(bound);
+        for (uint32_t p = min_item; p < nitems; ++p) {
+          keep(p, w.policy.ItemCode(sp.seq, p));
+        }
       }
+      lists.TryShrink(out, bound * sizeof(ScanItem), n * sizeof(ScanItem));
       return {out, n};
     };
 
     // ---- Candidate scan ------------------------------------------------
+    nc->list_mark = lists.mark();
+    if (kept != nullptr) kept->clear();
+    uint32_t pj = 0;  // cursor over the parent's spans
     for (uint32_t si = 0; si < proj.num_spans; ++si) {
       const SeqSpan& sp = proj.spans[si];
       frame.cur_seq = sp.seq;
@@ -698,9 +749,17 @@ class GrowthEngine {
             std::min(min_item, r.item == kNoStateItem ? 0 : r.item + 1);
       }
 
+      // Child spans are a subset of the parent's, both in sequence order.
+      const std::span<const ScanItem>* from = nullptr;
+      if (parent != nullptr) {
+        while (parent->proj->spans[pj].seq < sp.seq) ++pj;
+        TPM_DCHECK(pj < parent->proj->num_spans &&
+                   parent->proj->spans[pj].seq == sp.seq);
+        from = &parent->lists[pj];
+      }
       const std::span<const ScanItem> items =
-          postfix_pruning_ ? list_items(sp, min_item, std::true_type{})
-                           : list_items(sp, min_item, std::false_type{});
+          postfix_pruning_ ? list_items(sp, min_item, from, std::true_type{})
+                           : list_items(sp, min_item, from, std::false_type{});
       // TPrefixSpan / CTMiner: without a filter or validity pruning every
       // item is Scannable, so the list is the node's whole postfix, copied.
       if (baseline_) frame.copies_bytes += items.size_bytes();
@@ -710,6 +769,11 @@ class GrowthEngine {
         const size_t state_index = sp.offset + i;
         w.policy.ScanState(allow_s_ext, sp.seq, proj.states[state_index],
                            proj.aux_of(state_index), items, try_push);
+      }
+      if (kept != nullptr) {
+        kept->push_back(items);
+      } else {
+        lists.TryShrink(items.data(), items.size_bytes(), 0);
       }
     }
 
@@ -769,20 +833,25 @@ class GrowthEngine {
   void ReleaseNode(WorkerSlot& w, NodeChildren* nc, uint32_t depth) {
     if (nc->frame.copies_bytes > 0) tracker_.Release(nc->frame.copies_bytes);
     w.arenas.depth(depth + 1).Rewind(nc->child_mark);
+    w.lists.Rewind(nc->list_mark);
   }
 
   /// The recursion driver below the unit roots: expand, walk the frequent
-  /// children depth-first, release.
+  /// children depth-first, release. `parent` holds the parent node's span
+  /// lists, or is null where this worker has none (a subtree's first node).
   void ExpandSubtree(WorkerSlot& w, const NodeProjection& proj,
-                     const std::vector<uint8_t>& allowed, uint32_t depth) {
+                     const std::vector<uint8_t>& allowed, uint32_t depth,
+                     const SpanLists* parent) {
     NodeChildren nc;
-    if (!ExpandNode(w, proj, allowed, depth, &nc)) return;
+    std::vector<std::span<const ScanItem>>& kept = w.KeptLists(depth);
+    if (!ExpandNode(w, proj, allowed, depth, parent, &kept, &nc)) return;
+    const SpanLists lists{&proj, kept};
     for (Bucket& b : nc.frame.buckets) {
       if (w.guard.stopped()) break;
       const NodeProjection& view = b.builder.view();
       if (BelowFloor(&w.out->tally, view.num_spans)) continue;
       w.policy.Apply(b.code, b.i_ext);
-      ExpandSubtree(w, view, nc.child_allowed, depth + 1);
+      ExpandSubtree(w, view, nc.child_allowed, depth + 1, &lists);
       w.policy.Undo(b.code, b.i_ext);
     }
     ReleaseNode(w, &nc, depth);
@@ -1021,7 +1090,8 @@ class GrowthEngine {
     ItemOutput* const outer = std::exchange(w.out, out);
     if (!BelowFloor(&out->tally, view.num_spans)) {
       for (const Step& step : path) w.policy.Apply(step.first, step.second);
-      ExpandSubtree(w, view, allowed, static_cast<uint32_t>(path.size()));
+      ExpandSubtree(w, view, allowed, static_cast<uint32_t>(path.size()),
+                    /*parent=*/nullptr);
       for (size_t i = path.size(); i > 0; --i) {
         w.policy.Undo(path[i - 1].first, path[i - 1].second);
       }
@@ -1043,7 +1113,8 @@ class GrowthEngine {
     NodeChildren nc;
     const bool entered =
         !BelowFloor(&out.tally, u.view->num_spans) &&
-        ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1, &nc);
+        ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1,
+                   /*parent=*/nullptr, /*kept=*/nullptr, &nc);
     std::deque<SubUnit> subs;  // stable addresses: published by pointer
     SplitState split;
     if (entered) {

@@ -144,6 +144,26 @@ class Arena {
     return true;
   }
 
+  /// Shrinks the most recent allocation in place, the mirror of TryExtend:
+  /// succeeds iff `ptr + old_bytes` is the current bump position and
+  /// `new_bytes <= old_bytes`. The tail past `new_bytes` goes back to the
+  /// arena for the next allocation (poisoned under ASan meanwhile); the
+  /// kept bytes are untouched. Any other pointer leaves the arena as it is.
+  bool TryShrink(const void* ptr, size_t old_bytes, size_t new_bytes) {
+    if (ptr == nullptr || new_bytes > old_bytes || block_ >= blocks_.size()) {
+      return false;
+    }
+    const Block& b = blocks_[block_];
+    if (static_cast<const char*>(ptr) + old_bytes != b.data.get() + offset_) {
+      return false;
+    }
+    const size_t delta = old_bytes - new_bytes;
+    offset_ -= delta;
+    used_ -= delta;
+    TPM_ASAN_POISON(b.data.get() + offset_, delta);
+    return true;
+  }
+
   /// A rewind point. Valid until the arena is destroyed; rewinding to a mark
   /// taken *after* allocations that were already rewound is undefined.
   struct Mark {

@@ -17,6 +17,7 @@
 
 #include "core/projection.h"
 #include "core/validate.h"
+#include "miner/growth_engine.h"
 
 namespace tpm {
 namespace {
@@ -69,6 +70,14 @@ TEST(ArenaPoisonTest, TryExtendKeepsExtensionReadable) {
   ASSERT_TRUE(arena.TryExtend(p, 8 * sizeof(uint32_t), 16 * sizeof(uint32_t)));
   for (int i = 0; i < 16; ++i) p[i] = static_cast<uint32_t>(i);
   for (int i = 0; i < 16; ++i) g_sink_word = p[i];
+}
+
+TEST(ArenaPoisonTest, TryShrinkKeepsTheHeadReadable) {
+  Arena arena(nullptr, /*min_block_bytes=*/1024);
+  uint32_t* p = arena.AllocateArray<uint32_t>(16);
+  for (int i = 0; i < 16; ++i) p[i] = static_cast<uint32_t>(i);
+  ASSERT_TRUE(arena.TryShrink(p, 16 * sizeof(uint32_t), 4 * sizeof(uint32_t)));
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(p[i], static_cast<uint32_t>(i));
 }
 
 TEST(ArenaPoisonTest, GenerationAdvancesOnRewindAndReset) {
@@ -226,6 +235,42 @@ TEST(ArenaPoisonDeathTest, StagingReadAfterNodeResetDies) {
         (void)builder.FinalizeKeepAll();
         arenas.staging().Reset();
         g_sink_word = staged[1];
+      },
+      "use-after-poison");
+}
+
+TEST(ArenaPoisonDeathTest, TryShrinkPoisonsTheReturnedTail) {
+  EXPECT_DEATH(
+      {
+        Arena arena(nullptr, /*min_block_bytes=*/256);
+        uint32_t* p = arena.AllocateArray<uint32_t>(16);
+        (void)arena.TryShrink(p, 16 * sizeof(uint32_t), 4 * sizeof(uint32_t));
+        g_sink_word = p[9];  // given back: poisoned
+      },
+      "use-after-poison");
+}
+
+// The growth engine's span lists: a node marks its worker's list arena,
+// allocates each list at its upper bound and gives back the unused tail,
+// and its children build their lists above from the parent's. Once the
+// node's ReleaseNode rewinds the arena, a parent list read dies.
+TEST(ArenaPoisonDeathTest, ParentListReadAfterReleaseNodeDies) {
+  EXPECT_DEATH(
+      {
+        Arena lists(nullptr, /*min_block_bytes=*/256);
+        const Arena::Mark node = lists.mark();
+        ScanItem* parent = lists.AllocateArray<ScanItem>(8);
+        for (uint32_t i = 0; i < 5; ++i) {
+          parent[i].pos = i;
+          parent[i].code = 2 * i;
+        }
+        (void)lists.TryShrink(parent, 8 * sizeof(ScanItem),
+                              5 * sizeof(ScanItem));
+        ScanItem* child = lists.AllocateArray<ScanItem>(3);
+        for (uint32_t i = 0; i < 3; ++i) child[i] = parent[2 + i];
+        g_sink_word = child[2].code;
+        lists.Rewind(node);  // ReleaseNode
+        g_sink_word = parent[1].pos;
       },
       "use-after-poison");
 }

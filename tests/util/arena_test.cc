@@ -127,6 +127,33 @@ TEST(ArenaTest, TryExtendGrowsOnlyTheLastAllocation) {
   EXPECT_EQ(arena.used_bytes(), 64u + 32u);
 }
 
+TEST(ArenaTest, TryShrinkGivesBackTheLastAllocationsTail) {
+  Arena arena(nullptr, 256);
+  void* a = arena.Allocate(64);
+  EXPECT_TRUE(arena.TryShrink(a, 64, 32));
+  EXPECT_EQ(arena.used_bytes(), 32u);
+  EXPECT_EQ(arena.used_high_water(), 64u);
+  // The given-back tail is the next allocation's.
+  void* b = arena.Allocate(16);
+  EXPECT_EQ(static_cast<char*>(b), static_cast<char*>(a) + 32);
+  EXPECT_TRUE(arena.TryShrink(b, 16, 0));
+  EXPECT_EQ(arena.used_bytes(), 32u);
+  EXPECT_FALSE(arena.TryShrink(a, 32, 48));  // growing is TryExtend's job
+  EXPECT_EQ(arena.used_bytes(), 32u);
+}
+
+TEST(ArenaTest, TryShrinkIgnoresAllButTheLastAllocation) {
+  Arena arena(nullptr, 256);
+  void* a = arena.Allocate(32);
+  void* b = arena.Allocate(32);
+  EXPECT_FALSE(arena.TryShrink(a, 32, 8));  // no longer the last allocation
+  EXPECT_FALSE(arena.TryShrink(b, 16, 8));  // wrong size: not at the bump
+  EXPECT_FALSE(arena.TryShrink(nullptr, 0, 0));
+  EXPECT_EQ(arena.used_bytes(), 64u);
+  void* c = arena.Allocate(8);
+  EXPECT_EQ(static_cast<char*>(c), static_cast<char*>(b) + 32);
+}
+
 TEST(ArenaVectorTest, SoleVectorGrowsInPlaceWithoutAbandonedSpans) {
   Arena arena(nullptr, 1 << 12);
   ArenaVector<uint32_t> v(&arena);
