@@ -8,19 +8,58 @@
 
 namespace tpm {
 
-EventId Dictionary::Intern(const std::string& name) {
+namespace {
+
+// One symbol's latest finish in the sequence numbered `stamp`; an entry with
+// another stamp is stale and reads as absent.
+struct LastFinish {
+  size_t stamp = 0;
+  TimeT finish = 0;
+};
+
+// Event ids up to this bound (or the dictionary size, if larger) index the
+// flat array; a larger id sends its sequence to the per-sequence check.
+constexpr size_t kDenseEventLimit = size_t{1} << 16;
+
+// The checks of EventSequence::Validate without a per-sequence map. False
+// means the sequence may be invalid: the caller asks EventSequence::Validate
+// for the verdict and its message.
+bool PassesFlatCheck(const std::vector<Interval>& ivs, size_t stamp,
+                     size_t dense_limit, std::vector<LastFinish>* last) {
+  for (size_t i = 0; i < ivs.size(); ++i) {
+    const Interval& iv = ivs[i];
+    if (iv.start > iv.finish || (i > 0 && iv < ivs[i - 1])) return false;
+    if (iv.event >= last->size()) {
+      if (iv.event >= dense_limit) return false;
+      last->resize(size_t{iv.event} + 1);
+    }
+    LastFinish& l = (*last)[iv.event];
+    if (l.stamp != stamp) {
+      l = {stamp, iv.finish};
+    } else if (iv.start <= l.finish) {
+      return false;
+    } else {
+      l.finish = std::max(l.finish, iv.finish);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+EventId Dictionary::Intern(std::string_view name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   EventId id = static_cast<EventId>(names_.size());
-  names_.push_back(name);
-  ids_.emplace(name, id);
+  names_.emplace_back(name);
+  ids_.emplace(names_.back(), id);
   return id;
 }
 
-Result<EventId> Dictionary::Lookup(const std::string& name) const {
+Result<EventId> Dictionary::Lookup(std::string_view name) const {
   auto it = ids_.find(name);
   if (it == ids_.end()) {
-    return Status::NotFound("unknown event symbol '" + name + "'");
+    return Status::NotFound("unknown event symbol '" + std::string(name) + "'");
   }
   return it->second;
 }
@@ -49,7 +88,14 @@ void IntervalDatabase::AddSequence(EventSequence sequence) {
 }
 
 Status IntervalDatabase::Validate() const {
+  // One flat pass: the last finish per symbol sits in an array indexed by
+  // EventId, stamped with the sequence it belongs to.
+  std::vector<LastFinish> last(dict_.size());
+  const size_t dense_limit = std::max(dict_.size(), kDenseEventLimit);
   for (size_t i = 0; i < sequences_.size(); ++i) {
+    if (PassesFlatCheck(sequences_[i].intervals(), i + 1, dense_limit, &last)) {
+      continue;
+    }
     Status s = sequences_[i].Validate();
     if (!s.ok()) return s.WithContext(StringPrintf("sequence %zu", i));
   }

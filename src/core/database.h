@@ -3,7 +3,9 @@
 #pragma once
 
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -16,11 +18,12 @@ namespace tpm {
 /// \brief Interns event symbol names to dense EventIds.
 class Dictionary {
  public:
-  /// Returns the id for `name`, interning it if new.
-  EventId Intern(const std::string& name);
+  /// Returns the id for `name`, interning it if new. Only a new name
+  /// allocates.
+  EventId Intern(std::string_view name);
 
   /// Returns the id for `name`, or NotFound.
-  Result<EventId> Lookup(const std::string& name) const;
+  Result<EventId> Lookup(std::string_view name) const;
 
   /// Returns the name for `id`; ids outside the dictionary render as "#<id>"
   /// so debug paths never crash.
@@ -31,8 +34,16 @@ class Dictionary {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  // Transparent, so a std::string_view finds a key without a temporary.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventId> ids_;
+  std::unordered_map<std::string, EventId, NameHash, std::equal_to<>> ids_;
 };
 
 /// Aggregate statistics of a database, used in reports and Table 1.

@@ -154,8 +154,7 @@ Result<IntervalDatabase> ParseBinary(const std::string& buffer) {
       seq.Add(static_cast<EventId>(event), start, finish);
       prev_start = start;
     }
-    seq.Normalize();
-    db.AddSequence(std::move(seq));
+    db.AddSequence(std::move(seq));  // normalizes
   }
   if (r.remaining() != 0) {
     return CorruptAt("record", kMagicBytes + r.offset(),

@@ -9,6 +9,16 @@
 //
 // Sequence ids may be arbitrary strings; sequences are emitted in first-
 // appearance order. Symbols are interned in first-appearance order.
+//
+// Every Read* entry point hands the whole input, as one buffer, to one line
+// scanner: a file or stream is first read into an exact-size string (a
+// *String entry point parses its argument in place), inside the
+// io.text.parse span. Lines end at '\n' (a CSV line also drops one trailing
+// '\r'). Fields are views into the buffer, so a line allocates only to store
+// its interval or a new sequence id or symbol. Counters: io.text.read_lines
+// (lines read), io.text.read_bytes (bytes consumed: the input's size when it
+// is read to the end), io.text.parse_ns (read plus parse) and
+// io.recovered_lines (lines dropped by kSkipLine).
 
 #pragma once
 

@@ -369,10 +369,12 @@ class GrowthEngine {
 
     uint64_t nodes = 0;
     size_t arena_bytes = 0;
+    size_t lists_bytes = 0;
     uint64_t arena_blocks = 0;
     for (const WorkerSlot& s : slots_) {
       nodes += s.nodes;
       arena_bytes += s.arenas.total_allocated_bytes();
+      lists_bytes += s.lists.allocated_bytes();
       arena_blocks += s.arenas.total_blocks();
     }
     const StopReason stop_reason = static_cast<StopReason>(
@@ -407,6 +409,8 @@ class GrowthEngine {
     result.stats.peak_rss_bytes = ReadPeakRssBytes();
     domain_->GetGauge("miner.arena.peak_bytes")
         ->Set(static_cast<int64_t>(arena_bytes));
+    domain_->GetGauge("miner.arena.lists_bytes")
+        ->Set(static_cast<int64_t>(lists_bytes));
     domain_->GetCounter("miner.arena.blocks")->Increment(arena_blocks);
     // Final VmHWM sample: a truncated run's peak was already captured by the
     // progress tracker at snapshot time; this records the end-of-run value.

@@ -42,6 +42,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "io.text.read_lines",
     "miner.arena.blocks",
     "miner.arena.depth_bytes",
+    "miner.arena.lists_bytes",
     "miner.arena.peak_bytes",
     "miner.worker.nodes",
     "miner.worker.units",

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -10,17 +11,22 @@ namespace tpm {
 
 std::vector<std::string_view> Split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
+  Split(s, delim, &out);
+  return out;
+}
+
+void Split(std::string_view s, char delim, std::vector<std::string_view>* out) {
+  out->clear();
   size_t start = 0;
   while (true) {
     size_t pos = s.find(delim, start);
     if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
+      out->push_back(s.substr(start));
       break;
     }
-    out.push_back(s.substr(start, pos - start));
+    out->push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
-  return out;
 }
 
 std::string_view Trim(std::string_view s) {
@@ -43,17 +49,21 @@ std::string Join(const std::vector<std::string>& pieces, std::string_view sep) {
 Result<int64_t> ParseInt64(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return Status::InvalidArgument("empty integer field");
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::OutOfRange("integer out of range: '" + buf + "'");
+  // strtoll's grammar: one optional sign, then digits. from_chars reads a
+  // '-' but not a '+', so a '+' is skipped here and may not precede a '-'.
+  const bool plus = s.front() == '+';
+  const char* first = s.data() + (plus ? 1 : 0);
+  const char* last = s.data() + s.size();
+  int64_t v = 0;
+  std::from_chars_result r{first, std::errc::invalid_argument};
+  if (!plus || (first != last && *first != '-')) r = std::from_chars(first, last, v);
+  if (r.ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer out of range: '" + std::string(s) + "'");
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("not an integer: '" + buf + "'");
+  if (r.ec != std::errc() || r.ptr != last) {
+    return Status::InvalidArgument("not an integer: '" + std::string(s) + "'");
   }
-  return static_cast<int64_t>(v);
+  return v;
 }
 
 Result<double> ParseDouble(std::string_view s) {

@@ -14,6 +14,8 @@ namespace tpm {
 
 /// Splits on `delim`; keeps empty fields ("a,,b" -> {"a","","b"}).
 std::vector<std::string_view> Split(std::string_view s, char delim);
+/// The same split into `out` (cleared first), reusing its capacity.
+void Split(std::string_view s, char delim, std::vector<std::string_view>* out);
 
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/database.h"
 #include "testing/test_util.h"
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace tpm {
 namespace {
@@ -147,6 +151,60 @@ TEST(IntervalDatabaseTest, ValidateCitesSequenceIndex) {
   EXPECT_NE(st.message().find("sequence 1"), std::string::npos);
   EXPECT_GT(db.MergeSameSymbolConflicts(), 0u);
   EXPECT_TRUE(db.Validate().ok());
+}
+
+// IntervalDatabase::Validate checks every sequence in one flat pass; the
+// reference validates sequence by sequence. Random databases mix touching,
+// overlapping and nested same-symbol intervals, intervals added out of
+// order, start > finish, and event ids past the dictionary (some too large
+// for the flat array). Same symbols recur across sequences, so a stale entry
+// from an earlier sequence must not count.
+TEST(IntervalDatabaseTest, FlatValidateMatchesPerSequenceValidate) {
+  auto reference = [](const IntervalDatabase& db) {
+    for (size_t i = 0; i < db.size(); ++i) {
+      Status s = db[i].Validate();
+      if (!s.ok()) return s.WithContext(StringPrintf("sequence %zu", i));
+    }
+    return Status::OK();
+  };
+  Rng rng(20261019);
+  size_t valid = 0;
+  size_t invalid = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    IntervalDatabase db;
+    testing::InternLetters(&db.dict(), 3);
+    // Clean databases keep each symbol's intervals apart, so most pass.
+    const bool clean = rng.Bernoulli(0.5);
+    const size_t num_seqs = rng.Uniform(6) + 1;
+    for (size_t q = 0; q < num_seqs; ++q) {
+      std::vector<Interval> ivs;
+      const size_t n = rng.Uniform(9);
+      for (size_t k = 0; k < n; ++k) {
+        EventId e = static_cast<EventId>(rng.Uniform(5));  // 3, 4: unnamed
+        if (rng.Bernoulli(0.02)) e = rng.Bernoulli(0.5) ? (1u << 20) : kInvalidEvent;
+        TimeT start = rng.UniformRange(0, 12);
+        TimeT finish = start + rng.UniformRange(0, 6);
+        if (clean) {
+          // Interval k lies in its own time band [20k, 20k + 18].
+          start += 20 * static_cast<TimeT>(k);
+          finish += 20 * static_cast<TimeT>(k);
+          if (rng.Bernoulli(0.01)) std::swap(start, finish);
+        } else if (rng.Bernoulli(0.1)) {
+          std::swap(start, finish);
+        }
+        ivs.emplace_back(e, start, finish);
+      }
+      std::shuffle(ivs.begin(), ivs.end(), rng);
+      db.AddSequence(EventSequence(std::move(ivs)));
+    }
+    const Status want = reference(db);
+    const Status got = db.Validate();
+    ASSERT_EQ(got.code(), want.code()) << "trial " << trial << ": " << got;
+    ASSERT_EQ(got.message(), want.message()) << "trial " << trial;
+    ++(want.ok() ? valid : invalid);
+  }
+  EXPECT_GT(valid, 500u);
+  EXPECT_GT(invalid, 500u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "io/loader.h"
 #include "io/text_format.h"
 #include "io/varint.h"
+#include "obs/metrics.h"
 #include "testing/test_util.h"
 #include "util/fault.h"
 
@@ -279,6 +280,56 @@ TEST(RecoveryTest, MissingCsvHeaderIsStructuralEvenWhenSkipping) {
   options.on_error = TextErrorMode::kSkipLine;
   EXPECT_FALSE(ReadCsvString("p1,Fever,0,5\n", options).ok());
 }
+
+#ifndef TPM_OBS_DISABLED
+// io.text.read_lines counts lines the way getline splits them, and
+// io.text.read_bytes the bytes consumed: the input's size, read to the end.
+TEST(TextCountersTest, LinesAndBytesMatchTheInput) {
+  struct Case {
+    const char* name;
+    std::string csv;
+    std::string tisd;
+    uint64_t lines;
+  };
+  const Case cases[] = {
+      {"trailing newline", "sequence,event,start,finish\n0,A,1,2\n",
+       "# header\n0 A 1 2\n", 2},
+      {"no final newline", "sequence,event,start,finish\n0,A,1,2",
+       "# header\n0 A 1 2", 2},
+      {"crlf", "sequence,event,start,finish\r\n0,A,1,2\r\n1,B,3,4",
+       "# header\r\n0 A 1 2\r\n1 B 3 4", 3},
+      {"empty", "", "", 0},
+  };
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter* lines = reg.GetCounter("io.text.read_lines");
+  obs::Counter* bytes = reg.GetCounter("io.text.read_bytes");
+  for (const Case& c : cases) {
+    for (const bool csv : {true, false}) {
+      const std::string& text = csv ? c.csv : c.tisd;
+      SCOPED_TRACE(std::string(c.name) + (csv ? " csv" : " tisd"));
+      const std::string path = TempPath(csv ? "counters.csv" : "counters.tisd");
+      {
+        std::ofstream out(path, std::ios::binary);
+        out << text;
+      }
+      for (const bool from_file : {false, true}) {
+        const uint64_t lines0 = lines->Value();
+        const uint64_t bytes0 = bytes->Value();
+        auto read = [&] {
+          if (from_file) return LoadDatabase(path);
+          return csv ? ReadCsvString(text) : ReadTisdString(text);
+        };
+        const Result<IntervalDatabase> db = read();
+        // Only the empty CSV fails: it has no header.
+        EXPECT_EQ(db.ok(), !(csv && text.empty())) << db.status();
+        EXPECT_EQ(lines->Value() - lines0, c.lines);
+        EXPECT_EQ(bytes->Value() - bytes0, text.size());
+      }
+      std::remove(path.c_str());
+    }
+  }
+}
+#endif  // TPM_OBS_DISABLED
 
 TEST(CorruptionTest, ReportsSectionAndOffset) {
   const IntervalDatabase db = SampleDb();

@@ -15,7 +15,9 @@
 #include "miner/coincidence_growth.h"
 #include "miner/endpoint_growth.h"
 #include "miner/miner.h"
+#include "obs/metrics.h"
 #include "testing/test_util.h"
+#include "util/guard.h"
 
 namespace tpm {
 namespace {
@@ -112,6 +114,38 @@ TEST(MemoryAccountingTest, PhysicalBaselineUsesArenasPlusPostfixCopies) {
             result->stats.build_bytes + result->stats.arena_peak_bytes +
                 PatternBytes(*result));
 }
+
+#ifndef TPM_OBS_DISABLED
+// The span-list arenas sit outside the tracker, so their mapped bytes are
+// published on their own: above zero once a node has listed its spans, and
+// zero for a run cancelled before its root node.
+TEST(MemoryAccountingTest, ListArenaBytesArePublished) {
+  const IntervalDatabase db = MakeDb(7);
+  auto lists_bytes = [](const auto& result) -> int64_t {
+    const obs::GaugeSample* g =
+        result.stats.metrics.FindGauge("miner.arena.lists_bytes");
+    return g != nullptr ? g->value : -1;
+  };
+  for (uint32_t threads : kThreadCounts) {
+    MinerOptions options;
+    options.min_support = 0.15;
+    options.threads = threads;
+    auto result = MineCoincidenceGrowth(db, options, GrowthConfig{});
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_GT(lists_bytes(*result), 0) << "threads " << threads;
+  }
+  CancellationToken cancelled;
+  cancelled.Cancel();
+  MinerOptions options;
+  options.min_support = 0.15;
+  options.cancellation = &cancelled;
+  auto stopped = MineEndpointGrowth(db, options, GrowthConfig{});
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  EXPECT_TRUE(stopped->stats.truncated);
+  EXPECT_EQ(stopped->stats.nodes_expanded, 0u);
+  EXPECT_EQ(lists_bytes(*stopped), 0);
+}
+#endif  // TPM_OBS_DISABLED
 
 }  // namespace
 }  // namespace tpm

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 namespace tpm {
 namespace {
 
@@ -21,6 +24,10 @@ TEST(SplitTest, BasicAndEmptyFields) {
 
   fields = Split(",", ',');
   ASSERT_EQ(fields.size(), 2u);
+
+  // The out-parameter form replaces what the vector held.
+  Split("x,y,z", ',', &fields);
+  EXPECT_EQ(fields, (std::vector<std::string_view>{"x", "y", "z"}));
 }
 
 TEST(TrimTest, Whitespace) {
@@ -43,6 +50,9 @@ TEST(ParseInt64Test, ValidInputs) {
   EXPECT_EQ(*ParseInt64(" 13 "), 13);
   EXPECT_EQ(*ParseInt64("0"), 0);
   EXPECT_EQ(*ParseInt64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(*ParseInt64("+5"), 5);
+  EXPECT_EQ(*ParseInt64("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(*ParseInt64(" \t7\t"), 7);
 }
 
 TEST(ParseInt64Test, InvalidInputs) {
@@ -51,6 +61,19 @@ TEST(ParseInt64Test, InvalidInputs) {
   EXPECT_FALSE(ParseInt64("12x").ok());
   EXPECT_FALSE(ParseInt64("1.5").ok());
   EXPECT_TRUE(ParseInt64("99999999999999999999").status().IsOutOfRange());
+  // One sign at most, digits right after it, nothing after the digits.
+  for (const char* bad : {"+-5", "+", "-", "--1", "1 2", "+ 5", "- 5", "0x10"}) {
+    const Status st = ParseInt64(bad).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << bad << ": " << st.ToString();
+    EXPECT_EQ(st.message(), std::string("not an integer: '") + bad + "'");
+  }
+  // The message quotes the trimmed field.
+  EXPECT_EQ(ParseInt64(" 12x ").status().message(), "not an integer: '12x'");
+  for (const char* big : {"9223372036854775808", "-9223372036854775809"}) {
+    const Status st = ParseInt64(big).status();
+    EXPECT_TRUE(st.IsOutOfRange()) << big << ": " << st.ToString();
+    EXPECT_EQ(st.message(), std::string("integer out of range: '") + big + "'");
+  }
 }
 
 TEST(ParseDoubleTest, ValidAndInvalid) {
