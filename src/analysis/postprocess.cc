@@ -13,8 +13,9 @@ bool IsSubPattern(const EndpointPattern& sub, const EndpointPattern& super) {
   EventSequence realization(super.ToCanonicalIntervals());
   // The realization of a *valid* pattern is a valid sequence (same-symbol
   // intervals in a valid pattern never intersect), so conversion is safe.
-  EndpointSequence es = EndpointSequence::FromEventSequence(realization);
-  return Contains(es, sub);
+  const EndpointDatabase edb =
+      EndpointDatabase::FromSequences({&realization, 1}, 0);
+  return Contains(edb[0], sub);
 }
 
 namespace {

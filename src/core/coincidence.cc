@@ -1,140 +1,113 @@
 #include "core/coincidence.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace tpm {
 
-CoincidenceSequence CoincidenceSequence::FromEventSequence(
-    const EventSequence& seq) {
-  CoincidenceSequence out;
-  out.seg_offsets_.push_back(0);
-  if (seq.empty()) return out;
+CoincidenceDatabase CoincidenceDatabase::FromSequences(
+    std::span<const EventSequence> seqs, size_t num_symbols) {
+  CoincidenceDatabase out;
+  out.num_symbols_ = num_symbols;
+  out.seq_items_.reserve(seqs.size() + 1);
+  out.seq_segments_.reserve(seqs.size() + 1);
 
-  // 1. Distinct endpoint times, and which times host point events.
-  std::vector<TimeT> times;
-  times.reserve(seq.size() * 2);
-  for (const Interval& iv : seq.intervals()) {
-    times.push_back(iv.start);
-    times.push_back(iv.finish);
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-
-  std::vector<bool> has_point(times.size(), false);
-  auto time_index = [&times](TimeT t) {
-    return static_cast<size_t>(
-        std::lower_bound(times.begin(), times.end(), t) - times.begin());
+  // A candidate segment is either the zero-length [t_j, t_j] (only when a
+  // point event occurs at t_j) or the open (t_j, t_{j+1}).
+  struct Candidate {
+    TimeT start, end;
   };
-  for (const Interval& iv : seq.intervals()) {
-    if (iv.IsPoint()) has_point[time_index(iv.start)] = true;
-  }
-
-  // 2. Enumerate candidate segments in temporal order. A segment is either
-  //    the zero-length [t_i, t_i] (only when a point event occurs there) or
-  //    the open (t_i, t_{i+1}).
-  struct Segment {
-    size_t time_idx;  // left boundary index
-    bool zero_length;
-  };
-  std::vector<Segment> segments;
-  for (size_t i = 0; i < times.size(); ++i) {
-    if (has_point[i]) segments.push_back({i, true});
-    if (i + 1 < times.size()) segments.push_back({i, false});
-  }
-
-  // 3. Compute alive sets. Intervals and segments are both time-ordered, but
-  //    with few intervals per sequence an O(intervals * their segments) fill
-  //    is simplest and cache-friendly.
   struct ItemTmp {
-    uint32_t seg;
+    uint32_t cand;
     EventId event;
-    uint32_t interval;
+    uint32_t last_cand;  // last candidate the item's interval is alive on
   };
+  std::vector<TimeT> times;
+  std::vector<uint8_t> has_point;
+  std::vector<uint32_t> first_cand;  // time index -> its first candidate
+  std::vector<Candidate> cands;
   std::vector<ItemTmp> tmp;
-  // Map candidate segment -> kept segment id later; first collect items per
-  // candidate segment.
-  for (uint32_t k = 0; k < seq.size(); ++k) {
-    const Interval& iv = seq[k];
-    const size_t si = time_index(iv.start);
-    const size_t fi = time_index(iv.finish);
-    for (uint32_t g = 0; g < segments.size(); ++g) {
-      const Segment& sg = segments[g];
-      if (sg.zero_length) {
-        // Alive on [t,t] iff start <= t <= finish.
-        if (si <= sg.time_idx && sg.time_idx <= fi) {
-          tmp.push_back({g, iv.event, k});
-        }
-      } else {
-        // Alive on (t_i, t_{i+1}) iff start <= t_i and finish >= t_{i+1}.
-        if (si <= sg.time_idx && fi >= sg.time_idx + 1) {
-          tmp.push_back({g, iv.event, k});
-        }
+  std::vector<uint32_t> kept;  // candidate -> local segment, once kept
+  for (const EventSequence& seq : seqs) {
+    // 1. Distinct endpoint times, and which times host point events.
+    times.clear();
+    for (const Interval& iv : seq.intervals()) {
+      times.push_back(iv.start);
+      times.push_back(iv.finish);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    auto time_index = [&times](TimeT t) {
+      return static_cast<uint32_t>(
+          std::lower_bound(times.begin(), times.end(), t) - times.begin());
+    };
+    has_point.assign(times.size(), 0);
+    for (const Interval& iv : seq.intervals()) {
+      if (iv.IsPoint()) has_point[time_index(iv.start)] = 1;
+    }
+
+    // 2. Candidate segments in temporal order.
+    first_cand.resize(times.size());
+    cands.clear();
+    for (uint32_t j = 0; j < times.size(); ++j) {
+      first_cand[j] = static_cast<uint32_t>(cands.size());
+      if (has_point[j] != 0) cands.push_back({times[j], times[j]});
+      if (j + 1 < times.size()) cands.push_back({times[j], times[j + 1]});
+    }
+
+    // 3. Alive sets. An interval [t_si, t_fi] is alive on every candidate
+    //    from the first at t_si up to the open ones before t_fi, plus the
+    //    zero-length one at t_fi: one contiguous candidate range.
+    tmp.clear();
+    for (const Interval& iv : seq.intervals()) {
+      const uint32_t fi = time_index(iv.finish);
+      const uint32_t end = first_cand[fi] + has_point[fi];
+      for (uint32_t c = first_cand[time_index(iv.start)]; c < end; ++c) {
+        tmp.push_back({c, iv.event, end - 1});
       }
     }
-  }
-  std::sort(tmp.begin(), tmp.end(), [](const ItemTmp& a, const ItemTmp& b) {
-    if (a.seg != b.seg) return a.seg < b.seg;
-    return a.event < b.event;
-  });
+    std::sort(tmp.begin(), tmp.end(), [](const ItemTmp& a, const ItemTmp& b) {
+      if (a.cand != b.cand) return a.cand < b.cand;
+      return a.event < b.event;
+    });
 
-  // 4. Emit non-empty segments, renumbering densely.
-  std::vector<uint32_t> interval_first(seq.size(), ~0u);
-  std::vector<uint32_t> interval_last(seq.size(), 0);
-  uint32_t current_candidate = ~0u;
-  for (const ItemTmp& it : tmp) {
-    if (it.seg != current_candidate) {
-      if (!out.items_.empty()) {
-        out.seg_offsets_.push_back(static_cast<uint32_t>(out.items_.size()));
+    // 4. Emit non-empty candidates as segments, renumbered densely. Every
+    //    candidate in an interval's range holds that interval's item, so
+    //    its last candidate is kept.
+    const uint32_t item_base = static_cast<uint32_t>(out.items_.size());
+    const uint32_t seg_base = static_cast<uint32_t>(out.seg_start_times_.size());
+    kept.resize(cands.size());
+    for (uint32_t k = 0; k < tmp.size(); ++k) {
+      const ItemTmp& it = tmp[k];
+      if (k == 0 || tmp[k - 1].cand != it.cand) {
+        kept[it.cand] = static_cast<uint32_t>(out.seg_start_times_.size()) - seg_base;
+        out.seg_items_.push_back(item_base + k);
+        out.seg_start_times_.push_back(cands[it.cand].start);
+        out.seg_end_times_.push_back(cands[it.cand].end);
       }
-      current_candidate = it.seg;
-      const Segment& sg = segments[it.seg];
-      out.seg_start_times_.push_back(times[sg.time_idx]);
-      out.seg_end_times_.push_back(
-          sg.zero_length ? times[sg.time_idx] : times[sg.time_idx + 1]);
+      out.items_.push_back(it.event);
+      out.item_segment_.push_back(kept[it.cand]);
     }
-    const uint32_t seg_id = static_cast<uint32_t>(out.seg_offsets_.size()) - 1;
-    out.items_.push_back(it.event);
-    out.item_segment_.push_back(seg_id);
-    out.item_interval_.push_back(it.interval);
-    if (interval_first[it.interval] == ~0u) interval_first[it.interval] = seg_id;
-    interval_last[it.interval] = seg_id;
+    for (const ItemTmp& it : tmp) out.alive_until_.push_back(kept[it.last_cand]);
+    // Item offsets are database-wide uint32_t values.
+    TPM_CHECK(out.items_.size() < std::numeric_limits<uint32_t>::max());
+    out.seq_items_.push_back(static_cast<uint32_t>(out.items_.size()));
+    out.seq_segments_.push_back(static_cast<uint32_t>(out.seg_start_times_.size()));
   }
-  out.seg_offsets_.push_back(static_cast<uint32_t>(out.items_.size()));
-
-  out.alive_from_.reserve(out.items_.size());
-  out.alive_until_.reserve(out.items_.size());
-  for (uint32_t i = 0; i < out.items_.size(); ++i) {
-    out.alive_from_.push_back(interval_first[out.item_interval_[i]]);
-    out.alive_until_.push_back(interval_last[out.item_interval_[i]]);
+  out.seg_items_.push_back(static_cast<uint32_t>(out.items_.size()));
+  for (auto* v : {&out.items_, &out.item_segment_, &out.alive_until_, &out.seg_items_}) {
+    v->shrink_to_fit();
   }
+  out.seg_start_times_.shrink_to_fit();
+  out.seg_end_times_.shrink_to_fit();
   return out;
 }
 
-uint32_t CoincidenceSequence::FindInSegment(uint32_t s, EventId event) const {
-  const uint32_t b = seg_begin(s);
-  const uint32_t e = seg_end(s);
-  if (e - b < 8) {
-    for (uint32_t i = b; i < e; ++i) {
-      if (items_[i] == event) return i;
-      if (items_[i] > event) return kNotFoundItem;
-    }
-    return kNotFoundItem;
-  }
-  auto first = items_.begin() + b;
-  auto last = items_.begin() + e;
-  auto it = std::lower_bound(first, last, event);
-  if (it != last && *it == event) return static_cast<uint32_t>(it - items_.begin());
-  return kNotFoundItem;
-}
-
-size_t CoincidenceSequence::MemoryBytes() const {
-  return items_.capacity() * sizeof(EventId) +
-         seg_offsets_.capacity() * sizeof(uint32_t) +
-         item_segment_.capacity() * sizeof(uint32_t) +
-         item_interval_.capacity() * sizeof(uint32_t) +
-         alive_from_.capacity() * sizeof(uint32_t) +
-         alive_until_.capacity() * sizeof(uint32_t) +
-         (seg_start_times_.capacity() + seg_end_times_.capacity()) * sizeof(TimeT);
+size_t CoincidenceDatabase::MemoryBytes() const {
+  return (items_.size() + item_segment_.size() + alive_until_.size() +
+          seg_items_.size() + seq_items_.size() + seq_segments_.size()) *
+             sizeof(uint32_t) +
+         (seg_start_times_.size() + seg_end_times_.size()) * sizeof(TimeT);
 }
 
 std::string CoincidenceSequence::ToString(const Dictionary& dict) const {
@@ -143,29 +116,12 @@ std::string CoincidenceSequence::ToString(const Dictionary& dict) const {
     out += "(";
     for (uint32_t i = seg_begin(s); i < seg_end(s); ++i) {
       if (i > seg_begin(s)) out += " ";
-      out += dict.Name(items_[i]);
+      out += dict.Name(item(i));
     }
     out += ")";
   }
   out += ">";
   return out;
-}
-
-CoincidenceDatabase CoincidenceDatabase::FromDatabase(const IntervalDatabase& db) {
-  CoincidenceDatabase out;
-  out.sequences_.reserve(db.size());
-  for (const EventSequence& seq : db.sequences()) {
-    out.sequences_.push_back(CoincidenceSequence::FromEventSequence(seq));
-  }
-  out.dict_ = &db.dict();
-  out.num_symbols_ = db.dict().size();
-  return out;
-}
-
-size_t CoincidenceDatabase::MemoryBytes() const {
-  size_t total = sequences_.capacity() * sizeof(CoincidenceSequence);
-  for (const CoincidenceSequence& s : sequences_) total += s.MemoryBytes();
-  return total;
 }
 
 }  // namespace tpm

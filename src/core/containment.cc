@@ -33,7 +33,7 @@ void EraseOpen(std::vector<OpenEntry>* open, EventId e) {
 
 // Backtracking matcher for endpoint patterns.
 struct EndpointMatcher {
-  const EndpointSequence& seq;
+  const EndpointSequence seq;
   const EndpointPattern& pat;
   const TimeT max_window;
   TimeT anchor_time = 0;  // time of the first matched slice
@@ -90,7 +90,7 @@ struct EndpointMatcher {
 
 // Backtracking matcher for coincidence patterns.
 struct CoincidenceMatcher {
-  const CoincidenceSequence& seq;
+  const CoincidenceSequence seq;
   const CoincidencePattern& pat;
   const TimeT max_window;
   TimeT anchor_time = 0;  // start time of the first matched segment
@@ -124,10 +124,23 @@ struct CoincidenceMatcher {
       // this symbol, the matched data interval must be the same one.
       const uint32_t* prev_item = FindOpen(prev, ev);
       if (prev_item != nullptr &&
-          seq.item_interval(p) != seq.item_interval(*prev_item)) {
+          !OneInterval(seq.item_segment(*prev_item), i, ev)) {
         return false;
       }
       assign->push_back({ev, p});
+    }
+    return true;
+  }
+
+  // True when `ev`'s items in segments g <= h belong to one interval: every
+  // segment in between holds `ev` and each adjacent pair meets in time.
+  // Derived from the segments alone, independent of alive_until.
+  bool OneInterval(uint32_t g, uint32_t h, EventId ev) const {
+    for (uint32_t k = g; k < h; ++k) {
+      if (seq.seg_end_time(k) != seq.seg_start_time(k + 1) ||
+          seq.FindInSegment(k + 1, ev) == CoincidenceSequence::kNotFoundItem) {
+        return false;
+      }
     }
     return true;
   }
@@ -153,8 +166,8 @@ bool Contains(const CoincidenceSequence& seq, const CoincidencePattern& pattern,
 SupportCount CountSupport(const EndpointDatabase& db,
                           const EndpointPattern& pattern, TimeT max_window) {
   SupportCount n = 0;
-  for (const EndpointSequence& s : db.sequences()) {
-    if (Contains(s, pattern, max_window)) ++n;
+  for (size_t s = 0; s < db.size(); ++s) {
+    if (Contains(db[s], pattern, max_window)) ++n;
   }
   return n;
 }
@@ -162,8 +175,8 @@ SupportCount CountSupport(const EndpointDatabase& db,
 SupportCount CountSupport(const CoincidenceDatabase& db,
                           const CoincidencePattern& pattern, TimeT max_window) {
   SupportCount n = 0;
-  for (const CoincidenceSequence& s : db.sequences()) {
-    if (Contains(s, pattern, max_window)) ++n;
+  for (size_t s = 0; s < db.size(); ++s) {
+    if (Contains(db[s], pattern, max_window)) ++n;
   }
   return n;
 }

@@ -142,27 +142,27 @@ Status ValidateCoincidenceSequence(const CoincidenceSequence& cs) {
     return Fail("coincidence sequence",
                 "segment offsets do not cover all items");
   }
-  // Interval identity: alive ranges bracket the item's segment, and the
-  // items of one source interval agree on symbol and alive range — the
-  // contiguity that makes run-continuity checks O(1) in the miners.
-  std::unordered_map<uint32_t, uint32_t> first_item_of_interval;
+  // alive_until(i) is the last segment of item i's interval. Interval
+  // identity comes from the segments alone (coincidence.h): the run goes on
+  // into segment s + 1 when that segment meets s in time and holds the same
+  // symbol. So each item must agree with its run successor there, or end
+  // its run at its own segment; by induction from the last segment, every
+  // alive_until is its run's last segment, the bound the miners' O(1)
+  // run-continuity checks rely on.
   for (uint32_t i = 0; i < items; ++i) {
-    if (cs.alive_from(i) > cs.item_segment(i) ||
-        cs.alive_until(i) < cs.item_segment(i) ||
-        cs.alive_until(i) >= segments) {
-      return Fail("coincidence item " + std::to_string(i),
-                  "alive range does not bracket the item's segment");
-    }
-    const auto [it, inserted] =
-        first_item_of_interval.emplace(cs.item_interval(i), i);
-    if (!inserted) {
-      const uint32_t j = it->second;
-      if (cs.item(j) != cs.item(i) || cs.alive_from(j) != cs.alive_from(i) ||
-          cs.alive_until(j) != cs.alive_until(i)) {
-        return Fail("coincidence item " + std::to_string(i),
-                    "items of one source interval disagree on symbol or "
-                    "alive range");
+    const uint32_t s = cs.item_segment(i);
+    uint32_t run_end = s;
+    if (s + 1 < segments && cs.seg_end_time(s) == cs.seg_start_time(s + 1)) {
+      const uint32_t next = cs.FindInSegment(s + 1, cs.item(i));
+      if (next != CoincidenceSequence::kNotFoundItem) {
+        run_end = cs.alive_until(next);
       }
+    }
+    if (cs.alive_until(i) != run_end) {
+      return Fail("coincidence item " + std::to_string(i),
+                  "alive_until " + std::to_string(cs.alive_until(i)) +
+                      " is not the last segment of its interval (" +
+                      std::to_string(run_end) + ")");
     }
   }
   return Status::OK();

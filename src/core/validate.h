@@ -10,72 +10,24 @@
 //    pairing, coincidence normal form, pattern canonicality, and support
 //    monotonicity between a pattern and its prefix.
 //
-//  * TPM_DCHECK / TPM_DCHECK_OK — debug assertions, compiled out in release
-//    builds (NDEBUG) unless TPM_FORCE_VALIDATORS is defined. Miners assert
-//    the validators at entry (database, built representations) and exit
-//    (every reported pattern) so an invariant break aborts loudly at the
-//    point of corruption instead of surfacing as a wrong support count three
-//    layers later.
+//  * TPM_DCHECK / TPM_DCHECK_OK (util/macros.h) — debug assertions,
+//    compiled out in release builds (NDEBUG) unless TPM_FORCE_VALIDATORS is
+//    defined. Miners assert the validators at entry (database, built
+//    representations) and exit (every reported pattern) so an invariant
+//    break aborts loudly at the point of corruption instead of surfacing as
+//    a wrong support count three layers later.
 //
 // Validation work charges the validate.checks / validate.failures counters
 // so `tpm check` runs are visible in metrics snapshots.
 
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "core/coincidence.h"
 #include "core/database.h"
 #include "core/endpoint.h"
 #include "core/pattern.h"
+#include "util/macros.h"
 #include "util/status.h"
-
-#if !defined(NDEBUG) || defined(TPM_FORCE_VALIDATORS)
-#define TPM_VALIDATORS_ENABLED 1
-#else
-#define TPM_VALIDATORS_ENABLED 0
-#endif
-
-#if TPM_VALIDATORS_ENABLED
-
-/// Debug-only invariant assertion; aborts with location on failure.
-/// Compiled out (condition unevaluated) in release builds.
-#define TPM_DCHECK(condition)                                             \
-  do {                                                                    \
-    if (!(condition)) {                                                   \
-      std::fprintf(stderr, "TPM_DCHECK failed at %s:%d: %s\n", __FILE__,  \
-                   __LINE__, #condition);                                 \
-      std::abort();                                                       \
-    }                                                                     \
-  } while (false)
-
-/// Debug-only Status assertion; aborts with the status message on failure.
-#define TPM_DCHECK_OK(expr)                                                  \
-  do {                                                                       \
-    ::tpm::Status _tpm_dcheck_status = (expr);                               \
-    if (!_tpm_dcheck_status.ok()) {                                          \
-      std::fprintf(stderr, "TPM_DCHECK_OK failed at %s:%d: %s\n", __FILE__,  \
-                   __LINE__, _tpm_dcheck_status.ToString().c_str());         \
-      std::abort();                                                          \
-    }                                                                        \
-  } while (false)
-
-#else  // !TPM_VALIDATORS_ENABLED
-
-// `false && (x)` keeps the operands ODR-used (no unused-variable fallout at
-// call sites) while folding to nothing under optimization.
-#define TPM_DCHECK(condition) \
-  do {                        \
-    if (false && (condition)) break; \
-  } while (false)
-
-#define TPM_DCHECK_OK(expr)                 \
-  do {                                      \
-    if (false) { (void)(expr); }            \
-  } while (false)
-
-#endif  // TPM_VALIDATORS_ENABLED
 
 namespace tpm {
 
@@ -94,8 +46,8 @@ Status ValidateEndpointSequence(const EndpointSequence& es);
 
 /// \brief Coincidence normal form: segments non-empty / sorted /
 /// duplicate-free, segment times ordered (zero-length segments allowed),
-/// alive ranges covering each item's segment, and each source interval
-/// covering a contiguous, consistent segment range.
+/// and each item's alive_until the last segment of its interval, with
+/// interval identity derived from segment times (core/coincidence.h).
 Status ValidateCoincidenceSequence(const CoincidenceSequence& cs);
 
 /// \brief Canonical reported form of an endpoint pattern: structural validity

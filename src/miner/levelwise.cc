@@ -279,10 +279,7 @@ class LevelwiseMiner {
       ++out_->stats.candidates_checked;
       ++tally_.candidates;
       const Pattern pattern = cand.ToPattern();
-      SupportCount support = 0;
-      for (const auto& seq : ldb_.sequences()) {
-        if (Contains(seq, pattern, options_.max_window)) ++support;
-      }
+      const SupportCount support = CountSupport(ldb_, pattern, options_.max_window);
       if (support < minsup_) continue;
       ++out_->stats.nodes_expanded;
       tally_.nodes.Observe(cand.items.size());

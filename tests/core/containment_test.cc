@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "testing/test_util.h"
 
 namespace tpm {
@@ -13,12 +15,15 @@ class ContainmentTest : public ::testing::Test {
  protected:
   void SetUp() override { testing::InternLetters(&dict_, 6); }
 
+  // Each view points into a one-sequence store the fixture keeps alive.
   EndpointSequence Endpoints(std::initializer_list<std::tuple<char, TimeT, TimeT>> ivs) {
-    return EndpointSequence::FromEventSequence(Seq(&dict_, ivs));
+    const EventSequence s = Seq(&dict_, ivs);
+    return endpoint_stores_.emplace_back(testing::EndpointStore(s))[0];
   }
   CoincidenceSequence Coincidences(
       std::initializer_list<std::tuple<char, TimeT, TimeT>> ivs) {
-    return CoincidenceSequence::FromEventSequence(Seq(&dict_, ivs));
+    const EventSequence s = Seq(&dict_, ivs);
+    return coincidence_stores_.emplace_back(testing::CoincidenceStore(s))[0];
   }
   EndpointPattern EP(const std::string& text) {
     auto r = EndpointPattern::Parse(text, dict_);
@@ -32,6 +37,8 @@ class ContainmentTest : public ::testing::Test {
   }
 
   Dictionary dict_;
+  std::deque<EndpointDatabase> endpoint_stores_;
+  std::deque<CoincidenceDatabase> coincidence_stores_;
 };
 
 TEST_F(ContainmentTest, SimpleOverlapPattern) {

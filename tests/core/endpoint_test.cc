@@ -7,13 +7,15 @@
 namespace tpm {
 namespace {
 
+using testing::EndpointStore;
 using testing::Seq;
 
 TEST(EndpointSequenceTest, BasicConversion) {
   Dictionary dict;
   // A overlaps B: A=[1,5], B=[3,8].
   EventSequence s = Seq(&dict, {{'A', 1, 5}, {'B', 3, 8}});
-  EndpointSequence es = EndpointSequence::FromEventSequence(s);
+  const EndpointDatabase store = EndpointStore(s);
+  const EndpointSequence es = store[0];
 
   ASSERT_EQ(es.num_slices(), 4u);
   ASSERT_EQ(es.num_items(), 4u);
@@ -32,7 +34,8 @@ TEST(EndpointSequenceTest, SimultaneousEndpointsShareSlice) {
   Dictionary dict;
   // A meets B at t=5, C starts at 5 too.
   EventSequence s = Seq(&dict, {{'A', 1, 5}, {'B', 5, 9}, {'C', 5, 7}});
-  EndpointSequence es = EndpointSequence::FromEventSequence(s);
+  const EndpointDatabase store = EndpointStore(s);
+  const EndpointSequence es = store[0];
   ASSERT_EQ(es.num_slices(), 4u);  // times 1, 5, 7, 9
   EXPECT_EQ(es.ToString(dict), "<{A+}{A- B+ C+}{C-}{B-}>");
   // In-slice canonical order: A- (code 1) < B+ (code 2) < C+ (code 4).
@@ -42,7 +45,8 @@ TEST(EndpointSequenceTest, SimultaneousEndpointsShareSlice) {
 TEST(EndpointSequenceTest, PointEventBothEndpointsSameSlice) {
   Dictionary dict;
   EventSequence s = Seq(&dict, {{'A', 3, 3}});
-  EndpointSequence es = EndpointSequence::FromEventSequence(s);
+  const EndpointDatabase store = EndpointStore(s);
+  const EndpointSequence es = store[0];
   ASSERT_EQ(es.num_slices(), 1u);
   EXPECT_EQ(es.ToString(dict), "<{A+ A-}>");
   EXPECT_EQ(es.partner(0), 1u);
@@ -53,7 +57,8 @@ TEST(EndpointSequenceTest, RepeatedSymbolFifoPairing) {
   Dictionary dict;
   // Two A intervals, non-touching: A=[1,2], A=[4,9]; B=[3,5] in between.
   EventSequence s = Seq(&dict, {{'A', 1, 2}, {'A', 4, 9}, {'B', 3, 5}});
-  EndpointSequence es = EndpointSequence::FromEventSequence(s);
+  const EndpointDatabase store = EndpointStore(s);
+  const EndpointSequence es = store[0];
   EXPECT_EQ(es.ToString(dict), "<{A+}{A-}{B+}{A+}{B-}{A-}>");
   EXPECT_EQ(es.partner(0), 1u);  // first A+ -> first A-
   EXPECT_EQ(es.partner(3), 5u);  // second A+ -> last A-
@@ -62,7 +67,8 @@ TEST(EndpointSequenceTest, RepeatedSymbolFifoPairing) {
 
 TEST(EndpointSequenceTest, EmptySequence) {
   EventSequence s;
-  EndpointSequence es = EndpointSequence::FromEventSequence(s);
+  const EndpointDatabase store = EndpointStore(s);
+  const EndpointSequence es = store[0];
   EXPECT_EQ(es.num_slices(), 0u);
   EXPECT_EQ(es.num_items(), 0u);
 }
@@ -70,7 +76,8 @@ TEST(EndpointSequenceTest, EmptySequence) {
 TEST(EndpointSequenceTest, FindInSlice) {
   Dictionary dict;
   EventSequence s = Seq(&dict, {{'A', 1, 5}, {'B', 5, 9}, {'C', 5, 7}});
-  EndpointSequence es = EndpointSequence::FromEventSequence(s);
+  const EndpointDatabase store = EndpointStore(s);
+  const EndpointSequence es = store[0];
   const EventId a = *dict.Lookup("A");
   const EventId b = *dict.Lookup("B");
   EXPECT_EQ(es.FindInSlice(1, MakeFinish(a)), 1u);

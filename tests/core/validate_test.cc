@@ -61,17 +61,62 @@ TEST(ValidateEndpointSequenceTest, AcceptsBuiltSequences) {
   Dictionary dict;
   const EventSequence s =
       Seq(&dict, {{'A', 1, 5}, {'B', 5, 9}, {'C', 5, 7}, {'D', 3, 3}});
-  EXPECT_TRUE(
-      ValidateEndpointSequence(EndpointSequence::FromEventSequence(s)).ok());
+  EXPECT_TRUE(ValidateEndpointSequence(testing::EndpointStore(s)[0]).ok());
 }
 
 TEST(ValidateCoincidenceSequenceTest, AcceptsBuiltSequences) {
   Dictionary dict;
   const EventSequence s =
       Seq(&dict, {{'A', 1, 5}, {'B', 5, 9}, {'C', 5, 7}, {'D', 3, 3}});
-  EXPECT_TRUE(
-      ValidateCoincidenceSequence(CoincidenceSequence::FromEventSequence(s))
-          .ok());
+  EXPECT_TRUE(ValidateCoincidenceSequence(testing::CoincidenceStore(s)[0]).ok());
+}
+
+// A view hand-built over copies of a store's arrays, with every alive_until
+// moved by one in turn: each must be rejected. The second sequence's two A
+// intervals sit in adjacent segments that do not meet in time ((1,2) and
+// (5,8)), so only the segment-time rule tells them apart.
+TEST(ValidateCoincidenceSequenceTest, RejectsAliveUntilOffByOne) {
+  Dictionary dict;
+  const EventSequence seqs[] = {
+      Seq(&dict, {{'A', 1, 9}, {'B', 3, 5}, {'C', 5, 5}}),
+      Seq(&dict, {{'A', 1, 2}, {'A', 5, 8}}),
+      Seq(&dict, {{'A', 1, 3}, {'A', 6, 9}, {'B', 2, 8}}),
+  };
+  for (const EventSequence& seq : seqs) {
+    SCOPED_TRACE(seq.ToString());
+    const CoincidenceDatabase store = testing::CoincidenceStore(seq);
+    const CoincidenceSequence cs = store[0];
+    std::vector<EventId> items;
+    std::vector<uint32_t> item_segment, alive_until, seg_items;
+    std::vector<TimeT> starts, ends;
+    for (uint32_t i = 0; i < cs.num_items(); ++i) {
+      items.push_back(cs.item(i));
+      item_segment.push_back(cs.item_segment(i));
+      alive_until.push_back(cs.alive_until(i));
+    }
+    for (uint32_t g = 0; g < cs.num_segments(); ++g) {
+      seg_items.push_back(cs.seg_begin(g));
+      starts.push_back(cs.seg_start_time(g));
+      ends.push_back(cs.seg_end_time(g));
+    }
+    seg_items.push_back(cs.num_items());
+    auto view = [&] {
+      return CoincidenceSequence({items.data(), item_segment.data(), alive_until.data(),
+                                  seg_items.data(), starts.data(), ends.data(), 0,
+                                  cs.num_items(), cs.num_segments()});
+    };
+    ASSERT_TRUE(ValidateCoincidenceSequence(view()).ok());
+    for (uint32_t i = 0; i < cs.num_items(); ++i) {
+      const uint32_t good = alive_until[i];
+      for (uint32_t bad : {good + 1, good - 1}) {
+        if (bad == ~0u) continue;  // no segment before the first
+        alive_until[i] = bad;
+        EXPECT_FALSE(ValidateCoincidenceSequence(view()).ok())
+            << "item " << i << " alive_until " << bad;
+      }
+      alive_until[i] = good;
+    }
+  }
 }
 
 TEST(ValidateSequencePropertyTest, RandomDatabasesPassDeepValidation) {

@@ -10,6 +10,8 @@
 namespace tpm {
 namespace {
 
+using testing::CoincidenceStore;
+using testing::EndpointStore;
 using testing::RandomTinyDatabase;
 using testing::Render;
 using testing::Seq;
@@ -17,8 +19,9 @@ using testing::Seq;
 TEST(WindowContainmentTest, EndpointWindowSemantics) {
   Dictionary dict;
   // A=[0,10] before B=[20,30]: the arrangement spans 30 time units.
-  EndpointSequence es = EndpointSequence::FromEventSequence(
-      Seq(&dict, {{'A', 0, 10}, {'B', 20, 30}}));
+  const EndpointDatabase store =
+      EndpointStore(Seq(&dict, {{'A', 0, 10}, {'B', 20, 30}}));
+  const EndpointSequence es = store[0];
   auto p = EndpointPattern::Parse("<{A+}{A-}{B+}{B-}>", dict);
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(Contains(es, *p));          // no window
@@ -35,8 +38,9 @@ TEST(WindowContainmentTest, WindowPicksLaterOccurrence) {
   Dictionary dict;
   // Two A-B arrangements: a wide one and a tight one. The window should
   // accept via the tight occurrence even though the wide one fails.
-  EndpointSequence es = EndpointSequence::FromEventSequence(
+  const EndpointDatabase store = EndpointStore(
       Seq(&dict, {{'A', 0, 2}, {'B', 50, 52}, {'A', 100, 102}, {'B', 104, 106}}));
+  const EndpointSequence es = store[0];
   auto p = EndpointPattern::Parse("<{A+}{A-}{B+}{B-}>", dict);
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(Contains(es, *p, 6));
@@ -46,8 +50,9 @@ TEST(WindowContainmentTest, WindowPicksLaterOccurrence) {
 TEST(WindowContainmentTest, CoincidenceWindowSemantics) {
   Dictionary dict;
   // A=[0,10] overlaps B=[5,40]: segments (0,5)=A,(5,10)=AB,(10,40)=B.
-  CoincidenceSequence cs = CoincidenceSequence::FromEventSequence(
-      Seq(&dict, {{'A', 0, 10}, {'B', 5, 40}}));
+  const CoincidenceDatabase store =
+      CoincidenceStore(Seq(&dict, {{'A', 0, 10}, {'B', 5, 40}}));
+  const CoincidenceSequence cs = store[0];
   auto p = CoincidencePattern::Parse("<(A)(A B)(B)>", dict);
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(Contains(cs, *p));

@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "core/coincidence.h"
 #include "core/database.h"
+#include "core/endpoint.h"
 #include "core/pattern.h"
 #include "miner/options.h"
 #include "obs/metrics.h"
@@ -64,6 +66,31 @@ inline EventSequence Seq(Dictionary* dict,
   }
   s.Normalize();
   return s;
+}
+
+/// One-sequence stores: a view into one is valid while the store lives.
+inline EndpointDatabase EndpointStore(const EventSequence& s) {
+  return EndpointDatabase::FromSequences({&s, 1}, 0);
+}
+inline CoincidenceDatabase CoincidenceStore(const EventSequence& s) {
+  return CoincidenceDatabase::FromSequences({&s, 1}, 0);
+}
+
+/// True when coincidence items `p` and `q` belong to one interval, derived
+/// from the segments alone (core/coincidence.h): both hold one symbol, every
+/// segment between theirs holds it too, and each adjacent pair meets in time.
+/// Independent of the alive_until bounds the miners use.
+inline bool SameInterval(const CoincidenceSequence& cs, uint32_t p, uint32_t q) {
+  if (cs.item(p) != cs.item(q)) return false;
+  const uint32_t g = std::min(cs.item_segment(p), cs.item_segment(q));
+  const uint32_t h = std::max(cs.item_segment(p), cs.item_segment(q));
+  for (uint32_t k = g; k < h; ++k) {
+    if (cs.seg_end_time(k) != cs.seg_start_time(k + 1) ||
+        cs.FindInSegment(k + 1, cs.item(p)) == CoincidenceSequence::kNotFoundItem) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// \brief Generates a small random valid database for property tests.
