@@ -8,7 +8,10 @@
 //   * anything accepted passes IntervalDatabase::Validate();
 //   * accepted databases survive a write -> strict re-read round trip with
 //     the same sequence and interval counts (the writer only emits what the
-//     strict reader accepts).
+//     strict reader accepts);
+//   * a 4-shard parse (TextReadOptions::threads) agrees with the 1-shard
+//     parse: the same status and message, and the same dictionary and
+//     sequences.
 
 #include <cstdint>
 #include <sstream>
@@ -42,7 +45,18 @@ void CheckOneInput(uint8_t mode, const std::string& text) {
   options.merge_conflicts = (mode & 4) != 0;
 
   auto db = csv ? ReadCsvString(text, options) : ReadTisdString(text, options);
+  TextReadOptions sharded = options;
+  sharded.threads = 4;
+  auto db4 = csv ? ReadCsvString(text, sharded) : ReadTisdString(text, sharded);
+  FUZZ_REQUIRE(db4.status().code() == db.status().code() &&
+                   db4.status().message() == db.status().message(),
+               "4-shard parse status differs: " + db4.status().ToString() +
+                   " vs " + db.status().ToString());
   if (!db.ok()) return;
+  FUZZ_REQUIRE(db4->dict().names() == db->dict().names(),
+               "4-shard parse interned another dictionary");
+  FUZZ_REQUIRE(db4->sequences() == db->sequences(),
+               "4-shard parse built other sequences");
   const Status valid = db->Validate();
   FUZZ_REQUIRE(valid.ok(),
                "accepted database fails Validate: " + valid.ToString());

@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -98,12 +99,15 @@ static_assert(std::is_trivially_copyable_v<CoincidenceSequence>);
 /// per segment and per sequence, one database-wide array each, sized exactly.
 class CoincidenceDatabase {
  public:
-  /// Builds the coincidence views of `seqs`, which must each be valid.
+  /// Builds the coincidence views of `seqs`, which must each be valid,
+  /// filling contiguous sequence ranges on up to `threads` workers
+  /// (DESIGN.md §1.1). The arrays are the same for every `threads`.
   static CoincidenceDatabase FromSequences(std::span<const EventSequence> seqs,
-                                           size_t num_symbols);
+                                           size_t num_symbols, uint32_t threads = 1);
 
-  static CoincidenceDatabase FromDatabase(const IntervalDatabase& db) {
-    return FromSequences(db.sequences(), db.dict().size());
+  static CoincidenceDatabase FromDatabase(const IntervalDatabase& db,
+                                          uint32_t threads = 1) {
+    return FromSequences(db.sequences(), db.dict().size(), threads);
   }
 
   size_t size() const { return seq_items_.size() - 1; }
@@ -113,10 +117,10 @@ class CoincidenceDatabase {
     TPM_DCHECK(i < size());
     const uint32_t item = seq_items_[i];
     const uint32_t seg = seq_segments_[i];
-    return CoincidenceSequence({items_.data() + item, item_segment_.data() + item,
-                                alive_until_.data() + item, seg_items_.data() + seg,
-                                seg_start_times_.data() + seg,
-                                seg_end_times_.data() + seg, item,
+    return CoincidenceSequence({items_.get() + item, item_segment_.get() + item,
+                                alive_until_.get() + item, seg_items_.get() + seg,
+                                seg_start_times_.get() + seg,
+                                seg_end_times_.get() + seg, item,
                                 seq_items_[i + 1] - item, seq_segments_[i + 1] - seg});
   }
 
@@ -126,12 +130,16 @@ class CoincidenceDatabase {
   size_t MemoryBytes() const;
 
  private:
-  std::vector<EventId> items_;
-  std::vector<uint32_t> item_segment_;
-  std::vector<uint32_t> alive_until_;
-  std::vector<uint32_t> seg_items_;  // one per segment, plus the end
-  std::vector<TimeT> seg_start_times_;
-  std::vector<TimeT> seg_end_times_;
+  // Per item and per segment: allocated at their exact size and left
+  // uninitialized, so each page is first touched by the range that fills it.
+  std::unique_ptr<EventId[]> items_;
+  std::unique_ptr<uint32_t[]> item_segment_;
+  std::unique_ptr<uint32_t[]> alive_until_;
+  std::unique_ptr<uint32_t[]> seg_items_;  // one per segment, plus the end
+  std::unique_ptr<TimeT[]> seg_start_times_;
+  std::unique_ptr<TimeT[]> seg_end_times_;
+  size_t num_items_ = 0;
+  size_t num_segments_ = 0;
   std::vector<uint32_t> seq_items_{0};     // one per sequence, plus the end
   std::vector<uint32_t> seq_segments_{0};  // one per sequence, plus the end
   size_t num_symbols_ = 0;

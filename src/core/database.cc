@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
+#include "util/parallel.h"
 #include "util/string_util.h"
 
 namespace tpm {
@@ -87,17 +89,41 @@ void IntervalDatabase::AddSequence(EventSequence sequence) {
   sequences_.push_back(std::move(sequence));
 }
 
-Status IntervalDatabase::Validate() const {
-  // One flat pass: the last finish per symbol sits in an array indexed by
-  // EventId, stamped with the sequence it belongs to.
-  std::vector<LastFinish> last(dict_.size());
-  const size_t dense_limit = std::max(dict_.size(), kDenseEventLimit);
-  for (size_t i = 0; i < sequences_.size(); ++i) {
-    if (PassesFlatCheck(sequences_[i].intervals(), i + 1, dense_limit, &last)) {
-      continue;
+void IntervalDatabase::AddSequences(std::vector<EventSequence> sequences,
+                                    uint32_t threads) {
+  const size_t first = sequences_.size();
+  if (first == 0) {
+    sequences_ = std::move(sequences);
+  } else {
+    sequences_.insert(sequences_.end(), std::make_move_iterator(sequences.begin()),
+                      std::make_move_iterator(sequences.end()));
+  }
+  ForEachRange(sequences_.size() - first, threads, [&](uint32_t, IndexRange r) {
+    for (size_t i = first + r.begin; i < first + r.end; ++i) sequences_[i].Normalize();
+  });
+}
+
+Status IntervalDatabase::Validate(uint32_t threads) const {
+  // One flat pass per sequence range: the last finish per symbol sits in an
+  // array indexed by EventId, stamped with the sequence it belongs to. The
+  // first failing range in sequence order holds the first failing sequence.
+  std::vector<Status> first_error(NumRanges(sequences_.size(), threads));
+  ForEachRange(sequences_.size(), threads, [&](uint32_t k, IndexRange r) {
+    std::vector<LastFinish> last;
+    const size_t dense_limit = std::max(dict_.size(), kDenseEventLimit);
+    for (size_t i = r.begin; i < r.end; ++i) {
+      if (PassesFlatCheck(sequences_[i].intervals(), i + 1, dense_limit, &last)) {
+        continue;
+      }
+      Status s = sequences_[i].Validate();
+      if (!s.ok()) {
+        first_error[k] = s.WithContext(StringPrintf("sequence %zu", i));
+        return;
+      }
     }
-    Status s = sequences_[i].Validate();
-    if (!s.ok()) return s.WithContext(StringPrintf("sequence %zu", i));
+  });
+  for (Status& s : first_error) {
+    if (!s.ok()) return std::move(s);
   }
   return Status::OK();
 }

@@ -71,8 +71,14 @@ class IntervalDatabase {
   /// AddSequence normalizes defensively.
   void AddSequence(EventSequence sequence);
 
-  /// Validates every sequence; error messages cite the sequence index.
-  Status Validate() const;
+  /// Appends `sequences` in order, each normalized as AddSequence does, on up
+  /// to `threads` workers.
+  void AddSequences(std::vector<EventSequence> sequences, uint32_t threads = 1);
+
+  /// Validates every sequence; error messages cite the sequence index. The
+  /// sequences are checked in contiguous ranges on up to `threads` workers,
+  /// and the first failing sequence is reported at every `threads`.
+  Status Validate(uint32_t threads = 1) const;
 
   /// Repairs same-symbol conflicts in all sequences; returns total merges.
   size_t MergeSameSymbolConflicts();

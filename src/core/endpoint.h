@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -99,13 +100,16 @@ std::string EndpointToString(EndpointCode code, const Dictionary& dict);
 class EndpointDatabase {
  public:
   /// Builds the endpoint views of `seqs`, which must each be valid
-  /// (canonical order, no same-symbol conflicts).
+  /// (canonical order, no same-symbol conflicts), filling contiguous
+  /// sequence ranges on up to `threads` workers (DESIGN.md §1.1). The arrays
+  /// are the same for every `threads`.
   static EndpointDatabase FromSequences(std::span<const EventSequence> seqs,
-                                        size_t num_symbols);
+                                        size_t num_symbols, uint32_t threads = 1);
 
   /// Builds the views of all sequences. The database must Validate().
-  static EndpointDatabase FromDatabase(const IntervalDatabase& db) {
-    return FromSequences(db.sequences(), db.dict().size());
+  static EndpointDatabase FromDatabase(const IntervalDatabase& db,
+                                       uint32_t threads = 1) {
+    return FromSequences(db.sequences(), db.dict().size(), threads);
   }
 
   size_t size() const { return seq_items_.size() - 1; }
@@ -115,9 +119,9 @@ class EndpointDatabase {
     TPM_DCHECK(i < size());
     const uint32_t item = seq_items_[i];
     const uint32_t slice = seq_slices_[i];
-    return EndpointSequence({items_.data() + item, item_slice_.data() + item,
-                             partner_.data() + item, slice_items_.data() + slice,
-                             slice_times_.data() + slice, item, seq_items_[i + 1] - item,
+    return EndpointSequence({items_.get() + item, item_slice_.get() + item,
+                             partner_.get() + item, slice_items_.get() + slice,
+                             slice_times_.get() + slice, item, seq_items_[i + 1] - item,
                              seq_slices_[i + 1] - slice});
   }
 
@@ -128,11 +132,15 @@ class EndpointDatabase {
   size_t MemoryBytes() const;
 
  private:
-  std::vector<EndpointCode> items_;
-  std::vector<uint32_t> item_slice_;
-  std::vector<uint32_t> partner_;
-  std::vector<uint32_t> slice_items_;  // one per slice, plus the end
-  std::vector<TimeT> slice_times_;
+  // Per item and per slice: allocated at their exact size and left
+  // uninitialized, so each page is first touched by the range that fills it.
+  std::unique_ptr<EndpointCode[]> items_;
+  std::unique_ptr<uint32_t[]> item_slice_;
+  std::unique_ptr<uint32_t[]> partner_;
+  std::unique_ptr<uint32_t[]> slice_items_;  // one per slice, plus the end
+  std::unique_ptr<TimeT[]> slice_times_;
+  size_t num_items_ = 0;
+  size_t num_slices_ = 0;
   std::vector<uint32_t> seq_items_{0};   // one per sequence, plus the end
   std::vector<uint32_t> seq_slices_{0};  // one per sequence, plus the end
   size_t num_symbols_ = 0;

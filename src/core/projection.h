@@ -214,6 +214,36 @@ class ProjectionBuilder {
     return stride_ == 0 ? DummyAux() : rec + 3;
   }
 
+  /// Appends `later`'s staged states after this builder's, leaving `later`
+  /// empty. `later` staged the same node's child for sequences after all of
+  /// this builder's (a later span range of one scan), with the same stride.
+  /// Its chunks stay in its own staging arena, which must not be reset
+  /// before this builder finalizes; nothing is pushed after a join.
+  void Join(ProjectionBuilder* later) {
+    TPM_DCHECK(later->stride_ == stride_);
+    if (later->head_ == nullptr) return;
+    TPM_DCHECK(!have_seq_ || ChunkPayload(later->head_)[0] > last_seq_);
+    if (tail_ == nullptr) {
+      head_ = later->head_;
+    } else {
+      tail_->next = later->head_;
+    }
+    tail_ = later->tail_;
+    staged_states_ += later->staged_states_;
+    span_count_ += later->span_count_;
+    last_seq_ = later->last_seq_;
+    have_seq_ = true;
+    later->head_ = nullptr;
+    later->tail_ = nullptr;
+    later->staged_states_ = 0;
+    later->span_count_ = 0;
+    later->have_seq_ = false;
+  }
+
+  /// Makes Finalize use `arenas` (its scratch and its depth arena) instead
+  /// of the set the builder staged into; the staged chunks stay put.
+  void Rebind(ProjectionArenas* arenas) { arenas_ = arenas; }
+
   /// Distinct sequences staged so far — the bucket's support.
   uint32_t num_spans() const { return span_count_; }
 

@@ -13,7 +13,10 @@ EventSequence::EventSequence(std::vector<Interval> intervals)
 }
 
 void EventSequence::Normalize() {
-  std::sort(intervals_.begin(), intervals_.end());
+  // A sequence already in order (normalized once before) skips the sort.
+  if (!std::is_sorted(intervals_.begin(), intervals_.end())) {
+    std::sort(intervals_.begin(), intervals_.end());
+  }
   intervals_.erase(std::unique(intervals_.begin(), intervals_.end()),
                    intervals_.end());
 }

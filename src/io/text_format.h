@@ -11,11 +11,17 @@
 // appearance order. Symbols are interned in first-appearance order.
 //
 // Every Read* entry point hands the whole input, as one buffer, to one line
-// scanner: a file or stream is first read into an exact-size string (a
-// *String entry point parses its argument in place), inside the
-// io.text.parse span. Lines end at '\n' (a CSV line also drops one trailing
-// '\r'). Fields are views into the buffer, so a line allocates only to store
-// its interval or a new sequence id or symbol. Counters: io.text.read_lines
+// scanner: a regular file is mapped read-only (the input is not malloc'd), a
+// pipe or FIFO is copied from its descriptor, a stream is read into an
+// exact-size string, and a *String entry point parses its argument in place,
+// all inside the io.text.parse span. Lines end at '\n' (a CSV line
+// also drops one trailing '\r'). Fields are views into the buffer, so a line
+// allocates only to store its interval or a new sequence id or symbol.
+// TextReadOptions::threads cuts the input after the CSV header, at line
+// starts, into that many shards of about equal bytes, parsed concurrently
+// (one io.text.shard span each) and joined in file order (io.text.join): the
+// database, every error message and every counter are the same for any
+// number of shards. Counters: io.text.read_lines
 // (lines read), io.text.read_bytes (bytes consumed: the input's size when it
 // is read to the end), io.text.parse_ns (read plus parse) and
 // io.recovered_lines (lines dropped by kSkipLine).
@@ -23,6 +29,7 @@
 #pragma once
 
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -46,6 +53,9 @@ struct TextReadOptions {
   /// In kSkipLine mode, at most this many per-line diagnostics are logged;
   /// further skips are counted silently.
   size_t max_error_reports = 5;
+  /// Parse shards, each on its own thread (0 counts as 1). The result does
+  /// not depend on it.
+  uint32_t threads = 1;
 };
 
 /// Parses TISD from a stream/string.

@@ -36,6 +36,8 @@ class CoincidencePolicy {
 
   static constexpr const char* kBuildSpanName = "coincidence.build";
   static constexpr const char* kGrowSpanName = "coincidence.grow";
+  static constexpr const char* kRootScanSpanName = "coincidence.root_scan";
+  static constexpr const char* kRootRangeSpanName = "coincidence.root_scan.range";
   static constexpr const char* kFaultMessage =
       "injected allocation failure building the coincidence "
       "representation (fault site miner.alloc)";
@@ -43,11 +45,13 @@ class CoincidencePolicy {
   CoincidencePolicy(const MinerOptions& options, const GrowthConfig& /*config*/)
       : options_(options) {}
 
-  size_t Build(const IntervalDatabase& db) {
+  size_t Build(const IntervalDatabase& db, uint32_t threads) {
+    TPM_TRACE_SPAN("coincidence.repr");
     // Shared immutable representation: worker policies are copies of the
     // built prototype, and sharing the database keeps those copies cheap.
     cdb_ = std::make_shared<const CoincidenceDatabase>(
-        CoincidenceDatabase::FromDatabase(db));
+        CoincidenceDatabase::FromDatabase(db, threads));
+    internal::DCheckRepresentation(*cdb_);
     return cdb_->MemoryBytes();
   }
 
@@ -299,8 +303,8 @@ class CoincidencePolicy {
 Result<CoincidenceMiningResult> MineCoincidenceGrowth(
     const IntervalDatabase& db, const MinerOptions& options,
     const GrowthConfig& config) {
-  TPM_RETURN_NOT_OK(db.Validate());
-  internal::DCheckCoincidenceMinerEntry(db);
+  TPM_RETURN_NOT_OK(db.Validate(options.threads));
+  internal::DCheckMinerEntry(db);
   // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a
   // NaN threshold would otherwise disable the support filter entirely.
   if (!(options.min_support > 0.0)) {

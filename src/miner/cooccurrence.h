@@ -21,8 +21,10 @@ class CooccurrenceTable {
  public:
   /// Builds from the database. Only pairs of symbols individually frequent at
   /// `min_support` are tabulated (others can never survive pair checks).
+  /// Contiguous sequence ranges count on up to `threads` workers, and their
+  /// counts are summed: the table is the same for every `threads`.
   static CooccurrenceTable Build(const IntervalDatabase& db,
-                                 SupportCount min_support);
+                                 SupportCount min_support, uint32_t threads = 1);
 
   /// Sequence frequency of `e` (0 for unseen symbols).
   SupportCount SymbolSupport(EventId e) const {

@@ -28,6 +28,8 @@ class EndpointPolicy {
 
   static constexpr const char* kBuildSpanName = "endpoint.build";
   static constexpr const char* kGrowSpanName = "endpoint.grow";
+  static constexpr const char* kRootScanSpanName = "endpoint.root_scan";
+  static constexpr const char* kRootRangeSpanName = "endpoint.root_scan.range";
   static constexpr const char* kFaultMessage =
       "injected allocation failure building the endpoint representation "
       "(fault site miner.alloc)";
@@ -36,11 +38,13 @@ class EndpointPolicy {
       : options_(options),
         validity_pruning_(!config.baseline && options.validity_pruning) {}
 
-  size_t Build(const IntervalDatabase& db) {
+  size_t Build(const IntervalDatabase& db, uint32_t threads) {
+    TPM_TRACE_SPAN("endpoint.repr");
     // Shared immutable representation: worker policies are copies of the
     // built prototype, and sharing the database keeps those copies cheap.
     edb_ = std::make_shared<const EndpointDatabase>(
-        EndpointDatabase::FromDatabase(db));
+        EndpointDatabase::FromDatabase(db, threads));
+    internal::DCheckRepresentation(*edb_);
     return edb_->MemoryBytes();
   }
 
@@ -320,8 +324,8 @@ class EndpointPolicy {
 Result<EndpointMiningResult> MineEndpointGrowth(const IntervalDatabase& db,
                                                 const MinerOptions& options,
                                                 const GrowthConfig& config) {
-  TPM_RETURN_NOT_OK(db.Validate());
-  internal::DCheckEndpointMinerEntry(db);
+  TPM_RETURN_NOT_OK(db.Validate(options.threads));
+  internal::DCheckMinerEntry(db);
   // Negated comparison so NaN is rejected too: NaN <= 0.0 is false, and a
   // NaN threshold would otherwise disable the support filter entirely.
   if (!(options.min_support > 0.0)) {

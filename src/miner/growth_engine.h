@@ -12,8 +12,10 @@
 // the policy contributes the language-specific pieces:
 //
 //   using PatternT / ResultT;  Policy(options, GrowthConfig)
-//   kBuildSpanName / kGrowSpanName / kFaultMessage
-//   Build(db) -> representation bytes;  NumSeqs / NumItems / ItemCode
+//   kBuildSpanName / kGrowSpanName / kRootScanSpanName /
+//   kRootRangeSpanName / kFaultMessage
+//   Build(db, threads) -> representation bytes;  NumSeqs / NumItems /
+//   ItemCode
 //   IntroducesSymbol(code) / SymbolOf(code)     admission gating
 //   Scannable(code, allowed)                    may a state extend with it?
 //   Stride() / ChildStride(code, i_ext)         aux-slice widths
@@ -43,14 +45,21 @@
 //              path from the root, walk the subtree, undo.
 //
 //   workers    --threads=N runs N workers: the calling thread is worker 0
-//              and N-1 helper threads are the rest (none at N=1), all in
-//              the same WorkerLoop. Each worker owns a WorkerSlot, created
-//              right after the representation build: a copy of the built
-//              policy (cheap — the language representation is shared via
-//              shared_ptr), ProjectionArenas, ExecutionGuard, a ScanScratch
-//              and the list arena. The root node is worker 0's first node,
-//              so the unit views live in worker 0's depth-1 arena, which
-//              worker 0 never writes again until the unit phase ends. Every
+//              and N-1 helper threads are the rest (none at N=1), spawned
+//              per phase through util/parallel.h. The preamble uses them
+//              too: the representation build and the co-occurrence table
+//              split the database into contiguous sequence ranges, and the
+//              root node is worker 0's first node with its scan cut into
+//              span ranges and its children's Finalize into runs of
+//              children, one per worker (ExpandRoot), with every result the
+//              serial one. The unit phase runs all N in the same WorkerLoop.
+//              Each worker owns a WorkerSlot, created right after the
+//              representation build: a copy of the built policy (cheap —
+//              the language representation is shared via shared_ptr),
+//              ProjectionArenas, ExecutionGuard, a ScanScratch and the list
+//              arena. The unit views live in the workers' depth-1 arenas,
+//              which only the root writes, so they stay put until the unit
+//              phase ends. Every
 //              work item charges its own plain SearchTally
 //              (miner/miner_metrics.h) with non-atomic adds, so nothing
 //              mutable is shared between workers on the hot path; a split
@@ -143,6 +152,7 @@
 #include "obs/trace.h"
 #include "util/macros.h"
 #include "util/memory.h"
+#include "util/parallel.h"
 #include "util/sched_test.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -285,8 +295,8 @@ class GrowthEngine {
     size_t rep_bytes = 0;
     {
       TPM_TRACE_SPAN(Policy::kBuildSpanName);
-      rep_bytes = policy_.Build(db_);
-      cooc_ = CooccurrenceTable::Build(db_, minsup_);
+      rep_bytes = policy_.Build(db_, NumWorkers());
+      cooc_ = CooccurrenceTable::Build(db_, minsup_, NumWorkers());
     }
     result.stats.build_bytes = rep_bytes + cooc_.MemoryBytes();
     tracker_.Allocate(result.stats.build_bytes);
@@ -331,14 +341,13 @@ class GrowthEngine {
       progress_->ConfigureWorkers(NumWorkers(), &tracker_);
     }
 
-    // The level-1 unit views finalize into w0's depth-1 arena. Units start
-    // at depth 1, so w0 never writes or rewinds that arena again before
-    // ReleaseNode(root) below, and helpers may read the views meanwhile.
+    // The level-1 unit views finalize into the workers' depth-1 arenas.
+    // Units start at depth 1, so no worker writes or rewinds its depth-1
+    // arena again before the root's release below, and every worker may
+    // read the views meanwhile.
     NodeChildren root_nc;
     w0.out = &root_out;
-    const bool root_entered = ExpandNode(w0, root, allowed, /*depth=*/0,
-                                         /*parent=*/nullptr, /*kept=*/nullptr,
-                                         &root_nc);
+    const bool root_entered = ExpandRoot(root, allowed, &root_nc);
     w0.out = nullptr;
     if (root_entered) {
       BuildUnits(&root_nc);
@@ -365,6 +374,7 @@ class GrowthEngine {
     if (root_entered) {
       RunUnits();
       ReleaseNode(w0, &root_nc, 0);
+      for (size_t k = 1; k < slots_.size(); ++k) slots_[k].arenas.depth(1).Reset();
     }
 
     uint64_t nodes = 0;
@@ -529,7 +539,7 @@ class GrowthEngine {
     uint32_t code = 0;
     bool i_ext = false;
     bool splittable = false;
-    const NodeProjection* view = nullptr;  ///< in slots_[0]'s depth-1 arena
+    const NodeProjection* view = nullptr;  ///< in a worker's depth-1 arena
   };
 
   // The merged fate of one unit. `bank`/`tally` are written by the merger
@@ -610,6 +620,122 @@ class GrowthEngine {
                   const SpanLists* parent,
                   std::vector<std::span<const ScanItem>>* kept,
                   NodeChildren* nc) {
+    if (!EnterNode(w, proj)) return false;
+    nc->list_mark = w.lists.mark();
+    if (kept != nullptr) kept->clear();
+    ScanSpans(w, proj, allowed, depth, parent, kept, {0, proj.num_spans},
+              &nc->frame, &w.out->tally);
+    FinishNode(w, allowed, depth, nc);
+    return true;
+  }
+
+  /// The root node, its scan and its children's Finalize cut into
+  /// contiguous ranges, one per worker. Range k scans a span range into
+  /// worker k's own buckets, staging arena, scratch and tally. Each key's
+  /// staged chunks are then joined in range order, so every child's spans
+  /// stay increasing by sequence and its projection is the serial one. The
+  /// children, in child order, are cut into contiguous runs of about equal
+  /// staged states, and worker k finalizes run k into its own depth-1 arena,
+  /// which only the root ever writes. The tally is the serial one too:
+  /// states, scan items, validity closes and the per-symbol postfix counts
+  /// sum over the ranges, a key is one candidate however many ranges touched
+  /// it (the root admits every key it touches: its pattern has no symbol for
+  /// the pair table to check), and the depth-1 bytes are summed over the
+  /// workers. One range is the serial expansion.
+  bool ExpandRoot(const NodeProjection& root, const std::vector<uint8_t>& allowed,
+                  NodeChildren* nc) {
+    TPM_TRACE_SPAN(Policy::kRootScanSpanName);
+    WorkerSlot& w0 = slots_[0];
+    if (!EnterNode(w0, root)) return false;
+    nc->list_mark = w0.lists.mark();
+    const uint32_t n = NumRanges(root.num_spans, NumWorkers());
+    std::vector<ExpandFrame> frames(n);
+    std::vector<SearchTally> tallies(n);
+    RunOnWorkers(n, [&](uint32_t k) {
+      TPM_TRACE_SPAN(Policy::kRootRangeSpanName);
+      ScanSpans(slots_[k], root, allowed, /*depth=*/0, /*parent=*/nullptr,
+                /*kept=*/nullptr, SplitRange(root.num_spans, n, k), &frames[k],
+                &tallies[k]);
+    });
+
+    // Range 0's buckets become the children; a later range's bucket joins
+    // the child of its key (this merge's stamp in w0's ext-slot table), or
+    // becomes a new one. Ranges join in range order.
+    std::vector<Bucket>& buckets = nc->frame.buckets;
+    buckets = std::move(frames[0].buckets);
+    ScanScratch& scratch = w0.scratch;
+    const uint64_t stamp = static_cast<uint64_t>(scratch.NextStamp()) << 32;
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      scratch.ext_slot(buckets[i].code, buckets[i].i_ext) = stamp | (i + 1);
+    }
+    for (uint32_t k = 1; k < n; ++k) {
+      for (Bucket& b : frames[k].buckets) {
+        uint64_t& slot = scratch.ext_slot(b.code, b.i_ext);
+        if ((slot & ~uint64_t{0xFFFFFFFF}) != stamp) {
+          slot = stamp | (buckets.size() + 1);
+          Bucket& child = buckets.emplace_back();
+          child.code = b.code;
+          child.i_ext = b.i_ext;
+          child.builder.Init(w0.policy.ChildStride(b.code, b.i_ext), &w0.arenas,
+                             /*depth=*/1);
+        }
+        buckets[static_cast<uint32_t>(slot) - 1].builder.Join(&b.builder);
+      }
+      nc->frame.copies_bytes += frames[k].copies_bytes;
+      std::vector<Bucket>().swap(frames[k].buckets);
+    }
+    nc->frame.copies_bytes += frames[0].copies_bytes;
+
+    SearchTally& tally = w0.out->tally;
+    for (uint32_t k = 0; k < n; ++k) {
+      TPM_DCHECK(tallies[k].pair_hits == 0);
+      tallies[k].candidates = 0;
+      tally.Add(tallies[k]);
+      if (k > 0 && postfix_pruning_) {
+        std::vector<SupportCount>& sum = scratch.postfix_count;
+        const std::vector<SupportCount>& part = slots_[k].scratch.postfix_count;
+        for (EventId e = 0; e < num_symbols_; ++e) sum[e] += part[e];
+      }
+    }
+    tally.candidates += buckets.size();
+    PrepareChildren(w0, allowed, /*depth=*/0, nc);
+
+    // The children, in child order, cut into contiguous runs of about equal
+    // staged states: worker k finalizes run k, into its own depth-1 arena.
+    size_t total_states = 0;
+    for (const Bucket& b : buckets) total_states += b.builder.num_staged_states();
+    std::vector<size_t> run_begin(n + 1, buckets.size());
+    size_t states_before = 0;
+    for (size_t c = 0; c < buckets.size(); ++c) {
+      const size_t k = states_before * n / total_states;
+      run_begin[k] = std::min(run_begin[k], c);
+      states_before += buckets[c].builder.num_staged_states();
+    }
+    for (uint32_t k = n; k > 0; --k) {
+      run_begin[k - 1] = std::min(run_begin[k - 1], run_begin[k]);
+    }
+    nc->child_mark = w0.arenas.depth(1).mark();
+    RunOnWorkers(n, [&](uint32_t k) {
+      TPM_TRACE_SPAN(Policy::kRootRangeSpanName);
+      for (size_t c = run_begin[k]; c < run_begin[k + 1]; ++c) {
+        buckets[c].builder.Rebind(&slots_[k].arenas);
+        FinalizeChild(slots_[k], &buckets[c]);
+      }
+    });
+    size_t depth1_bytes = 0;
+    for (uint32_t k = 0; k < n; ++k) {
+      slots_[k].arenas.staging().Reset();
+      depth1_bytes += slots_[k].arenas.depth(1).used_bytes();
+    }
+    tally.arena_depth_bytes.Observe(depth1_bytes);
+    nc->entered = true;
+    return true;
+  }
+
+  /// A node's entry: the arena-lifetime check, the stop poll, the node's
+  /// charges and its pattern's emission. False when the node is not
+  /// expanded (guard stop, emit-time stop, or the max_items cutoff).
+  bool EnterNode(WorkerSlot& w, const NodeProjection& proj) {
     // Arena-lifetime contract: the projection's depth arena must not have
     // rewound since Finalize (docs/ARCHITECTURE.md). A violation here means
     // a frame was released while its subtree (or a stolen sub-unit of it)
@@ -622,25 +748,34 @@ class GrowthEngine {
     tally.nodes.Observe(w.policy.PatternLen());
     tally.projected_seqs.Observe(proj.num_spans);
     tally.projected_states.Observe(proj.num_states);
-    w.policy.BeginNode();
 
     // Report the pattern at this node when the policy deems it complete.
     if (w.policy.CanEmit()) {
       EmitPattern(w, static_cast<SupportCount>(proj.num_spans));
       if (w.guard.stopped()) return false;
     }
-    if (options_.max_items > 0 &&
-        w.policy.PatternLen() >= options_.max_items) {
-      return false;
-    }
+    return options_.max_items == 0 || w.policy.PatternLen() < options_.max_items;
+  }
 
+  /// Scans the spans in `range` of a node at `depth` with worker `w`'s
+  /// policy, scratch and list arena: stages the candidate children into
+  /// `frame`'s buckets (in w's staging arena), charges `tally`, and, with
+  /// postfix pruning, leaves the symbol counts of the listed items in
+  /// w.scratch.postfix_count.
+  void ScanSpans(WorkerSlot& w, const NodeProjection& proj,
+                 const std::vector<uint8_t>& allowed, uint32_t depth,
+                 const SpanLists* parent,
+                 std::vector<std::span<const ScanItem>>* kept, IndexRange range,
+                 ExpandFrame* frame_ptr, SearchTally* tally_ptr) {
+    ExpandFrame& frame = *frame_ptr;
+    SearchTally& tally = *tally_ptr;
+    w.policy.BeginNode();
     const bool allow_s_ext = options_.max_length == 0 ||
                              w.policy.NumBlocks() < options_.max_length ||
                              w.policy.PatternLen() == 0;
     const uint8_t* const filter =
         postfix_pruning_ || pair_pruning_ ? allowed.data() : nullptr;
 
-    ExpandFrame& frame = nc->frame;
     ScanScratch& scratch = w.scratch;
     Arena& lists = w.lists;
     if (postfix_pruning_) {
@@ -739,10 +874,8 @@ class GrowthEngine {
     };
 
     // ---- Candidate scan ------------------------------------------------
-    nc->list_mark = lists.mark();
-    if (kept != nullptr) kept->clear();
     uint32_t pj = 0;  // cursor over the parent's spans
-    for (uint32_t si = 0; si < proj.num_spans; ++si) {
+    for (size_t si = range.begin; si < range.end; ++si) {
       const SeqSpan& sp = proj.spans[si];
       frame.cur_seq = sp.seq;
 
@@ -782,13 +915,34 @@ class GrowthEngine {
     }
 
     w.policy.FlushNodeMetrics(&tally);
+  }
 
-    // ---- Children ------------------------------------------------------
+  /// A scanned node's children: PrepareChildren, then every bucket
+  /// finalized into w's child-depth arena.
+  void FinishNode(WorkerSlot& w, const std::vector<uint8_t>& allowed,
+                  uint32_t depth, NodeChildren* nc) {
+    PrepareChildren(w, allowed, depth, nc);
+    Arena& child_arena = w.arenas.depth(depth + 1);
+    nc->child_mark = child_arena.mark();
+    for (Bucket& b : nc->frame.buckets) FinalizeChild(w, &b);
+    // All parents up this context's stack finalized before recursing, so
+    // nothing else is staged: the staging arena can rewind to empty.
+    w.arenas.staging().Reset();
+    w.out->tally.arena_depth_bytes.Observe(child_arena.used_bytes());
+    nc->entered = true;
+  }
+
+  /// The children's allowed set, from the postfix counts in w.scratch, and
+  /// the frame's buckets kept and sorted into child order.
+  void PrepareChildren(WorkerSlot& w, const std::vector<uint8_t>& allowed,
+                       uint32_t depth, NodeChildren* nc) {
+    ExpandFrame& frame = nc->frame;
+    SearchTally& tally = w.out->tally;
     nc->child_allowed = allowed;
     if (postfix_pruning_) {
       const SupportCount floor = Floor();
       for (EventId e = 0; e < num_symbols_; ++e) {
-        if (allowed[e] != 0 && scratch.postfix_count[e] < floor) {
+        if (allowed[e] != 0 && w.scratch.postfix_count[e] < floor) {
           nc->child_allowed[e] = 0;
           ++tally.postfix_hits;
         }
@@ -815,23 +969,16 @@ class GrowthEngine {
                 if (a.i_ext != b.i_ext) return a.i_ext > b.i_ext;
                 return a.code < b.code;
               });
+  }
 
-    Arena& child_arena = w.arenas.depth(depth + 1);
-    nc->child_mark = child_arena.mark();
-    for (Bucket& b : frame.buckets) {
-      const NodeProjection& view = b.builder.Finalize(
-          [&w](const ProjectionBuilder::SpanView& v,
-               std::vector<uint32_t>* keep) {
-            w.policy.SelectSpan(v, keep);
-          });
-      internal::DCheckProjection(view);
-    }
-    // All parents up this context's stack finalized before recursing, so
-    // nothing else is staged: the staging arena can rewind to empty.
-    w.arenas.staging().Reset();
-    tally.arena_depth_bytes.Observe(child_arena.used_bytes());
-    nc->entered = true;
-    return true;
+  /// Finalizes one child into its builder's depth arena, selecting each
+  /// span's states with w's policy.
+  void FinalizeChild(WorkerSlot& w, Bucket* b) {
+    const NodeProjection& view = b->builder.Finalize(
+        [&w](const ProjectionBuilder::SpanView& v, std::vector<uint32_t>* keep) {
+          w.policy.SelectSpan(v, keep);
+        });
+    internal::DCheckProjection(view);
   }
 
   void ReleaseNode(WorkerSlot& w, NodeChildren* nc, uint32_t depth) {
@@ -1018,14 +1165,7 @@ class GrowthEngine {
     scheduler_.Reset(std::move(pending));
     open_items_.store(scheduler_.units_pending(), std::memory_order_relaxed);
 
-    std::vector<std::thread> helpers;
-    helpers.reserve(slots_.size() - 1);
-    for (size_t i = 1; i < slots_.size(); ++i) {
-      WorkerSlot* w = &slots_[i];
-      helpers.emplace_back([this, w] { WorkerLoop(*w); });
-    }
-    WorkerLoop(slots_[0]);
-    for (std::thread& t : helpers) t.join();
+    RunOnWorkers(NumWorkers(), [this](uint32_t k) { WorkerLoop(slots_[k]); });
     MergeDeliveries();
   }
 

@@ -229,6 +229,7 @@ class LevelwiseMiner {
       TPM_TRACE_SPAN("levelwise.build");
       ldb_ = Lang::Database::FromDatabase(db_);
     }
+    internal::DCheckRepresentation(ldb_);
     tracker_.Allocate(ldb_.MemoryBytes());
     result.stats.build_seconds = build_timer.ElapsedSeconds();
 
@@ -387,7 +388,7 @@ Result<EndpointMiningResult> MineLevelwiseEndpoint(const IntervalDatabase& db,
                                                    const MinerOptions& options,
                                                    const LevelwiseConfig& config) {
   TPM_RETURN_NOT_OK(db.Validate());
-  internal::DCheckEndpointMinerEntry(db);
+  internal::DCheckMinerEntry(db);
   return MineLevelwise<EndpointLang>(db, options, config);
 }
 
@@ -395,7 +396,7 @@ Result<CoincidenceMiningResult> MineLevelwiseCoincidence(
     const IntervalDatabase& db, const MinerOptions& options,
     const LevelwiseConfig& config) {
   TPM_RETURN_NOT_OK(db.Validate());
-  internal::DCheckCoincidenceMinerEntry(db);
+  internal::DCheckMinerEntry(db);
   return MineLevelwise<CoincidenceLang>(db, options, config);
 }
 

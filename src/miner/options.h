@@ -104,12 +104,14 @@ struct MinerOptions {
     return limits;
   }
 
-  /// Worker threads for the growth engines' unit phase
-  /// (docs/ARCHITECTURE.md, "Scheduler / worker / merger"). N workers drain
-  /// the shared work-unit queue: the calling thread is worker 0 and merges
-  /// completed units, and N > 1 adds N-1 helper threads. Each worker owns
-  /// its arenas and guard; all charge the run's one memory account. Output
-  /// is byte-identical for every value. Level-wise miners ignore this.
+  /// Worker threads for the growth engines (docs/ARCHITECTURE.md,
+  /// "Scheduler / worker / merger"). The preamble (the database check, the
+  /// representation build, the co-occurrence table and the root node) runs
+  /// in contiguous ranges, one per worker, and N workers drain the shared
+  /// work-unit queue: the calling thread is worker 0 and merges completed
+  /// units, and N > 1 adds N-1 helper threads. Each worker owns its arenas
+  /// and guard; all charge the run's one memory account. Output is
+  /// byte-identical for every value. Level-wise miners ignore this.
   uint32_t threads = 1;
 
   /// Opt-in work stealing: split heavyweight depth-0 units into per-child

@@ -1,9 +1,9 @@
 // Debug-build invariant hooks shared by the miner entry points (Tier C, see
 // docs/STATIC_ANALYSIS.md). Each wrapper asserts the validators from
-// core/validate.h at entry (database + the derived representation it is
-// about to mine) and at exit (every reported pattern canonical and complete,
-// support anti-monotone for untruncated runs). All of it compiles to nothing
-// when TPM_VALIDATORS_ENABLED is 0.
+// core/validate.h at entry (the database), right after the build (the
+// representation that is mined) and at exit (every reported pattern
+// canonical and complete, support anti-monotone for untruncated runs). All
+// of it compiles to nothing when TPM_VALIDATORS_ENABLED is 0.
 
 #pragma once
 
@@ -24,22 +24,29 @@ inline void DCheckProjection(const NodeProjection& proj) {
 #endif
 }
 
-inline void DCheckEndpointMinerEntry(const IntervalDatabase& db) {
+inline void DCheckMinerEntry(const IntervalDatabase& db) {
 #if TPM_VALIDATORS_ENABLED
   TPM_DCHECK_OK(ValidateDatabase(db));
-  TPM_DCHECK_OK(ValidateEndpointDatabase(EndpointDatabase::FromDatabase(db)));
 #else
   (void)db;
 #endif
 }
 
-inline void DCheckCoincidenceMinerEntry(const IntervalDatabase& db) {
+/// Asserts the representation a miner built is well-formed, right after its
+/// build: the store that is checked is the one that is mined.
+inline void DCheckRepresentation(const EndpointDatabase& edb) {
 #if TPM_VALIDATORS_ENABLED
-  TPM_DCHECK_OK(ValidateDatabase(db));
-  TPM_DCHECK_OK(
-      ValidateCoincidenceDatabase(CoincidenceDatabase::FromDatabase(db)));
+  TPM_DCHECK_OK(ValidateEndpointDatabase(edb));
 #else
-  (void)db;
+  (void)edb;
+#endif
+}
+
+inline void DCheckRepresentation(const CoincidenceDatabase& cdb) {
+#if TPM_VALIDATORS_ENABLED
+  TPM_DCHECK_OK(ValidateCoincidenceDatabase(cdb));
+#else
+  (void)cdb;
 #endif
 }
 

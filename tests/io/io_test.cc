@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "datagen/quest.h"
 #include "io/binary_format.h"
@@ -134,6 +138,36 @@ TEST(CsvTest, RoundTrip) {
   auto back = ReadCsvFile(path);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_TRUE(SameContents(db, *back));
+}
+
+// A regular file is read through a mapping of it; a FIFO cannot be mapped
+// and is read through the streamed copy. Both parse as the text does.
+TEST(CsvTest, ReadsAFifoThroughTheStreamCopy) {
+  const IntervalDatabase db = SampleDb();
+  std::ostringstream text;
+  ASSERT_TRUE(WriteCsv(db, text).ok());
+  const std::string path = TempPath("fifo.csv");
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);  // blocks until the reader opens
+    out << text.str();
+  });
+  TextReadOptions options;
+  options.threads = 2;
+  auto back = ReadCsvFile(path, options);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(SameContents(db, *back));
+}
+
+TEST(TisdTest, ReadsAnEmptyFile) {
+  const std::string path = TempPath("empty.tisd");
+  { std::ofstream out(path); }
+  auto back = ReadTisdFile(path);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->size(), 0u);
 }
 
 TEST(CsvTest, HeaderColumnOrderIsFlexible) {

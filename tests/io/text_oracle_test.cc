@@ -8,11 +8,12 @@
 // start > finish, in both error modes with and without conflict merging.
 // Both readers must return the same Status (code and message), the same
 // database (dictionary order and sequences), and count the same lines read
-// and lines recovered.
+// and lines recovered, at every shard count (TextReadOptions::threads).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <istream>
@@ -23,6 +24,7 @@
 
 #include "io/text_format.h"
 #include "obs/metrics.h"
+#include "util/logging.h"
 #include "util/macros.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -311,13 +313,17 @@ TEST(TextOracleTest, ReadersMatchTheGetlineReader) {
     for (const bool csv : {false, true}) {
       const std::string text = RandomText(rng, csv);
       for (int mode = 0; mode < 4; ++mode) {
+        // Shard counts 1, 2, 3 and 7, each trial's text read at all four
+        // across its modes: the small texts give empty and one-line shards,
+        // and rows of one sequence in several shards.
         TextReadOptions options;
         options.on_error =
             (mode & 1) != 0 ? TextErrorMode::kSkipLine : TextErrorMode::kFail;
         options.merge_conflicts = (mode & 2) != 0;
         options.max_error_reports = 0;
-        SCOPED_TRACE(StringPrintf("trial %d, %s, mode %d", trial,
-                                  csv ? "csv" : "tisd", mode));
+        options.threads = std::array<uint32_t, 4>{1, 2, 3, 7}[(trial + mode) % 4];
+        SCOPED_TRACE(StringPrintf("trial %d, %s, mode %d, %u shards", trial,
+                                  csv ? "csv" : "tisd", mode, options.threads));
         std::istringstream oracle_in(text);
         const OracleResult want = csv ? OracleReadCsv(oracle_in, options)
                                       : OracleReadTisd(oracle_in, options);
@@ -348,6 +354,49 @@ TEST(TextOracleTest, ReadersMatchTheGetlineReader) {
   EXPECT_GT(accepted, 1000u);
   EXPECT_GT(rejected, 1000u);
   EXPECT_GT(recovered, 1000u);
+}
+
+std::vector<std::string>* captured_log = nullptr;
+
+void CaptureSink(LogLevel, const std::string& line) {
+  // Drop the line's prefix (level, time, source): the message is compared.
+  const size_t at = std::min(line.find("skipping"), line.find("further"));
+  captured_log->push_back(at == std::string::npos ? line : line.substr(at));
+}
+
+// kSkipLine diagnostics: a shard reports its failing lines by position and
+// the join replays them in file order, so the logged lines, their numbers
+// and the suppression notice after max_error_reports are the same for every
+// shard count.
+TEST(TextOracleTest, SkipLineDiagnosticsMatchAcrossShardCounts) {
+  Rng rng(29);
+  std::vector<std::string> log;
+  captured_log = &log;
+  const LogSink prev = SetLogSink(&CaptureSink);
+  size_t logged = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool csv = trial % 2 == 0;
+    const std::string text = RandomText(rng, csv);
+    std::vector<std::string> want;
+    for (const uint32_t shards : {1u, 2u, 3u, 7u}) {
+      TextReadOptions options;
+      options.on_error = TextErrorMode::kSkipLine;
+      options.max_error_reports = 3;
+      options.threads = shards;
+      log.clear();
+      const Result<IntervalDatabase> got =
+          csv ? ReadCsvString(text, options) : ReadTisdString(text, options);
+      if (shards == 1) {
+        want = log;
+        logged += log.size();
+        continue;
+      }
+      EXPECT_EQ(log, want) << shards << " shards\n" << text;
+    }
+  }
+  SetLogSink(prev);
+  captured_log = nullptr;
+  EXPECT_GT(logged, 300u);
 }
 
 // ParseInt64 on from_chars accepts and rejects what strtoll did, with the

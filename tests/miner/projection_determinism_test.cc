@@ -168,6 +168,77 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
   }
 }
 
+// A QUEST database of `num_sequences` sequences with an empty sequence
+// before every third one (and at the end), so the preamble's contiguous
+// ranges see sequence counts below, equal to and not divisible by the
+// thread count, and ranges holding only empty sequences.
+IntervalDatabase MakeRaggedDb(uint32_t num_sequences, uint64_t seed) {
+  QuestConfig config;
+  config.num_sequences = num_sequences;
+  config.avg_intervals_per_sequence = 5.0;
+  config.num_symbols = 8;
+  config.num_potential_patterns = 4;
+  config.pattern_injection_prob = 0.8;
+  config.seed = seed;
+  auto quest = GenerateQuest(config);
+  EXPECT_TRUE(quest.ok()) << quest.status();
+  IntervalDatabase db;
+  for (const std::string& name : quest->dict().names()) db.dict().Intern(name);
+  for (size_t i = 0; i < quest->size(); ++i) {
+    if (i % 3 == 0) db.AddSequence(EventSequence());
+    db.AddSequence((*quest)[i]);
+  }
+  db.AddSequence(EventSequence());
+  return db;
+}
+
+// Mines `db` with `mine(options)` at 1, 2, 3, 4 and 8 threads and expects the
+// same patterns in the same order and the same merged metrics.
+template <typename MineFn>
+void ExpectSameAtEveryThreadCount(const IntervalDatabase& db, MineFn mine,
+                                  const std::string& label) {
+  std::string want;
+  std::string want_metrics;
+  for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    MinerOptions options;
+    options.min_support = 0.3;
+    options.threads = threads;
+    obs::StatsDomain domain("ragged");
+    options.stats_domain = &domain;
+    auto result = mine(options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::string got = EmissionOrderRender(*result, db.dict());
+    const std::string got_metrics = ComparableMetricsJson(result->stats.metrics);
+    if (threads == 1) {
+      want = got;
+      want_metrics = got_metrics;
+      continue;
+    }
+    EXPECT_EQ(got, want) << label << " threads " << threads;
+    EXPECT_EQ(got_metrics, want_metrics) << label << " threads " << threads;
+  }
+}
+
+TEST(PreambleRangeDeterminismTest, RaggedDatabasesAgreeAcrossThreadCounts) {
+  for (uint32_t n : {1u, 2u, 3u, 5u, 7u, 13u}) {
+    const IntervalDatabase db = MakeRaggedDb(n, 40 + n);
+    const std::string size = std::to_string(db.size()) + " sequences: ";
+    ExpectSameAtEveryThreadCount(
+        db, [&](const MinerOptions& o) { return MineEndpointGrowth(db, o, GrowthConfig{}); },
+        size + "P-TPMiner/E");
+    ExpectSameAtEveryThreadCount(
+        db,
+        [&](const MinerOptions& o) { return MineCoincidenceGrowth(db, o, GrowthConfig{}); },
+        size + "P-TPMiner/C");
+    ExpectSameAtEveryThreadCount(
+        db, [&](const MinerOptions& o) { return MakeTPrefixSpan()->Mine(db, o); },
+        size + "TPrefixSpan");
+    ExpectSameAtEveryThreadCount(
+        db, [&](const MinerOptions& o) { return MakeCTMiner()->Mine(db, o); },
+        size + "CTMiner");
+  }
+}
+
 // --steal changes how a unit's work is split into items, never what the run
 // reports: the serial merged metrics with and without it must match in
 // full. The input is large enough that a single unit emits more than 1,024

@@ -322,9 +322,11 @@ struct MineFlags {
 };
 
 Result<IntervalDatabase> LoadForCli(const std::string& path, bool merge,
-                                    bool skip_bad_lines = false) {
+                                    bool skip_bad_lines = false,
+                                    uint32_t threads = 1) {
   TextReadOptions options;
   options.merge_conflicts = merge;
+  options.threads = threads;
   options.on_error =
       skip_bad_lines ? TextErrorMode::kSkipLine : TextErrorMode::kFail;
   return LoadDatabase(path, options);
@@ -505,8 +507,9 @@ int CmdMine(int argc, const char* const* argv, std::ostream& out) {
   // --metrics-out still sees everything.
   obs::StatsDomain domain("mine");
   domain.RecordEvent("load.begin");
+  // A text input parses on the run's --threads workers.
   auto db = LoadForCli((*positional)[0], flags.merge_conflicts,
-                       flags.on_error == "skip");
+                       flags.on_error == "skip", static_cast<uint32_t>(flags.threads));
   if (!db.ok()) {
     return FailWithPostmortem(db.status(), flags, domain, kExitLoadError);
   }
